@@ -3,7 +3,7 @@
 Modules
 -------
 angmom       exact Clebsch-Gordan / Wigner 3j coefficients
-atomstruct   hyperfine + Zeeman structure, adiabatic state labeling
+atomstruct   hyperfine + Zeeman structure, state labeling by in-block energy rank
 transitions  laser geometry factors and relative quadrupole strengths
 noise        filter-function dephasing model and secondary error budget
 spam         shelving protocol plans, Monte Carlo, confusion analytics

@@ -7,8 +7,11 @@ The Hamiltonian is built in the |m_I, m_J> product basis, in MHz:
       + B mu_B/h (g_J m_J + g_I m_I)
 
 It conserves m = m_I + m_J, so each m block is diagonalized independently.
-Eigenstates are labeled |F~, m_F~> by adiabatic continuation from B = 0,
-where the labels coincide with the zero-field hyperfine states |F, m_F>.
+Eigenstates are labeled |F~, m_F~> by energy rank: levels of one block
+cannot cross (von Neumann-Wigner), so the k-th lowest eigenvalue of a block
+carries the k-th lowest closed-form E(F) of that block at every field.  A
+gap guard raises ``LabelingError`` when two eigenvalues of a block, at zero
+field or at the requested field, come closer than ``_GAP_MIN``.
 The hyperfine terms are traceless over the level, so energies come out
 relative to the level centroid; absolute optical frequencies enter only as
 an explicit offset in ``transition_frequency``.
@@ -17,12 +20,12 @@ an explicit offset in ``transition_frequency``.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .angmom import HalfInt, clebsch_gordan
 
@@ -59,9 +62,14 @@ class PhysicalConstants:
 
 CONSTANTS = PhysicalConstants()
 
+# MHz: smallest in-block gap (and largest zero-field deviation from the
+# closed-form E(F)) at which rank labels are trusted
+_GAP_MIN = 1e-6
+
 
 class LabelingError(RuntimeError):
-    """Adiabatic label tracking failed even at the minimum field step."""
+    """Rank labels are ambiguous: two eigenvalues of one m block lie closer
+    than ``_GAP_MIN``, or the zero-field spectrum disagrees with E(F)."""
 
 
 class FieldMismatchError(ValueError):
@@ -161,17 +169,22 @@ def _hyperfine_parts(level: LevelConstants) -> tuple[np.ndarray, np.ndarray]:
     return idot, quad
 
 
+def _moment(level: LevelConstants) -> np.ndarray:
+    """g_J m_J + g_I m_I over the product basis: dH/dB in units of mu_B/h."""
+    tmi = np.array([p[0] for p in _basis(level)]) / 2.0
+    tmj = np.array([p[1] for p in _basis(level)]) / 2.0
+    return level.g_J * tmj + level.g_I * tmi
+
+
 def build_hamiltonian(
     level: LevelConstants, B: float, constants: PhysicalConstants = CONSTANTS
 ) -> np.ndarray:
     """Hamiltonian matrix in MHz over the |m_I, m_J> basis at field B (gauss)."""
-    if B < 0:
-        raise ValueError("B must be nonnegative")
+    if not 0.0 <= B < math.inf:
+        raise ValueError(f"B must be finite and nonnegative, got {B}")
     idot, quad = _hyperfine_parts(level)
     h = level.A_D * idot + level.B_Q * quad
-    tmi = np.array([p[0] for p in _basis(level)]) / 2.0
-    tmj = np.array([p[1] for p in _basis(level)]) / 2.0
-    zeeman = B * constants.mu_B_over_h * (level.g_J * tmj + level.g_I * tmi)
+    zeeman = B * constants.mu_B_over_h * _moment(level)
     return h + np.diag(zeeman)
 
 
@@ -255,9 +268,10 @@ def _f_transform(level: LevelConstants) -> np.ndarray:
 class EigenSystem:
     """All labeled eigenstates of one level at one field value.
 
-    States are ordered by (F~ ascending, m_F~ descending), i.e. by adiabatic
-    label rather than by raw energy, so state identity is stable across
-    level anticrossings.
+    States are ordered by (F~ ascending, m_F~ descending), i.e. by label
+    rather than by raw energy.  A label is the state's energy rank inside
+    its m block, which levels of one block never exchange, so state
+    identity is stable across level anticrossings.
     """
 
     level: LevelConstants
@@ -291,69 +305,39 @@ def _block_indices(level: LevelConstants) -> dict[int, np.ndarray]:
     return {m: np.where(tm == m)[0] for m in sorted(set(tm.tolist()))}
 
 
-def _block_labels(level: LevelConstants, tm: int) -> list[int]:
-    """Twice-F labels living in the m block, ordered ascending in F."""
-    return [F.twice for F in level.f_values() if F.twice >= abs(tm)]
+@lru_cache(maxsize=32)
+def _rank_order(level: LevelConstants) -> dict[int, tuple[int, ...]]:
+    """Twice-F labels of each m block, by ascending closed-form E(F)."""
+    return {
+        tm: tuple(sorted(
+            (F.twice for F in level.f_values() if F.twice >= abs(tm)),
+            key=lambda tf: zero_field_energy(level, HalfInt(tf)),
+        ))
+        for tm in _block_indices(level)
+    }
 
 
-def _zero_field_blocks(level: LevelConstants) -> dict[int, dict[int, np.ndarray]]:
-    """Labeled eigenvectors at B = 0: {twice_m: {twice_F: vector-in-block}}."""
-    h0 = build_hamiltonian(level, 0.0)
-    out: dict[int, dict[int, np.ndarray]] = {}
-    for tm, idx in _block_indices(level).items():
-        w, v = np.linalg.eigh(h0[np.ix_(idx, idx)])
-        labels: dict[int, np.ndarray] = {}
-        for tf in _block_labels(level, tm):
-            target = zero_field_energy(level, HalfInt(tf))
-            k = int(np.argmin(np.abs(w - target)))
-            if abs(w[k] - target) > 1e-6:
-                raise LabelingError(
-                    f"{level.name}: zero-field eigenvalue {w[k]:.9f} MHz does not match "
-                    f"the closed-form E(F={HalfInt(tf)}) = {target:.9f} MHz"
-                )
-            labels[tf] = v[:, k]
-        out[tm] = labels
-    return out
-
-
-def _advance_block(
-    level: LevelConstants,
-    tm: int,
-    idx: np.ndarray,
-    labels: dict[int, np.ndarray],
-    b_from: float,
-    b_to: float,
-    constants: PhysicalConstants,
-    overlap_min: float,
-    min_step: float,
-) -> tuple[dict[int, np.ndarray], dict[int, float]]:
-    """Carry labels from b_from to b_to, bisecting until overlaps are safe."""
-    h = build_hamiltonian(level, b_to, constants)[np.ix_(idx, idx)]
-    w, v = np.linalg.eigh(h)
-    keys = list(labels.keys())
-    old = np.column_stack([labels[k] for k in keys])
-    overlap = np.abs(old.T @ v)  # rows: old labels, cols: new eigenvectors
-    row, col = linear_sum_assignment(-(overlap**2))
-    if overlap[row, col].min() > overlap_min:
-        new_labels = {}
-        new_energy = {}
-        for r, c in zip(row, col):
-            vec = v[:, c]
-            if old[:, r] @ vec < 0:
-                vec = -vec
-            new_labels[keys[r]] = vec
-            new_energy[keys[r]] = float(w[c])
-        return new_labels, new_energy
-    if b_to - b_from <= min_step:
-        raise LabelingError(
-            f"{level.name}, m={HalfInt(tm)}: no eigenvector overlap above {overlap_min} "
-            f"between B = {b_from:.6f} G and {b_to:.6f} G even at the {min_step} G floor"
-        )
-    mid = 0.5 * (b_from + b_to)
-    labels, _ = _advance_block(
-        level, tm, idx, labels, b_from, mid, constants, overlap_min, min_step
-    )
-    return _advance_block(level, tm, idx, labels, mid, b_to, constants, overlap_min, min_step)
+def _solve_blocks(
+    level: LevelConstants, B: float, constants: PhysicalConstants
+) -> tuple[dict[int, dict[int, np.ndarray]], dict[int, dict[int, float]]]:
+    """Rank-labeled eigenpairs at B: ({twice_m: {twice_F: vector-in-block}},
+    {twice_m: {twice_F: energy}})."""
+    h = build_hamiltonian(level, B, constants)
+    block_idx = _block_indices(level)
+    vectors: dict[int, dict[int, np.ndarray]] = {}
+    energies: dict[int, dict[int, float]] = {}
+    for tm, order in _rank_order(level).items():
+        idx = block_idx[tm]
+        w, v = np.linalg.eigh(h[np.ix_(idx, idx)])
+        gap = np.min(np.diff(w), initial=np.inf)
+        if gap < _GAP_MIN:
+            raise LabelingError(
+                f"{level.name}, m={HalfInt(tm)}: in-block gap {gap:.3e} MHz at B = {B} G "
+                f"is below {_GAP_MIN} MHz, so rank labels are ambiguous"
+            )
+        vectors[tm] = {tf: v[:, k] for k, tf in enumerate(order)}
+        energies[tm] = {tf: float(w[k]) for k, tf in enumerate(order)}
+    return vectors, energies
 
 
 def _assemble(
@@ -362,19 +346,21 @@ def _assemble(
     blocks: dict[int, dict[int, np.ndarray]],
     energies: dict[int, dict[int, float]],
 ) -> EigenSystem:
-    basis = _basis(level)
     u = _f_transform(level)
-    fbasis = _f_basis(level)
+    tm_f = np.array([tm for _, tm in _f_basis(level)])
     block_idx = _block_indices(level)
     states = []
     for F in level.f_values():
         for tm in range(F.twice, -F.twice - 1, -2):
-            vec = np.zeros(len(basis))
+            vec = np.zeros(level.dim)
             vec[block_idx[tm]] = blocks[tm][F.twice]
             amp_f = u.T @ vec
             if amp_f[np.argmax(np.abs(amp_f))] < 0:
                 vec = -vec
                 amp_f = -amp_f
+            # sanity: the F-basis amplitudes must respect m conservation exactly
+            if np.any(amp_f[tm_f != tm]):
+                raise LabelingError("m_F component leaked outside the m block")
             states.append(
                 LabeledEigenstate(
                     level=level,
@@ -386,56 +372,52 @@ def _assemble(
                     amp_FmF=amp_f,
                 )
             )
-    # sanity: the F-basis amplitudes must respect m conservation exactly
-    for s in states:
-        for (tf, tmf), a in zip(fbasis, s.amp_FmF):
-            if tmf != s.m_F_tilde.twice and a != 0.0:
-                raise LabelingError("m_F component leaked outside the m block")
     return EigenSystem(level=level, B=B, states=tuple(states))
+
+
+@lru_cache(maxsize=32)
+def _zero_field_system(level: LevelConstants) -> EigenSystem:
+    """Eigensystem at B = 0 with the closed-form E(F) as energies.
+
+    Checks the rank order that every field inherits: each zero-field
+    eigenvalue must match the closed-form E(F) its rank assigns.
+    """
+    vectors, energies = _solve_blocks(level, 0.0, CONSTANTS)
+    for block in energies.values():
+        for tf, w in block.items():
+            block[tf] = zero_field_energy(level, HalfInt(tf))
+            if abs(w - block[tf]) > _GAP_MIN:
+                raise LabelingError(
+                    f"{level.name}: zero-field eigenvalue {w:.9f} MHz does not match "
+                    f"the closed-form E(F={HalfInt(tf)}) = {block[tf]:.9f} MHz"
+                )
+    return _assemble(level, 0.0, vectors, energies)
 
 
 def diagonalize_range(
     level: LevelConstants,
     b_values: Sequence[float],
     constants: PhysicalConstants = CONSTANTS,
-    overlap_min: float = 0.7,
-    min_step: float = 1e-3,
-    max_step: float = 0.25,
 ) -> list[EigenSystem]:
     """Labeled eigensystems at every requested field, in the given order.
 
-    The adiabatic walk runs once from B = 0 up to max(b_values) and snapshots
-    at each requested point, so a dense scan costs one pass.
+    Each field is solved on its own: one eigendecomposition per m block,
+    labeled by energy rank.  Repeated fields share one EigenSystem.
     """
     bs = [float(b) for b in b_values]
-    if any(b < 0 for b in bs):
-        raise ValueError("B must be nonnegative")
-    targets = sorted(set(bs))
-    block_idx = _block_indices(level)
-    labels = _zero_field_blocks(level)
-    energies = {
-        tm: {tf: zero_field_energy(level, HalfInt(tf)) for tf in blk}
-        for tm, blk in labels.items()
-    }
-    snapshots: dict[float, EigenSystem] = {}
-    b_cur = 0.0
-    if targets and targets[0] == 0.0:
-        snapshots[0.0] = _assemble(level, 0.0, labels, energies)
-        targets = targets[1:]
-    for b_target in targets:
-        while b_cur < b_target:
-            b_next = min(b_cur + max_step, b_target)
-            for tm, idx in block_idx.items():
-                labels[tm], energies[tm] = _advance_block(
-                    level, tm, idx, labels[tm], b_cur, b_next,
-                    constants, overlap_min, min_step,
-                )
-            b_cur = b_next
-        snapshots[b_target] = _assemble(level, b_target, labels, energies)
-    return [snapshots[b] for b in bs]
+    zero = _zero_field_system(level)
+    systems: dict[float, EigenSystem] = {}
+    for b in bs:
+        if b not in systems:
+            systems[b] = zero if b == 0.0 else _assemble(
+                level, b, *_solve_blocks(level, b, constants)
+            )
+    return [systems[b] for b in bs]
 
 
-@lru_cache(maxsize=4096)
+# a miss costs one field's eigendecompositions (about a millisecond), so the
+# cache only needs to hold the fields one computation revisits
+@lru_cache(maxsize=256)
 def _diag_cached(level: LevelConstants, B: float, constants: PhysicalConstants) -> EigenSystem:
     return diagonalize_range(level, [B], constants)[0]
 
@@ -521,22 +503,20 @@ def field_sensitivity(
     ground: StateRef,
     excited: StateRef,
     B: float,
-    step: float = 1e-3,
     constants: PhysicalConstants = CONSTANTS,
 ) -> float:
-    """Magnetic-field sensitivity of a transition in MHz/G.
+    """Magnetic-field sensitivity d(E_excited - E_ground)/dB in MHz/G.
 
-    Central finite difference of the transition frequency with the given
-    step (default 1 mG).  B must exceed the step so the stencil stays in
-    the valid B >= 0 domain.
+    Hellmann-Feynman: each eigenvalue's slope is <psi| mu_B/h (g_J m_J +
+    g_I m_I) |psi>, the expectation of dH/dB in its eigenstate.  At B = 0
+    this is the slope into B > 0.
     """
-    if B <= 0:
-        raise ValueError("field_sensitivity requires B > 0")
-    if B - step <= 0:
-        raise ValueError(f"step {step} G collides with the B = 0 boundary at B = {B} G")
-    hi = transition_frequency_at(ground, excited, B + step, 0.0, constants)
-    lo = transition_frequency_at(ground, excited, B - step, 0.0, constants)
-    return (hi - lo) / (2.0 * step)
+
+    def slope(ref: StateRef) -> float:
+        state = diagonalize(ref.level, B, constants).state(ref.F, ref.m)
+        return constants.mu_B_over_h * float(state.amp_mImJ**2 @ _moment(ref.level))
+
+    return slope(excited) - slope(ground)
 
 
 def write_level_scan(

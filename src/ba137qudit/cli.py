@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -68,6 +69,14 @@ def _resolve(args, cfg, key, default=None):
     return default
 
 
+def _field(value, flag):
+    """A field in gauss from a flag or config value: finite and nonnegative."""
+    b = float(value)
+    if not 0.0 <= b < math.inf:
+        raise CliError(f"{flag} must be a finite, nonnegative field in gauss, got {value!r}")
+    return b
+
+
 def _parse_b_range(text):
     try:
         parts = [float(x) for x in text.split(":")]
@@ -78,8 +87,8 @@ def _parse_b_range(text):
     if len(parts) != 3:
         raise CliError(f"bad B range {text!r}; expected start:stop[:step]")
     start, stop, step = parts
-    if stop < start or step < 0:
-        raise CliError(f"bad B range {text!r}")
+    if not (0.0 <= start <= stop < math.inf and 0.0 <= step < math.inf):
+        raise CliError(f"bad B range {text!r}; need finite 0 <= start <= stop, step >= 0")
     if stop == start or step == 0:
         return [start]
     n = int(round((stop - start) / step)) + 1
@@ -104,6 +113,8 @@ def cmd_levels(args, cfg):
         raise CliError(f"unknown level {level_name!r}; pick from {sorted(LEVELS)}")
     bs = _parse_b_range(_resolve(args, cfg, "b_range", "0:10:0.05"))
     b_mark = _resolve(args, cfg, "b_mark")
+    if b_mark is not None:
+        b_mark = _field(b_mark, "--b-mark")
     out = _outdir(args) / f"levels_{level_name.replace('/', '')}.csv"
 
     level = LEVELS[level_name]
@@ -151,7 +162,7 @@ def cmd_eigenstates(args, cfg):
 
 
 def cmd_strengths(args, cfg):
-    b = float(_resolve(args, cfg, "b_gauss"))
+    b = _field(_resolve(args, cfg, "b_gauss"), "--b")
     phi = float(_resolve(args, cfg, "phi_deg"))
     gamma = float(_resolve(args, cfg, "gamma_deg"))
     threshold = float(_resolve(args, cfg, "threshold"))
@@ -437,7 +448,7 @@ def cmd_calibrate_demo(args, cfg):
     coarse/fine scans at drifted fields, Lorentzian centers, linear model."""
     outdir = _outdir(args)
     seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
-    b_center = float(_resolve(args, cfg, "b_center", 8.35))
+    b_center = _field(_resolve(args, cfg, "b_center", 8.35), "--b-center")
     drift = float(_resolve(args, cfg, "drift", 0.02))
     sessions = int(_resolve(args, cfg, "sessions", 5))
     rng = np.random.default_rng(seed)

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from ba137qudit import atomstruct
 from ba137qudit.angmom import HalfInt
 from ba137qudit.atomstruct import (
     BA137_D52,
     BA137_S12,
     CONSTANTS,
     FieldMismatchError,
+    LabelingError,
     LevelConstants,
     StateRef,
     build_hamiltonian,
@@ -20,6 +22,8 @@ from ba137qudit.atomstruct import (
     write_level_scan,
     zero_field_energy,
 )
+
+from oracles import oracle_walk_energies
 
 
 def _f_squared(level):
@@ -86,6 +90,15 @@ class TestHamiltonian:
         with pytest.raises(ValueError):
             build_hamiltonian(BA137_S12, -1.0)
 
+    @pytest.mark.parametrize("B", [float("nan"), float("inf")])
+    def test_rejects_non_finite_field(self, B):
+        with pytest.raises(ValueError):
+            build_hamiltonian(BA137_D52, B)
+        with pytest.raises(ValueError):
+            diagonalize_range(BA137_D52, [1.0, B])
+        with pytest.raises(ValueError):
+            diagonalize(BA137_D52, B)
+
     @pytest.mark.parametrize("level", [BA137_S12, BA137_D52])
     def test_zero_field_matches_closed_form(self, level):
         sys0 = diagonalize(level, 0.0)
@@ -134,13 +147,27 @@ class TestDiagonalize:
                 slope = (sys.state(2, 2 * sgn).energy - sys0.state(2, 2 * sgn).energy) / B
                 assert slope == pytest.approx(sgn * CONSTANTS.mu_B_over_h, abs=1e-12)
 
-    def test_labels_step_independent(self):
-        coarse = diagonalize_range(BA137_D52, [8.35], max_step=0.5)[0]
-        fine = diagonalize_range(BA137_D52, [8.35], max_step=0.05)[0]
-        for a, b in zip(coarse.states, fine.states):
-            assert (a.F_tilde, a.m_F_tilde) == (b.F_tilde, b.m_F_tilde)
-            assert a.energy == pytest.approx(b.energy, abs=1e-9)
-            assert abs(np.dot(a.amp_mImJ, b.amp_mImJ)) == pytest.approx(1.0, abs=1e-10)
+    @pytest.mark.parametrize("level", [BA137_S12, BA137_D52])
+    def test_label_continuity(self, level):
+        # each label's eigenvector moves continuously: neighbours 0.01 G
+        # apart overlap almost fully, through the 5D5/2 anticrossings too
+        systems = diagonalize_range(level, [0.01 * i for i in range(5001)])
+        amps = np.array([[s.amp_mImJ for s in sys_] for sys_ in systems])
+        overlap = np.abs(np.einsum("fsk,fsk->fs", amps[:-1], amps[1:]))
+        assert overlap.min() > 0.99
+
+    @pytest.mark.parametrize("level", [BA137_S12, BA137_D52])
+    def test_labels_match_oracle_walk(self, level):
+        bs = np.linspace(0.0, 100.0, 201)
+        walk = oracle_walk_energies(
+            float(level.I), float(level.J), level.A_D, level.B_Q,
+            level.g_J, level.g_I, CONSTANTS.mu_B_over_h, bs,
+        )
+        for ref, sys_ in zip(walk, diagonalize_range(level, bs)):
+            got = {(float(s.F_tilde), float(s.m_F_tilde)): s.energy for s in sys_}
+            assert got.keys() == ref.keys()
+            for key, energy in ref.items():
+                assert got[key] == pytest.approx(energy, abs=1e-9), (sys_.B, key)
 
     def test_state_lookup_error(self):
         with pytest.raises(KeyError):
@@ -223,11 +250,34 @@ class TestFieldSensitivity:
         k2 = field_sensitivity(g, e, 8.36)
         assert abs(k1 - k2) < 1e-2
 
-    def test_boundary_collision(self):
+    @pytest.mark.parametrize("B", [0.5, 8.35, 15.0])
+    def test_matches_central_difference(self, B):
+        from ba137qudit.spam import paper13_encoding
+
+        ground, *encoded = paper13_encoding().states
+        g = StateRef.of(BA137_S12, ground.F, ground.m)
+        h = 1e-3
+        assert len(encoded) == 12
+        for d in encoded:
+            e = StateRef.of(BA137_D52, d.F, d.m)
+            diff = (
+                transition_frequency_at(g, e, B + h) - transition_frequency_at(g, e, B - h)
+            ) / (2 * h)
+            assert field_sensitivity(g, e, B) == pytest.approx(diff, abs=1e-6), d
+
+    def test_zero_field_slope(self):
+        # stretched states are pure at every field: slope (3 - 1) mu_B/h
+        kappa = field_sensitivity(
+            StateRef.of(BA137_S12, 2, 2), StateRef.of(BA137_D52, 4, 4), 0.0
+        )
+        assert kappa == pytest.approx(2 * CONSTANTS.mu_B_over_h, abs=1e-12)
+
+    @pytest.mark.parametrize("B", [-0.5, float("nan"), float("inf")])
+    def test_rejects_bad_field(self, B):
         g = StateRef.of(BA137_S12, 2, 2)
         e = StateRef.of(BA137_D52, 4, 4)
         with pytest.raises(ValueError):
-            field_sensitivity(g, e, 0.0005)
+            field_sensitivity(g, e, B)
 
 
 class TestCsvEmitters:
@@ -249,11 +299,17 @@ class TestCsvEmitters:
 
 class TestLabelingFailure:
     def test_reported_not_silent(self):
-        from ba137qudit.atomstruct import LabelingError, diagonalize_range
+        # every F of this level is degenerate at zero field, so the rank
+        # order is undefined and must surface as an error at every field
+        deg = LevelConstants("deg", 3, 5, 0.0, 0.0, 1.2)
+        for B in (0.0, 8.35):
+            with pytest.raises(LabelingError):
+                diagonalize_range(deg, [B])
 
-        # an impossible overlap demand forces the bisection to its floor,
-        # which must surface as an error rather than a silent mislabel
-        with pytest.raises(LabelingError):
-            diagonalize_range(
-                BA137_D52, [8.35], overlap_min=1.0, min_step=1.0, max_step=8.35
-            )
+    def test_gap_guard_at_requested_field(self, monkeypatch):
+        # 5D5/2 has in-block gaps of 0.4856 MHz at zero field and 0.4717 MHz
+        # at 0.05 G; a 0.48 MHz tolerance passes the first and trips the second
+        monkeypatch.setattr(atomstruct, "_GAP_MIN", 0.48)
+        diagonalize_range(BA137_D52, [0.0])
+        with pytest.raises(LabelingError, match="B = 0.05 G"):
+            diagonalize_range(BA137_D52, [0.05])

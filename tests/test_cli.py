@@ -42,6 +42,21 @@ class TestLevels:
         assert main(["--out", str(tmp_path), "levels", "--level", "7P1/2"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["strengths", "--b", "nan"],
+    ["strengths", "--b", "inf"],
+    ["strengths", "--b", "-1"],
+    ["levels", "--b", "0:nan:1"],
+    ["levels", "--b", "0:inf:1"],
+    ["levels", "--b", "0:1:1", "--b-mark", "nan"],
+    ["eigenstates", "--f-tilde", "4", "--m-tilde", "1", "--b", "inf:1:1"],
+    ["calibrate-demo", "--b-center", "inf"],
+])
+def test_bad_field_flag_exits_2(tmp_path, capsys, argv):
+    assert main(["--out", str(tmp_path)] + argv) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 class TestEigenstates:
     def test_writes_scan(self, tmp_path):
         rc = main([
