@@ -6,7 +6,8 @@ angmom       exact Clebsch-Gordan / Wigner 3j coefficients
 atomstruct   hyperfine + Zeeman structure, state labeling by in-block energy rank
 transitions  laser geometry factors and relative quadrupole strengths
 noise        filter-function dephasing model and secondary error budget
-spam         shelving protocol plans, Monte Carlo, confusion analytics
+spam         shelving protocol plans, exact forward outcome model,
+             multinomial Monte Carlo, confusion analytics
 calib        line/Rabi fitting, linear frequency calibration, field estimate
 fixtures     bundled reference tables from the 13-level experiment
 cli          command-line front end (`ba137qudit`)
@@ -61,7 +62,6 @@ from .spam import (
     ConfusionMatrix,
     ErrorParams,
     QuditEncoding,
-    ShotRecord,
     average_fidelity,
     build_measurement_sequence,
     enumerate_outcomes,
@@ -70,7 +70,6 @@ from .spam import (
     post_select,
     run_experiment,
     scaling_analysis,
-    simulate_shot,
     timing_budget,
 )
 from .transitions import (

@@ -229,8 +229,12 @@ def cmd_spam(args, cfg):
         raise CliError(f"unknown encoding preset {enc_name!r}")
     encoding = spam.paper13_encoding()
     shots = int(_resolve(args, cfg, "shots", 1000))
+    if shots < 1:
+        raise CliError(f"--shots must be at least 1, got {shots}")
     seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
     mode = _resolve(args, cfg, "mode", "first-bright")
+    if mode not in spam.MODES:
+        raise CliError(f"unknown mode {mode!r}; pick from {list(spam.MODES)}")
     errors_src = _resolve(args, cfg, "errors", "table-e5")
     if errors_src == "zero":
         errors = spam.ErrorParams.zero(encoding)
@@ -586,7 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_global_args(p, suppress=True)
     p.add_argument("--errors", default=None, help="zero | table-e5 | params.json")
     p.add_argument("--shots", type=int, default=None)
-    p.add_argument("--mode", choices=["first-bright", "strict-single-bright"], default=None)
+    p.add_argument("--mode", choices=spam.MODES, default=None)
     p.add_argument("--encoding", default=None)
     p.add_argument("--analyze", default=None, help="confusion CSV to analyze instead")
     p.set_defaults(func=cmd_spam)

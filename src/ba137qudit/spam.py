@@ -1,4 +1,4 @@
-"""Shelving-based qudit SPAM protocol: plans, Monte Carlo, and analysis.
+"""Shelving-based qudit SPAM protocol: plans, exact outcome model, and analysis.
 
 The protocol encodes |0> in a fluorescing 6S1/2 state and |1>..|d-1> in
 metastable 5D5/2 states (or, for encodings beyond 13 levels, additional
@@ -14,8 +14,14 @@ between its two endpoint states with failure probability eps_pi, every
 fluorescence check a Bernoulli read flip, optical-pumping failure and
 spontaneous decay park the ion in an inert bright ground state outside
 the encoding.  Coherences play no role in SPAM statistics at this scale.
-An exact branch-enumeration evaluator (``enumerate_outcomes``) provides
-the distribution the Monte Carlo must converge to.
+
+One shot is therefore a Markov chain over the atomic states, read out
+through noisy checks.  ``_outcome_matrix`` evaluates it exactly with the
+forward algorithm of hidden Markov models (Rabiner, Proc. IEEE 77, 257
+(1989)): a probability vector over atomic states per prepared state is
+carried through the plan, and each check moves its bright mass into the
+outcome it decides.  ``enumerate_outcomes`` is one row of that matrix and
+``run_experiment`` a seeded multinomial draw from it.
 """
 
 from __future__ import annotations
@@ -36,7 +42,6 @@ __all__ = [
     "AtomicState",
     "QuditEncoding",
     "ErrorParams",
-    "ShotRecord",
     "ConfusionMatrix",
     "PulseStep",
     "CheckStep",
@@ -51,7 +56,6 @@ __all__ = [
     "paper13_encoding",
     "twenty_five_level_encoding",
     "build_measurement_sequence",
-    "simulate_shot",
     "interpret",
     "run_experiment",
     "enumerate_outcomes",
@@ -367,8 +371,8 @@ class ErrorParams:
         probs += [p for _, p in self.leak.values()]
         if any(not 0.0 <= p <= 1.0 for p in probs):
             raise ValueError("probabilities must be in [0, 1]")
-        if self.decay_rate < 0:
-            raise ValueError("decay_rate must be nonnegative")
+        if not (math.isfinite(self.decay_rate) and self.decay_rate >= 0):
+            raise ValueError(f"decay_rate must be finite and nonnegative, got {self.decay_rate!r}")
 
     def eps(self, key: tuple[AtomicState, AtomicState]) -> float:
         try:
@@ -446,15 +450,9 @@ def error_params_from_reference(fixtures_dir=None, **kwargs) -> ErrorParams:
     return ErrorParams(eps_pi=eps, **kwargs)
 
 
-@dataclass(frozen=True)
-class ShotRecord:
-    """Outcome of one simulated experiment: the ordered fluorescence reads."""
-
-    prepared: int
-    reads: tuple[bool, ...]
-
-
 _OTHER_GROUND = AtomicState("S", HalfInt(-2), HalfInt(0))  # inert bright sentinel
+
+MODES = ("first-bright", "strict-single-bright")
 
 
 def _decay_probs(
@@ -467,72 +465,15 @@ def _decay_probs(
         ivals = np.asarray(list(intervals), dtype=float)
         if len(ivals) != n_checks:
             raise ValueError(f"need {n_checks} check intervals, got {len(ivals)}")
+    if not np.all(np.isfinite(ivals) & (ivals >= 0)):
+        raise ValueError(f"check intervals must be finite and nonnegative, got {ivals.tolist()}")
     probs = -np.expm1(-errors.decay_rate * ivals)
     probs[0] = 0.0
     return probs
 
 
-def simulate_shot(
-    prepared: int,
-    encoding: QuditEncoding,
-    errors: ErrorParams,
-    rng: np.random.Generator,
-    plan: MeasurementPlan | None = None,
-    intervals: float | Sequence[float] = 0.0,
-) -> ShotRecord:
-    """Scalar reference simulation of one experiment.
-
-    ``run_experiment`` uses a vectorized kernel with identical semantics;
-    both are checked against the exact enumerator.
-    """
-    if plan is None:
-        plan = build_measurement_sequence(encoding)
-    if not 0 <= prepared < encoding.d:
-        raise ValueError(f"prepared index {prepared} out of range")
-    decay_p = _decay_probs(errors, intervals, plan.n_checks)
-
-    state = encoding.states[0]
-    if errors.prep_error > 0 and rng.random() < errors.prep_error:
-        state = _OTHER_GROUND
-    if prepared != 0 and state == encoding.states[0]:
-        path = plan.prep_paths[prepared]
-        success = 1.0
-        for pulse in path:
-            success *= 1.0 - errors.eps(pulse.key)
-        if rng.random() < success:
-            state = encoding.states[prepared]
-
-    reads: list[bool] = []
-    check_idx = 0
-    for step in plan.steps:
-        if isinstance(step, PulseStep):
-            key = step.key
-            if key in errors.leak:
-                spectator, p_leak = errors.leak[key]
-                if rng.random() < p_leak:
-                    key = spectator
-                    step = PulseStep(*spectator)
-            if state == step.s_state:
-                if rng.random() >= errors.eps(key):
-                    state = step.d_state
-            elif state == step.d_state:
-                if rng.random() >= errors.eps(key):
-                    state = step.s_state
-        else:
-            if decay_p[check_idx] > 0 and state.level == "D":
-                if rng.random() < decay_p[check_idx]:
-                    state = _OTHER_GROUND
-            bright = state.level == "S"
-            flip = errors.p_dark_given_s if bright else errors.p_bright_given_d
-            if flip > 0 and rng.random() < flip:
-                bright = not bright
-            reads.append(bright)
-            check_idx += 1
-    return ShotRecord(prepared=prepared, reads=tuple(reads))
-
-
 def interpret(
-    record_or_reads,
+    reads: Sequence[bool],
     mode: str = "first-bright",
     check_outcomes: Sequence[int] | None = None,
 ):
@@ -541,8 +482,8 @@ def interpret(
     first-bright: the first bright check decides; strict-single-bright:
     additionally Null whenever more than one check reads bright.
     """
-    reads = record_or_reads.reads if isinstance(record_or_reads, ShotRecord) else tuple(record_or_reads)
-    if mode not in ("first-bright", "strict-single-bright"):
+    reads = tuple(reads)
+    if mode not in MODES:
         raise ValueError(f"unknown interpretation mode {mode!r}")
     n_bright = sum(reads)
     if n_bright == 0:
@@ -601,110 +542,39 @@ def run_experiment(
     seed: int,
     mode: str = "first-bright",
     intervals: float | Sequence[float] = 0.0,
-    workers: int = 1,
-    chunk: int = 1 << 16,
 ) -> ConfusionMatrix:
     """Monte-Carlo confusion matrix with the Null column.
 
-    Shots are simulated in fixed-size chunks; each chunk draws from an
-    independent substream seeded by (seed, prepared, chunk index), so the
-    result is identical for any worker count or schedule.
+    Shots are i.i.d., so each prepared state's counts are one multinomial
+    draw of ``shots_per_state`` from its row of the exact outcome matrix;
+    the rows are drawn in order from ``default_rng(seed)``.
     """
     if shots_per_state < 1:
         raise ValueError("shots_per_state must be >= 1")
-    if mode not in ("first-bright", "strict-single-bright"):
-        raise ValueError(f"unknown interpretation mode {mode!r}")
-    plan = build_measurement_sequence(encoding)
-    compiled = _compile_plan(encoding, plan, errors)
-    decay_p = _decay_probs(errors, intervals, plan.n_checks)
-
-    tasks = []
-    for prepared in range(encoding.d):
-        n_chunks = (shots_per_state + chunk - 1) // chunk
-        for c in range(n_chunks):
-            n = min(chunk, shots_per_state - c * chunk)
-            tasks.append((prepared, c, n))
-
-    counts = np.zeros((encoding.d, encoding.d + 1), dtype=np.int64)
-
-    def run_task(task):
-        prepared, c, n = task
-        rng = np.random.default_rng(np.random.SeedSequence((seed, prepared, c)))
-        return prepared, _simulate_chunk(compiled, decay_p, errors, prepared, n, rng, mode)
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_task, tasks))
-    else:
-        results = [run_task(t) for t in tasks]
-    for prepared, chunk_counts in results:
-        counts[prepared] += chunk_counts
+    probs = _outcome_matrix(encoding, errors, mode, intervals)
+    counts = np.random.default_rng(seed).multinomial(shots_per_state, probs)
     return ConfusionMatrix.from_counts(counts, has_null=True)
 
 
-def _simulate_chunk(
-    cp: "_CompiledPlan",
-    decay_p: np.ndarray,
+def enumerate_outcomes(
+    encoding: QuditEncoding,
     errors: ErrorParams,
     prepared: int,
-    n: int,
-    rng: np.random.Generator,
-    mode: str,
-) -> np.ndarray:
-    """Vectorized counterpart of simulate_shot for one substream chunk."""
-    state = np.full(n, cp.start_code, dtype=np.int64)
-    if errors.prep_error > 0:
-        state[rng.random(n) < errors.prep_error] = cp.other_code
-    if prepared != 0:
-        moves = (state == cp.start_code) & (rng.random(n) < cp.prep_success[prepared])
-        state[moves] = cp.prep_target[prepared]
+    mode: str = "first-bright",
+    intervals: float | Sequence[float] = 0.0,
+) -> dict:
+    """Exact outcome distribution of one prepared state.
 
-    n_checks = len(cp.check_outcomes)
-    reads = np.zeros((n, n_checks), dtype=bool)
-    ci = 0
-    for step in cp.steps:
-        if step[0] == "check":
-            if decay_p[ci] > 0:
-                decayed = cp.is_d_level[state] & (rng.random(n) < decay_p[ci])
-                state[decayed] = cp.other_code
-            bright = ~cp.is_d_level[state]
-            if errors.p_dark_given_s > 0 or errors.p_bright_given_d > 0:
-                u = rng.random(n)
-                flip = np.where(
-                    bright, u < errors.p_dark_given_s, u < errors.p_bright_given_d
-                )
-                bright = bright ^ flip
-            reads[:, ci] = bright
-            ci += 1
-        else:
-            _, lo, hi, eps, leak_lo, leak_hi, leak_eps, leak_p = step
-            u = rng.random(n)
-            if leak_p > 0:
-                on_main = rng.random(n) >= leak_p
-            else:
-                on_main = np.ones(n, dtype=bool)
-            swap = on_main & (u >= eps)
-            at_lo = swap & (state == lo)
-            at_hi = swap & (state == hi)
-            state[at_lo] = hi
-            state[at_hi] = lo
-            if leak_p > 0:
-                swap2 = ~on_main & (u >= leak_eps)
-                at_lo2 = swap2 & (state == leak_lo)
-                at_hi2 = swap2 & (state == leak_hi)
-                state[at_lo2] = leak_hi
-                state[at_hi2] = leak_lo
-
-    outcomes_arr = np.asarray(cp.check_outcomes, dtype=np.int64)
-    any_bright = reads.any(axis=1)
-    outcome = outcomes_arr[np.argmax(reads, axis=1)]
-    null = ~any_bright
-    if mode == "strict-single-bright":
-        null |= reads.sum(axis=1) > 1
-    final = np.where(null, cp.d, outcome)
-    return np.bincount(final, minlength=cp.d + 1)
+    One row of the forward-evaluated outcome matrix.  Keys are outcome
+    indices plus None for Null; outcomes of probability exactly zero are
+    omitted.
+    """
+    if not 0 <= prepared < encoding.d:
+        raise ValueError(f"prepared index {prepared} out of range")
+    row = _outcome_matrix(encoding, errors, mode, intervals)[prepared]
+    return {
+        (None if k == encoding.d else k): float(p) for k, p in enumerate(row) if p > 0.0
+    }
 
 
 @dataclass(eq=False)
@@ -773,6 +643,84 @@ def _compile_plan(
         steps=tuple(steps),
         check_outcomes=plan.check_outcomes,
     )
+
+
+def _swap(prob: np.ndarray, lo: int, hi: int, eps: float) -> np.ndarray:
+    """One pi pulse: population of lo and hi trades places with probability 1 - eps."""
+    out = prob.copy()
+    out[..., lo] = eps * prob[..., lo] + (1.0 - eps) * prob[..., hi]
+    out[..., hi] = eps * prob[..., hi] + (1.0 - eps) * prob[..., lo]
+    return out
+
+
+def _outcome_matrix(
+    encoding: QuditEncoding,
+    errors: ErrorParams,
+    mode: str,
+    intervals: float | Sequence[float],
+) -> np.ndarray:
+    """Exact (d, d + 1) outcome probabilities, Null last, by forward propagation.
+
+    ``prob[row, block, code]`` is the probability that the prepared state
+    ``row`` is in atomic state ``code`` with no bright check so far
+    (block 0) or, in strict mode, with exactly one bright check so far, at
+    check j (block 1 + j).  A check applies decay, then splits every
+    block into its bright and dark part: first-bright mode books the
+    bright part of block 0 as that check's outcome, strict mode moves it
+    into block 1 + j and books the bright part of the other blocks as Null.
+    """
+    if mode not in MODES:
+        raise ValueError(f"unknown interpretation mode {mode!r}")
+    plan = build_measurement_sequence(encoding)
+    cp = _compile_plan(encoding, plan, errors)
+    decay_p = _decay_probs(errors, intervals, plan.n_checks)
+    d = cp.d
+    strict = mode == "strict-single-bright"
+
+    n_blocks = 1 + (plan.n_checks if strict else 0)
+    prob = np.zeros((d, n_blocks, len(cp.code_states)))
+    rows = np.arange(d)
+    stay = 1.0 - errors.prep_error
+    prob[rows, 0, cp.prep_target] += stay * cp.prep_success
+    prob[rows, 0, cp.start_code] += stay * (1.0 - cp.prep_success)
+    prob[:, 0, cp.other_code] += errors.prep_error
+    p_bright = np.where(cp.is_d_level, errors.p_bright_given_d, 1.0 - errors.p_dark_given_s)
+
+    out = np.zeros((d, d + 1))
+    ci = 0
+    for step in cp.steps:
+        if step[0] == "pulse":
+            _, lo, hi, eps, leak_lo, leak_hi, leak_eps, leak_p = step
+            swapped = _swap(prob, lo, hi, eps)
+            if leak_p > 0:
+                leaked = _swap(prob, leak_lo, leak_hi, leak_eps)
+                swapped = (1.0 - leak_p) * swapped + leak_p * leaked
+            prob = swapped
+            continue
+        if decay_p[ci] > 0:
+            lost = prob[..., cp.is_d_level].sum(axis=-1) * decay_p[ci]
+            prob[..., cp.is_d_level] *= 1.0 - decay_p[ci]
+            prob[..., cp.other_code] += lost
+        bright = prob * p_bright
+        prob *= 1.0 - p_bright
+        if strict:
+            out[:, d] += bright[:, 1:].sum(axis=(1, 2))
+            prob[:, 1 + ci] = bright[:, 0]
+        else:
+            out[:, cp.check_outcomes[ci]] += bright[:, 0].sum(axis=-1)
+        ci += 1
+    out[:, d] += prob[:, 0].sum(axis=-1)
+    if strict:
+        for j, outcome in enumerate(cp.check_outcomes):
+            out[:, outcome] += prob[:, 1 + j].sum(axis=-1)
+
+    dev = np.abs(out.sum(axis=1) - 1.0).max()
+    if out.min() < 0.0 or not dev <= 1e-12:
+        raise ValueError(
+            f"outcome matrix is not row-stochastic (min entry {out.min():.3g}, "
+            f"row-sum deviation {dev:.3g})"
+        )
+    return out
 
 
 def post_select(raw: ConfusionMatrix) -> ConfusionMatrix:
@@ -917,87 +865,6 @@ def intervals_from_timings(plan: MeasurementPlan, timings: Timings) -> list[floa
         out.append(
             timings.awg_trigger + timings.pi_pulse.get(n, 0.0) + timings.fluorescence_check
         )
-    return out
-
-
-def enumerate_outcomes(
-    encoding: QuditEncoding,
-    errors: ErrorParams,
-    prepared: int,
-    mode: str = "first-bright",
-    intervals: float | Sequence[float] = 0.0,
-) -> dict:
-    """Exact outcome distribution by branch enumeration.
-
-    Walks the plan propagating probabilities over (state, reads) pairs;
-    cost grows as 2^(number of checks), so this is an oracle for small d.
-    Keys are outcome indices plus None for Null.
-    """
-    plan = build_measurement_sequence(encoding)
-    decay_p = _decay_probs(errors, intervals, plan.n_checks)
-
-    start = encoding.states[0]
-    branches: dict[tuple, float] = {}
-
-    def add(d, key, p):
-        if p > 0.0:
-            d[key] = d.get(key, 0.0) + p
-
-    prep: dict[AtomicState, float] = {}
-    add(prep, _OTHER_GROUND, errors.prep_error)
-    stay = 1.0 - errors.prep_error
-    if prepared != 0:
-        success = 1.0
-        for pulse in plan.prep_paths[prepared]:
-            success *= 1.0 - errors.eps(pulse.key)
-        add(prep, encoding.states[prepared], stay * success)
-        add(prep, start, stay * (1.0 - success))
-    else:
-        add(prep, start, stay)
-    branches = {(state, ()): p for state, p in prep.items()}
-
-    check_idx = 0
-    for step in plan.steps:
-        new: dict[tuple, float] = {}
-        if isinstance(step, PulseStep):
-            variants = [(step, 1.0 - errors.leak.get(step.key, (None, 0.0))[1])]
-            leak_to, leak_p = errors.leak.get(step.key, (None, 0.0))
-            if leak_to is not None and leak_p > 0:
-                variants.append((PulseStep(*leak_to), leak_p))
-            for (state, reads), p in branches.items():
-                for pulse, p_var in variants:
-                    if p_var == 0.0:
-                        continue
-                    eps = errors.eps(pulse.key)
-                    if state == pulse.s_state:
-                        add(new, (pulse.d_state, reads), p * p_var * (1.0 - eps))
-                        add(new, (state, reads), p * p_var * eps)
-                    elif state == pulse.d_state:
-                        add(new, (pulse.s_state, reads), p * p_var * (1.0 - eps))
-                        add(new, (state, reads), p * p_var * eps)
-                    else:
-                        add(new, (state, reads), p * p_var)
-        else:
-            p_decay = decay_p[check_idx]
-            staged: dict[tuple, float] = {}
-            for (state, reads), p in branches.items():
-                if p_decay > 0 and state.level == "D":
-                    add(staged, (_OTHER_GROUND, reads), p * p_decay)
-                    add(staged, (state, reads), p * (1.0 - p_decay))
-                else:
-                    add(staged, (state, reads), p)
-            for (state, reads), p in staged.items():
-                bright = state.level == "S"
-                flip = errors.p_dark_given_s if bright else errors.p_bright_given_d
-                add(new, (state, reads + (bright,)), p * (1.0 - flip))
-                add(new, (state, reads + (not bright,)), p * flip)
-            check_idx += 1
-        branches = new
-
-    out: dict = {}
-    for (_, reads), p in branches.items():
-        outcome = interpret(reads, mode, plan.check_outcomes)
-        out[outcome] = out.get(outcome, 0.0) + p
     return out
 
 

@@ -6,8 +6,11 @@ internals) so it can serve as an oracle for the package implementations.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
+
+from ba137qudit.spam import AtomicState, PulseStep, build_measurement_sequence
 
 
 def oracle_cg(j1, m1, j2, m2, J, M):
@@ -146,3 +149,139 @@ def oracle_walk_energies(I, J, A, B_Q, g_J, g_I, mu_B_over_h, b_values, step=0.0
         b_cur = b
         out[b] = {(F, m): e for m, states in labels.items() for F, _, e in states}
     return [out[float(b)] for b in b_values]
+
+
+# Shelving SPAM: per-shot references for the forward-evaluated outcome model.
+# Both take the pulse plan from build_measurement_sequence and nothing else
+# from the package's evaluator: decay, read flips, leak and interpretation
+# are written out here shot by shot or branch by branch.
+
+_INERT = AtomicState("S", "inert", "inert")  # decayed / unpumped: bright, never pulsed
+
+
+def _oracle_decay(errors, intervals, n_checks):
+    if isinstance(intervals, (int, float)):
+        intervals = [intervals] * n_checks
+    assert len(intervals) == n_checks
+    return [0.0] + [1.0 - math.exp(-errors.decay_rate * t) for t in intervals[1:]]
+
+
+def _oracle_outcome(reads, mode, check_outcomes):
+    n_bright = sum(reads)
+    if n_bright == 0 or (mode == "strict-single-bright" and n_bright > 1):
+        return None
+    return check_outcomes[reads.index(True)]
+
+
+@dataclass(frozen=True)
+class ShotRecord:
+    """Outcome of one simulated experiment: the ordered fluorescence reads."""
+
+    prepared: int
+    reads: tuple
+
+
+def simulate_shot(prepared, encoding, errors, rng, plan=None, intervals=0.0):
+    """One experiment drawn step by step with scalar random numbers."""
+    if plan is None:
+        plan = build_measurement_sequence(encoding)
+    if not 0 <= prepared < encoding.d:
+        raise ValueError(f"prepared index {prepared} out of range")
+    decay_p = _oracle_decay(errors, intervals, plan.n_checks)
+
+    state = encoding.states[0]
+    if errors.prep_error > 0 and rng.random() < errors.prep_error:
+        state = _INERT
+    if prepared != 0 and state == encoding.states[0]:
+        success = 1.0
+        for pulse in plan.prep_paths[prepared]:
+            success *= 1.0 - errors.eps(pulse.key)
+        if rng.random() < success:
+            state = encoding.states[prepared]
+
+    reads = []
+    for step in plan.steps:
+        if isinstance(step, PulseStep):
+            key = step.key
+            if key in errors.leak:
+                spectator, p_leak = errors.leak[key]
+                if rng.random() < p_leak:
+                    key = spectator
+                    step = PulseStep(*spectator)
+            if state in (step.s_state, step.d_state) and rng.random() >= errors.eps(key):
+                state = step.d_state if state == step.s_state else step.s_state
+        else:
+            if state.level == "D" and rng.random() < decay_p[len(reads)]:
+                state = _INERT
+            bright = state.level == "S"
+            flip = errors.p_dark_given_s if bright else errors.p_bright_given_d
+            if flip > 0 and rng.random() < flip:
+                bright = not bright
+            reads.append(bright)
+    return ShotRecord(prepared=prepared, reads=tuple(reads))
+
+
+def oracle_enumerate_outcomes(encoding, errors, prepared, mode="first-bright", intervals=0.0):
+    """Exact outcome distribution by enumerating every (state, reads) branch.
+
+    Cost grows as 2^(number of checks), so this is for small encodings.
+    Keys are outcome indices plus None for Null; zero-probability outcomes
+    are omitted.
+    """
+    plan = build_measurement_sequence(encoding)
+    decay_p = _oracle_decay(errors, intervals, plan.n_checks)
+    start = encoding.states[0]
+
+    def add(table, key, p):
+        if p > 0.0:
+            table[key] = table.get(key, 0.0) + p
+
+    prep = {}
+    add(prep, _INERT, errors.prep_error)
+    stay = 1.0 - errors.prep_error
+    if prepared != 0:
+        success = 1.0
+        for pulse in plan.prep_paths[prepared]:
+            success *= 1.0 - errors.eps(pulse.key)
+        add(prep, encoding.states[prepared], stay * success)
+        add(prep, start, stay * (1.0 - success))
+    else:
+        add(prep, start, stay)
+    branches = {(state, ()): p for state, p in prep.items()}
+
+    check_idx = 0
+    for step in plan.steps:
+        new = {}
+        if isinstance(step, PulseStep):
+            leak_to, leak_p = errors.leak.get(step.key, (None, 0.0))
+            variants = [(step, 1.0 - leak_p)]
+            if leak_to is not None and leak_p > 0:
+                variants.append((PulseStep(*leak_to), leak_p))
+            for (state, reads), p in branches.items():
+                for pulse, p_var in variants:
+                    eps = errors.eps(pulse.key)
+                    if state in (pulse.s_state, pulse.d_state):
+                        other = pulse.d_state if state == pulse.s_state else pulse.s_state
+                        add(new, (other, reads), p * p_var * (1.0 - eps))
+                        add(new, (state, reads), p * p_var * eps)
+                    else:
+                        add(new, (state, reads), p * p_var)
+        else:
+            p_decay = decay_p[check_idx]
+            check_idx += 1
+            for (state, reads), p in branches.items():
+                split = [(state, p)]
+                if state.level == "D":
+                    split = [(_INERT, p * p_decay), (state, p * (1.0 - p_decay))]
+                for st, q in split:
+                    bright = st.level == "S"
+                    flip = errors.p_dark_given_s if bright else errors.p_bright_given_d
+                    add(new, (st, reads + (bright,)), q * (1.0 - flip))
+                    add(new, (st, reads + (not bright,)), q * flip)
+        branches = new
+
+    out = {}
+    for (_, reads), p in branches.items():
+        outcome = _oracle_outcome(reads, mode, plan.check_outcomes)
+        out[outcome] = out.get(outcome, 0.0) + p
+    return out

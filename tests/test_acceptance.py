@@ -39,7 +39,6 @@ from ba137qudit.spam import (
     QuditEncoding,
     average_fidelity,
     build_measurement_sequence,
-    enumerate_outcomes,
     load_reference_confusion,
     paper13_encoding,
     post_select,
@@ -47,6 +46,8 @@ from ba137qudit.spam import (
     scaling_analysis,
 )
 from ba137qudit.transitions import PAPER13_GEOMETRY, strength_table
+
+from oracles import oracle_enumerate_outcomes
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -171,7 +172,7 @@ def test_criterion_06_monte_carlo_oracles():
     shots = 200_000
     worst_pull = 0.0
     for prepared in range(4):
-        exact = enumerate_outcomes(four, errs, prepared)
+        exact = oracle_enumerate_outcomes(four, errs, prepared)
         m = run_experiment(four, errs, shots, seed=7)
         for outcome, p in exact.items():
             col = four.d if outcome is None else outcome

@@ -175,6 +175,28 @@ class TestSpam:
         assert (a / "spam_raw.csv").read_bytes() != (b / "spam_raw.csv").read_bytes()
 
 
+@pytest.mark.parametrize("argv, config", [
+    (["spam", "--shots", "0"], None),
+    (["spam", "--shots", "-5"], None),
+    (["spam"], {"shots": 0}),
+    (["spam"], {"mode": "majority"}),
+])
+def test_bad_spam_input_exits_2(tmp_path, capsys, argv, config):
+    prefix = ["--out", str(tmp_path)]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        prefix += ["--config", str(tmp_path / "cfg.json")]
+    assert main(prefix + argv) == 2
+    err = capsys.readouterr().err
+    assert "shots" in err or "mode" in err
+
+
+def test_unknown_spam_mode_flag_exits_2(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(tmp_path), "spam", "--mode", "majority"])
+    assert exc.value.code == 2
+
+
 class TestFit:
     def test_error_scaling_reference(self, tmp_path, capsys):
         pts = reference_scaling_points()
