@@ -299,6 +299,7 @@ class EigenSystem:
         return {(s.F_tilde, s.m_F_tilde): s.energy for s in self.states}
 
 
+@lru_cache(maxsize=32)
 def _block_indices(level: LevelConstants) -> dict[int, np.ndarray]:
     basis = _basis(level)
     tm = np.array([a + b for a, b in basis])

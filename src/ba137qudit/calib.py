@@ -8,6 +8,10 @@ pair with the largest mutual sensitivity spread (so their difference
 Delta f tracks the field).  Every other transition frequency is then
 predicted as f_n = a_n1 * Delta f + f_offset + a_n2 with per-transition
 coefficients regressed from drift history.
+
+scipy is imported only inside the fits and the field estimate
+(``fit_lorentzian``, ``estimate_field``, ``fit_rabi_flop``), so importing
+this module, and the linear calibration, need numpy alone.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .atomstruct import (
     BA137_D52,
@@ -99,6 +102,8 @@ def fit_lorentzian(scan: FrequencyScan) -> LorentzianFit:
     A center within one grid step of either scan edge is flagged
     ``at_boundary`` (the scan window should be re-centered).
     """
+    from scipy import optimize
+
     f, y = scan.freq_khz, scan.p_dark
     if len(f) < 5:
         raise FitError("need at least 5 scan points")
@@ -242,6 +247,8 @@ def estimate_field(
     with distinct field sensitivity are required.  Coarse grid search over
     the prior interval followed by golden-section refinement.
     """
+    from scipy import optimize
+
     pairs = list(measured.keys())
     if len(pairs) < 2:
         raise ValueError("need at least two measured transitions")
@@ -349,6 +356,8 @@ def fit_rabi_flop(trace: RabiTrace, smooth: bool = True) -> RabiFit:
     pulse error is eps_pi = 1 - A - C.  Smoothing (3-point moving average)
     is used only to locate the peak, never in the fit.
     """
+    from scipy import optimize
+
     t, p = trace.t_us, trace.p
     t_peak_r = _first_peak_time(t, p, smooth)
     mask = (t >= t_peak_r / 2.0) & (t <= 1.5 * t_peak_r)

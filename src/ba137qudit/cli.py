@@ -129,11 +129,9 @@ def cmd_levels(args, cfg):
             header.append("b_mark_gauss")
         w.writerow(header)
         for i, sys_ in enumerate(systems):
+            ground = ground_systems[i].state(2, 2).energy if ground_systems is not None else 0.0
             for s in sys_:
-                if ground_systems is not None:
-                    value = s.energy - ground_systems[i].state(2, 2).energy
-                else:
-                    value = s.energy
+                value = s.energy - ground
                 row = [repr(float(sys_.B)), f"F{s.F_tilde}_m{s.m_F_tilde}", repr(float(value))]
                 if b_mark is not None:
                     row.append(repr(float(b_mark)))
@@ -628,7 +626,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         args.func(args, cfg)
-    except CliError as exc:
+    except (CliError, fixtures.TableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError, FileNotFoundError, RuntimeError) as exc:

@@ -13,7 +13,8 @@ table_e5.csv  per-transition parameters: SPAM error, field sensitivity
 Values are as printed (3-4 decimals), so confusion rows can be off
 row-stochasticity by up to ~0.002.  An alternative fixtures directory can
 be supplied to every loader, which the command line exposes as
---fixtures-dir.
+--fixtures-dir.  A table with no data rows, or with a row whose width
+differs from its header's, raises TableError naming the file and line.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "load_confusion_fixture",
     "load_transition_params",
     "TransitionParams",
+    "TableError",
 ]
 
 FIXTURE_NAMES = (
@@ -52,10 +54,29 @@ def fixture_path(name: str, fixtures_dir=None) -> Path:
     return Path(resources.files("ba137qudit") / "fixtures" / name)
 
 
+class TableError(ValueError):
+    """A CSV table has no header or data rows, or a row whose width differs
+    from its header's."""
+
+
 def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
+    """(header, data rows) of a CSV table whose rows all have the header's width."""
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    return rows[0], rows[1:]
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if not header:
+            raise TableError(f"{path}: no header row")
+        rows = []
+        for row in reader:
+            if len(row) != len(header):
+                raise TableError(
+                    f"{path}, line {reader.line_num}: {len(row)} fields, "
+                    f"the header has {len(header)}"
+                )
+            rows.append(row)
+    if not rows:
+        raise TableError(f"{path}: no data rows")
+    return header, rows
 
 
 def load_strength_fixture(fixtures_dir=None):

@@ -12,6 +12,9 @@ converted to rad/s per gauss at the boundary, so the h parameters carry
 the magnetic-field noise normalization (per-gauss PSD units).  Absolute
 h values are not measurable here; only the PSD shape and the
 kappa^2 tau_pi^2 scaling are exercised.
+
+scipy is imported only inside the chi quadrature (``chi_numeric``) and
+the error-scaling fit (``fit_error_scaling``); the rest needs numpy alone.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import integrate, optimize
 
 __all__ = [
     "NoiseModel",
@@ -138,6 +140,8 @@ def chi_numeric(model: NoiseModel, params: TransitionNoiseParams) -> float:
     Rabi frequency; above an upper truncation point the analytic tail of
     the w >= Omega branch (4 h_b/L + 2 h_a/L^2) is appended.
     """
+    from scipy import integrate
+
     big_omega = params.omega
     scale = kappa_to_rad(params.kappa) ** 2
 
@@ -257,6 +261,8 @@ def fit_error_scaling(points) -> ErrorScalingFit:
     (Levenberg-Marquardt) with an analytic Jacobian; initialized with
     b = min eps and c from the two extreme-x points.
     """
+    from scipy import optimize
+
     pts = [(float(k), float(t), float(e)) for k, t, e in points]
     if len(pts) < 3:
         raise ValueError("need at least 3 points")

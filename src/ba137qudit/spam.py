@@ -35,7 +35,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 import numpy as np
 
 from .angmom import HalfInt
-from .fixtures import load_confusion_fixture, load_transition_params
+from .fixtures import _read_csv, load_confusion_fixture, load_transition_params
 from .transitions import PAPER13_D_STATES
 
 __all__ = [
@@ -883,11 +883,9 @@ def write_confusion_csv(path, matrix: ConfusionMatrix) -> None:
 def read_confusion_csv(path, shots: int = 1000, row_tol: float = 2.5e-3) -> ConfusionMatrix:
     """Read a confusion CSV (probability form).  Printed-precision tables
     may miss row-stochasticity by a couple of counts; row_tol bounds that."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    header = rows[0]
+    header, rows = _read_csv(path)
     has_null = header[-1] == "Null"
-    probs = np.array([[float(x) for x in r[1:]] for r in rows[1:]])
+    probs = np.array([[float(x) for x in r[1:]] for r in rows])
     dev = np.abs(probs.sum(axis=1) - 1.0).max()
     if dev > row_tol:
         raise ValueError(f"rows deviate from unit sum by {dev:g} (> {row_tol:g})")

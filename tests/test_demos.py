@@ -1,4 +1,4 @@
-"""Smoke test: the SPAM demos run to completion."""
+"""Smoke test: the SPAM, noise-model and calibration demos run to completion."""
 
 import os
 import subprocess
@@ -10,7 +10,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("name", ["04_spam_protocol.py", "07_25_level_encoding.py"])
+@pytest.mark.parametrize("name", [
+    "04_spam_protocol.py", "05_noise_model.py", "06_calibration.py", "07_25_level_encoding.py",
+])
 def test_demo_runs(name):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))

@@ -1,12 +1,15 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 from ba137qudit.noise import (
     ErrorBudget,
     NoiseModel,
+    QuadratureError,
     TransitionNoiseParams,
     chi_closed_form,
     chi_numeric,
@@ -256,3 +259,42 @@ class TestChiMainsAboveRabi:
         lo = chi_numeric(NoiseModel(h_peak=1e-6, **base), params)
         hi = chi_numeric(NoiseModel(h_peak=2e-6, **base), params)
         assert hi > lo > 0.0
+
+
+class TestChiQuadratureFailure:
+    MODEL = NoiseModel(h_a=1e-8, h_b=1e-12, h_peak=1e-6, omega_0=1.0,
+                       omega_ac=377.0, delta_omega_ac=3.0)
+    PARAMS = TransitionNoiseParams(kappa=1.0, tau_pi=20e-6)
+
+    def test_integration_warning_names_interval(self, monkeypatch):
+        real_quad = integrate.quad
+        calls = []
+
+        def quad(func, a, b, **kw):
+            calls.append((a, b))
+            if len(calls) == 3:
+                warnings.warn("roundoff error is detected", integrate.IntegrationWarning)
+            return real_quad(func, a, b, **kw)
+
+        monkeypatch.setattr(integrate, "quad", quad)
+        with pytest.raises(QuadratureError) as exc:
+            chi_numeric(self.MODEL, self.PARAMS)
+        lo, hi = calls[-1]
+        assert len(calls) == 3 and lo > 0.0
+        assert re.search(re.escape(f"did not converge on [{lo:g}, {hi:g}] rad/s"), str(exc.value))
+        assert isinstance(exc.value.__cause__, integrate.IntegrationWarning)
+
+    def test_large_error_estimate_is_inaccurate(self, monkeypatch):
+        real_quad = integrate.quad
+
+        def quad(func, a, b, **kw):
+            val, _ = real_quad(func, a, b, **kw)
+            return val, abs(val)
+
+        monkeypatch.setattr(integrate, "quad", quad)
+        with pytest.raises(QuadratureError, match="chi quadrature inaccurate"):
+            chi_numeric(self.MODEL, self.PARAMS)
+
+    def test_unpatched_quadrature_passes(self):
+        # the same inputs converge, so the failures above come from the patches
+        assert chi_numeric(self.MODEL, self.PARAMS) > 0.0
