@@ -17,11 +17,10 @@ from .angmom import HalfInt, clebsch_gordan, wigner3j
 from .atomstruct import (
     BA137_D52,
     BA137_S12,
-    CONSTANTS,
+    MU_B_OVER_H,
     EigenSystem,
     LabeledEigenstate,
     LevelConstants,
-    PhysicalConstants,
     StateRef,
     build_hamiltonian,
     decomposition_scan,

@@ -6,6 +6,8 @@ The Hamiltonian is built in the |m_I, m_J> product basis, in MHz:
       + B_Q [3(I.J)^2 + (3/2) I.J - I(I+1)J(J+1)] / [2I(2I-1)J(2J-1)]
       + B mu_B/h (g_J m_J + g_I m_I)
 
+with mu_B/h = ``MU_B_OVER_H``, the one physical constant the structure uses.
+
 It conserves m = m_I + m_J, so each m block is diagonalized independently.
 Eigenstates are labeled |F~, m_F~> by energy rank: levels of one block
 cannot cross (von Neumann-Wigner), so the k-th lowest eigenvalue of a block
@@ -13,8 +15,8 @@ carries the k-th lowest closed-form E(F) of that block at every field.  A
 gap guard raises ``LabelingError`` when two eigenvalues of a block, at zero
 field or at the requested field, come closer than ``_GAP_MIN``.
 The hyperfine terms are traceless over the level, so energies come out
-relative to the level centroid; absolute optical frequencies enter only as
-an explicit offset in ``transition_frequency``.
+relative to the level centroid, and ``transition_frequency`` gives
+splittings relative to the two level centroids.
 """
 
 from __future__ import annotations
@@ -30,8 +32,7 @@ import numpy as np
 from .angmom import HalfInt, clebsch_gordan
 
 __all__ = [
-    "PhysicalConstants",
-    "CONSTANTS",
+    "MU_B_OVER_H",
     "LevelConstants",
     "LabeledEigenstate",
     "EigenSystem",
@@ -48,19 +49,11 @@ __all__ = [
     "transition_frequency",
     "transition_frequency_at",
     "field_sensitivity",
-    "write_level_scan",
     "write_decomposition_scan",
 ]
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Single source of truth for unit conversions used by all modules."""
-
-    mu_B_over_h: float = 1.3996245  # Bohr magneton / Planck constant, MHz/G
-
-
-CONSTANTS = PhysicalConstants()
+MU_B_OVER_H = 1.3996245  # Bohr magneton / Planck constant, MHz/G
 
 # MHz: smallest in-block gap (and largest zero-field deviation from the
 # closed-form E(F)) at which rank labels are trusted
@@ -176,15 +169,13 @@ def _moment(level: LevelConstants) -> np.ndarray:
     return level.g_J * tmj + level.g_I * tmi
 
 
-def build_hamiltonian(
-    level: LevelConstants, B: float, constants: PhysicalConstants = CONSTANTS
-) -> np.ndarray:
+def build_hamiltonian(level: LevelConstants, B: float) -> np.ndarray:
     """Hamiltonian matrix in MHz over the |m_I, m_J> basis at field B (gauss)."""
     if not 0.0 <= B < math.inf:
         raise ValueError(f"B must be finite and nonnegative, got {B}")
     idot, quad = _hyperfine_parts(level)
     h = level.A_D * idot + level.B_Q * quad
-    zeeman = B * constants.mu_B_over_h * _moment(level)
+    zeeman = B * MU_B_OVER_H * _moment(level)
     return h + np.diag(zeeman)
 
 
@@ -319,11 +310,11 @@ def _rank_order(level: LevelConstants) -> dict[int, tuple[int, ...]]:
 
 
 def _solve_blocks(
-    level: LevelConstants, B: float, constants: PhysicalConstants
+    level: LevelConstants, B: float
 ) -> tuple[dict[int, dict[int, np.ndarray]], dict[int, dict[int, float]]]:
     """Rank-labeled eigenpairs at B: ({twice_m: {twice_F: vector-in-block}},
     {twice_m: {twice_F: energy}})."""
-    h = build_hamiltonian(level, B, constants)
+    h = build_hamiltonian(level, B)
     block_idx = _block_indices(level)
     vectors: dict[int, dict[int, np.ndarray]] = {}
     energies: dict[int, dict[int, float]] = {}
@@ -383,7 +374,7 @@ def _zero_field_system(level: LevelConstants) -> EigenSystem:
     Checks the rank order that every field inherits: each zero-field
     eigenvalue must match the closed-form E(F) its rank assigns.
     """
-    vectors, energies = _solve_blocks(level, 0.0, CONSTANTS)
+    vectors, energies = _solve_blocks(level, 0.0)
     for block in energies.values():
         for tf, w in block.items():
             block[tf] = zero_field_energy(level, HalfInt(tf))
@@ -395,11 +386,7 @@ def _zero_field_system(level: LevelConstants) -> EigenSystem:
     return _assemble(level, 0.0, vectors, energies)
 
 
-def diagonalize_range(
-    level: LevelConstants,
-    b_values: Sequence[float],
-    constants: PhysicalConstants = CONSTANTS,
-) -> list[EigenSystem]:
+def diagonalize_range(level: LevelConstants, b_values: Sequence[float]) -> list[EigenSystem]:
     """Labeled eigensystems at every requested field, in the given order.
 
     Each field is solved on its own: one eigendecomposition per m block,
@@ -411,7 +398,7 @@ def diagonalize_range(
     for b in bs:
         if b not in systems:
             systems[b] = zero if b == 0.0 else _assemble(
-                level, b, *_solve_blocks(level, b, constants)
+                level, b, *_solve_blocks(level, b)
             )
     return [systems[b] for b in bs]
 
@@ -419,15 +406,13 @@ def diagonalize_range(
 # a miss costs one field's eigendecompositions (about a millisecond), so the
 # cache only needs to hold the fields one computation revisits
 @lru_cache(maxsize=256)
-def _diag_cached(level: LevelConstants, B: float, constants: PhysicalConstants) -> EigenSystem:
-    return diagonalize_range(level, [B], constants)[0]
+def _diag_cached(level: LevelConstants, B: float) -> EigenSystem:
+    return diagonalize_range(level, [B])[0]
 
 
-def diagonalize(
-    level: LevelConstants, B: float, constants: PhysicalConstants = CONSTANTS
-) -> EigenSystem:
+def diagonalize(level: LevelConstants, B: float) -> EigenSystem:
     """Labeled eigensystem of one level at field B (gauss)."""
-    return _diag_cached(level, float(B), constants)
+    return _diag_cached(level, float(B))
 
 
 @dataclass(frozen=True, eq=False)
@@ -443,11 +428,7 @@ class DecompositionScan:
 
 
 def decomposition_scan(
-    level: LevelConstants,
-    F,
-    m,
-    b_values: Sequence[float],
-    constants: PhysicalConstants = CONSTANTS,
+    level: LevelConstants, F, m, b_values: Sequence[float]
 ) -> DecompositionScan:
     """Track one eigenstate's |F, m_F> decomposition over a field range.
 
@@ -456,7 +437,7 @@ def decomposition_scan(
     """
     F = HalfInt.coerce(F)
     m = HalfInt.coerce(m)
-    systems = diagonalize_range(level, list(b_values), constants)
+    systems = diagonalize_range(level, list(b_values))
     systems[0].state(F, m)  # raises KeyError early on an unknown label
     fbasis = _f_basis(level)
     amps = np.array([sys.state(F, m).amp_FmF for sys in systems])
@@ -472,40 +453,24 @@ def decomposition_scan(
     )
 
 
-def transition_frequency(
-    ground: LabeledEigenstate, excited: LabeledEigenstate, optical_offset: float = 0.0
-) -> float:
-    """E_excited - E_ground + optical_offset, in MHz.
-
-    With the default zero offset this is the splitting relative to the two
-    level centroids; pass the optical carrier explicitly to get absolute
-    frequencies.  Both states must come from the same field.
+def transition_frequency(ground: LabeledEigenstate, excited: LabeledEigenstate) -> float:
+    """E_excited - E_ground in MHz: the splitting relative to the two level
+    centroids.  Both states must come from the same field.
     """
     if ground.B != excited.B:
         raise FieldMismatchError(
             f"ground at B = {ground.B} G but excited at B = {excited.B} G"
         )
-    return excited.energy - ground.energy + optical_offset
+    return excited.energy - ground.energy
 
 
-def transition_frequency_at(
-    ground: StateRef,
-    excited: StateRef,
-    B: float,
-    optical_offset: float = 0.0,
-    constants: PhysicalConstants = CONSTANTS,
-) -> float:
-    g = diagonalize(ground.level, B, constants).state(ground.F, ground.m)
-    e = diagonalize(excited.level, B, constants).state(excited.F, excited.m)
-    return transition_frequency(g, e, optical_offset)
+def transition_frequency_at(ground: StateRef, excited: StateRef, B: float) -> float:
+    g = diagonalize(ground.level, B).state(ground.F, ground.m)
+    e = diagonalize(excited.level, B).state(excited.F, excited.m)
+    return transition_frequency(g, e)
 
 
-def field_sensitivity(
-    ground: StateRef,
-    excited: StateRef,
-    B: float,
-    constants: PhysicalConstants = CONSTANTS,
-) -> float:
+def field_sensitivity(ground: StateRef, excited: StateRef, B: float) -> float:
     """Magnetic-field sensitivity d(E_excited - E_ground)/dB in MHz/G.
 
     Hellmann-Feynman: each eigenvalue's slope is <psi| mu_B/h (g_J m_J +
@@ -514,32 +479,10 @@ def field_sensitivity(
     """
 
     def slope(ref: StateRef) -> float:
-        state = diagonalize(ref.level, B, constants).state(ref.F, ref.m)
-        return constants.mu_B_over_h * float(state.amp_mImJ**2 @ _moment(ref.level))
+        state = diagonalize(ref.level, B).state(ref.F, ref.m)
+        return MU_B_OVER_H * float(state.amp_mImJ**2 @ _moment(ref.level))
 
     return slope(excited) - slope(ground)
-
-
-def write_level_scan(
-    path,
-    level: LevelConstants,
-    b_values: Sequence[float],
-    constants: PhysicalConstants = CONSTANTS,
-) -> None:
-    """CSV of state energies vs field: columns B_gauss, state_label, energy_MHz."""
-    systems = diagonalize_range(level, list(b_values), constants)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["B_gauss", "state_label", "energy_MHz"])
-        for sys in systems:
-            for s in sys:
-                w.writerow(
-                    [
-                        repr(float(sys.B)),
-                        f"F{s.F_tilde}_m{s.m_F_tilde}",
-                        repr(float(s.energy)),
-                    ]
-                )
 
 
 def write_decomposition_scan(path, scan: DecompositionScan) -> None:

@@ -26,8 +26,6 @@ import numpy as np
 from .atomstruct import (
     BA137_D52,
     BA137_S12,
-    CONSTANTS,
-    PhysicalConstants,
     StateRef,
     transition_frequency_at,
 )
@@ -223,22 +221,19 @@ class FieldEstimate:
     reference: tuple
 
 
-def _splittings(
-    transitions: Sequence[tuple[StateRef, StateRef]],
-    B: float,
-    constants: PhysicalConstants,
-) -> np.ndarray:
-    return np.array(
-        [transition_frequency_at(g, e, B, 0.0, constants) for g, e in transitions]
-    )
+# estimate_field: spacing (G) of the coarse grid over the prior, and the
+# field tolerance (G) of the bounded refinement around its best point
+_GRID_STEP = 0.25
+_FIELD_TOL = 1e-5
+
+
+def _splittings(transitions: Sequence[tuple[StateRef, StateRef]], B: float) -> np.ndarray:
+    return np.array([transition_frequency_at(g, e, B) for g, e in transitions])
 
 
 def estimate_field(
     measured: Mapping[tuple[StateRef, StateRef], float],
     prior: tuple[float, float] = (0.0, 20.0),
-    constants: PhysicalConstants = CONSTANTS,
-    grid_step: float = 0.25,
-    tol: float = 1e-5,
 ) -> FieldEstimate:
     """Least-squares field estimate from measured transition frequencies.
 
@@ -256,12 +251,12 @@ def estimate_field(
     meas = np.array([measured[p] - measured[ref] for p in pairs[1:]])
 
     def cost(B: float) -> float:
-        sims = _splittings(pairs, B, constants)
+        sims = _splittings(pairs, B)
         sim_rel = sims[1:] - sims[0]
         return float(np.sum((sim_rel - meas) ** 2))
 
     lo = max(prior[0], 1e-4)
-    grid = np.arange(lo, prior[1] + grid_step, grid_step)
+    grid = np.arange(lo, prior[1] + _GRID_STEP, _GRID_STEP)
     values = np.array([cost(b) for b in grid])
     best = int(np.argmin(values))
 
@@ -273,7 +268,7 @@ def estimate_field(
         if values[i] <= values[i - 1] and values[i] <= values[i + 1]
     ]
     deep = [i for i in local_min if values[i] <= values[best] + 1e-9 * (1 + values[best])]
-    if len(deep) > 1 and np.ptp(grid[deep]) > 2 * grid_step:
+    if len(deep) > 1 and np.ptp(grid[deep]) > 2 * _GRID_STEP:
         raise FitError(
             f"field estimate is ambiguous: near-equal minima at B = "
             f"{[round(float(grid[i]), 3) for i in deep]} G"
@@ -282,19 +277,17 @@ def estimate_field(
     a = grid[max(best - 1, 0)]
     b = grid[min(best + 1, len(grid) - 1)]
     res = optimize.minimize_scalar(
-        cost, bounds=(a, b), method="bounded", options={"xatol": tol}
+        cost, bounds=(a, b), method="bounded", options={"xatol": _FIELD_TOL}
     )
     rms = math.sqrt(res.fun / max(len(meas), 1))
     return FieldEstimate(B=float(res.x), residual_rms=rms, reference=ref)
 
 
 def simulate_splittings(
-    transitions: Sequence[tuple[StateRef, StateRef]],
-    B: float,
-    constants: PhysicalConstants = CONSTANTS,
+    transitions: Sequence[tuple[StateRef, StateRef]], B: float
 ) -> dict[tuple[StateRef, StateRef], float]:
     """Model-generated transition frequencies, e.g. for round-trip tests."""
-    vals = _splittings(list(transitions), B, constants)
+    vals = _splittings(list(transitions), B)
     return dict(zip(transitions, vals.tolist()))
 
 
@@ -325,7 +318,7 @@ class RabiFit:
     covariance: np.ndarray = field(repr=False, compare=False, default=None)
 
 
-def _first_peak_time(t: np.ndarray, p: np.ndarray, smooth: bool) -> float:
+def _first_peak_time(t: np.ndarray, p: np.ndarray) -> float:
     """Time of the highest raw point within the first oscillation peak.
 
     The peak region ends at the first smoothed local minimum that falls
@@ -333,7 +326,7 @@ def _first_peak_time(t: np.ndarray, p: np.ndarray, smooth: bool) -> float:
     noise bumps on the rising edge stay below both gates.
     """
     s = p.copy()
-    if smooth and len(p) >= 3:
+    if len(p) >= 3:
         s[1:-1] = (p[:-2] + p[1:-1] + p[2:]) / 3.0
     top = float(s.max())
     if top - float(s.min()) < 0.05:
@@ -348,7 +341,7 @@ def _first_peak_time(t: np.ndarray, p: np.ndarray, smooth: bool) -> float:
     return float(t[window][np.argmax(p[window])])
 
 
-def fit_rabi_flop(trace: RabiTrace, smooth: bool = True) -> RabiFit:
+def fit_rabi_flop(trace: RabiTrace) -> RabiFit:
     """Extract the single-pulse error from the first Rabi oscillation peak.
 
     Fits p(t) = A cos^2(pi (t - t_peak) / (2 t_scale)) + C on the points
@@ -359,7 +352,7 @@ def fit_rabi_flop(trace: RabiTrace, smooth: bool = True) -> RabiFit:
     from scipy import optimize
 
     t, p = trace.t_us, trace.p
-    t_peak_r = _first_peak_time(t, p, smooth)
+    t_peak_r = _first_peak_time(t, p)
     mask = (t >= t_peak_r / 2.0) & (t <= 1.5 * t_peak_r)
     if int(mask.sum()) < 5:
         raise FitError(
@@ -483,15 +476,13 @@ class ScanPlan:
         return tuple(coarse_center - self.fine_span + i * self.fine_step for i in range(n))
 
 
-def scan_plan(
-    coarse_span: float = 50.0,
-    coarse_step: float = 10.0,
-    fine_span: float = 10.0,
-    fine_step: float = 1.0,
-) -> ScanPlan:
+def scan_plan() -> ScanPlan:
+    """The session search: a 10 kHz grid over +/-50 kHz, then a 1 kHz grid
+    over +/-10 kHz around the coarse minimum."""
+    coarse_span, coarse_step = 50.0, 10.0
     n = int(round(2 * coarse_span / coarse_step)) + 1
     coarse = tuple(-coarse_span + i * coarse_step for i in range(n))
-    return ScanPlan(coarse_offsets=coarse, fine_span=fine_span, fine_step=fine_step)
+    return ScanPlan(coarse_offsets=coarse, fine_span=10.0, fine_step=1.0)
 
 
 def paper13_transition_refs() -> dict[int, tuple[StateRef, StateRef]]:
@@ -515,21 +506,14 @@ def reference_trio() -> dict[str, tuple[StateRef, StateRef]]:
     }
 
 
-def synthetic_snapshot(
-    B: float,
-    optical_offset: float = 0.0,
-    constants: PhysicalConstants = CONSTANTS,
-) -> CalSnapshot:
+def synthetic_snapshot(B: float) -> CalSnapshot:
     """Model-generated calibration session at one field value."""
     refs = reference_trio()
     trans = paper13_transition_refs()
-    freqs = {
-        n: transition_frequency_at(g, e, B, optical_offset, constants)
-        for n, (g, e) in trans.items()
-    }
+    freqs = {n: transition_frequency_at(g, e, B) for n, (g, e) in trans.items()}
     return CalSnapshot(
-        f_offset=transition_frequency_at(*refs["offset"], B, optical_offset, constants),
-        f_low=transition_frequency_at(*refs["low"], B, optical_offset, constants),
-        f_up=transition_frequency_at(*refs["up"], B, optical_offset, constants),
+        f_offset=transition_frequency_at(*refs["offset"], B),
+        f_low=transition_frequency_at(*refs["low"], B),
+        f_up=transition_frequency_at(*refs["up"], B),
         freqs=freqs,
     )

@@ -5,8 +5,8 @@ calibrate-demo, budget.  Every command is reproducible: the same config
 and seed produce byte-identical primary output files.  Outputs are data
 only (CSV/JSON ready for external plotting).
 
-Parameter precedence: explicit flags > --config file entries > named
-presets > built-in defaults.
+Parameter precedence: explicit flags > --config file entries > built-in
+defaults.
 """
 
 from __future__ import annotations
@@ -25,13 +25,9 @@ from .atomstruct import BA137_D52, BA137_S12, StateRef
 
 LEVELS = {"6S1/2": BA137_S12, "5D5/2": BA137_D52}
 
-PRESETS = {
-    "b_gauss": 8.35,
-    "phi_deg": 45.0,
-    "gamma_deg": 58.0,
-    "threshold": 0.03,
-    "encoding": "paper13",
-}
+# gauss: the field of the 13-level experiment, default of strengths --b and
+# calibrate-demo --b-center
+_B_EXPERIMENT = 8.35
 
 
 class CliError(Exception):
@@ -58,15 +54,11 @@ def _load_config(path):
 
 
 def _resolve(args, cfg, key, default=None):
-    """flags > config file > presets > defaults."""
+    """flags > config file > default."""
     val = getattr(args, key, None)
     if val is not None:
         return val
-    if key in cfg:
-        return cfg[key]
-    if key in PRESETS:
-        return PRESETS[key]
-    return default
+    return cfg.get(key, default)
 
 
 def _field(value, flag):
@@ -160,10 +152,10 @@ def cmd_eigenstates(args, cfg):
 
 
 def cmd_strengths(args, cfg):
-    b = _field(_resolve(args, cfg, "b_gauss"), "--b")
-    phi = float(_resolve(args, cfg, "phi_deg"))
-    gamma = float(_resolve(args, cfg, "gamma_deg"))
-    threshold = float(_resolve(args, cfg, "threshold"))
+    b = _field(_resolve(args, cfg, "b_gauss", _B_EXPERIMENT), "--b")
+    phi = float(_resolve(args, cfg, "phi_deg", transitions.PAPER13_GEOMETRY.phi))
+    gamma = float(_resolve(args, cfg, "gamma_deg", transitions.PAPER13_GEOMETRY.gamma))
+    threshold = float(_resolve(args, cfg, "threshold", 0.03))
     fmt = args.format or "csv"
     outdir = _outdir(args)
 
@@ -222,7 +214,7 @@ def cmd_spam(args, cfg):
                      "average_fidelity": fid, "uncertainty": sigma})
         return [outdir / "spam_analysis.json"]
 
-    enc_name = _resolve(args, cfg, "encoding")
+    enc_name = _resolve(args, cfg, "encoding", "paper13")
     if enc_name != "paper13":
         raise CliError(f"unknown encoding preset {enc_name!r}")
     encoding = spam.paper13_encoding()
@@ -450,7 +442,7 @@ def cmd_calibrate_demo(args, cfg):
     coarse/fine scans at drifted fields, Lorentzian centers, linear model."""
     outdir = _outdir(args)
     seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
-    b_center = _field(_resolve(args, cfg, "b_center", 8.35), "--b-center")
+    b_center = _field(_resolve(args, cfg, "b_center", _B_EXPERIMENT), "--b-center")
     drift = float(_resolve(args, cfg, "drift", 0.02))
     sessions = int(_resolve(args, cfg, "sessions", 5))
     rng = np.random.default_rng(seed)

@@ -13,8 +13,9 @@ table_e5.csv  per-transition parameters: SPAM error, field sensitivity
 Values are as printed (3-4 decimals), so confusion rows can be off
 row-stochasticity by up to ~0.002.  An alternative fixtures directory can
 be supplied to every loader, which the command line exposes as
---fixtures-dir.  A table with no data rows, or with a row whose width
-differs from its header's, raises TableError naming the file and line.
+--fixtures-dir.  A table with no data rows, a row whose width differs
+from its header's, or a cell that is not a number where one is expected
+raises TableError naming the file and line.
 """
 
 from __future__ import annotations
@@ -55,12 +56,14 @@ def fixture_path(name: str, fixtures_dir=None) -> Path:
 
 
 class TableError(ValueError):
-    """A CSV table has no header or data rows, or a row whose width differs
-    from its header's."""
+    """A CSV table has no header or data rows, a row whose width differs
+    from its header's, or a cell its reader cannot parse."""
 
 
-def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
-    """(header, data rows) of a CSV table whose rows all have the header's width."""
+def _read_csv(path: Path, parse) -> tuple[list[str], list]:
+    """(header, parsed data rows) of a CSV table whose rows all have the
+    header's width; ``parse`` turns one row of strings into a value, and a
+    ValueError it raises becomes a TableError naming the line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -73,30 +76,37 @@ def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
                     f"{path}, line {reader.line_num}: {len(row)} fields, "
                     f"the header has {len(header)}"
                 )
-            rows.append(row)
+            try:
+                rows.append(parse(row))
+            except ValueError as exc:
+                raise TableError(f"{path}, line {reader.line_num}: {exc}") from None
     if not rows:
         raise TableError(f"{path}: no data rows")
     return header, rows
 
 
+def _labeled_numbers(row: list[str]) -> tuple[str, list[float]]:
+    """(label, values) of a row whose cells after the first are numbers."""
+    return row[0], [float(x) for x in row[1:]]
+
+
 def load_strength_fixture(fixtures_dir=None):
     """(d_keys, s_keys, values) of the reference strength table."""
-    header, rows = _read_csv(fixture_path("table_e1.csv", fixtures_dir))
-    s_keys = header[1:]
-    d_keys = [r[0] for r in rows]
-    values = np.array([[float(x) for x in r[1:]] for r in rows])
-    return d_keys, s_keys, values
+    header, rows = _read_csv(fixture_path("table_e1.csv", fixtures_dir), _labeled_numbers)
+    d_keys = [label for label, _ in rows]
+    values = np.array([v for _, v in rows])
+    return d_keys, header[1:], values
 
 
 def load_confusion_fixture(name: str, fixtures_dir=None):
     """(prepared labels, outcome labels, probability matrix, has_null)."""
     if not name.endswith(".csv"):
         name = f"table_{name}.csv"
-    header, rows = _read_csv(fixture_path(name, fixtures_dir))
+    header, rows = _read_csv(fixture_path(name, fixtures_dir), _labeled_numbers)
     outcomes = header[1:]
     has_null = outcomes[-1] == "Null"
-    prepared = [r[0] for r in rows]
-    probs = np.array([[float(x) for x in r[1:]] for r in rows])
+    prepared = [label for label, _ in rows]
+    probs = np.array([v for _, v in rows])
     return prepared, outcomes, probs, has_null
 
 
@@ -116,18 +126,17 @@ class TransitionParams:
     single_transition_error: float | None
 
 
+def _transition_params(r: list[str]) -> TransitionParams:
+    return TransitionParams(
+        index=None if r[0] == "NA" else int(r[0]),
+        atomic_state=r[1],
+        spam_error=_parse(r[2]),
+        kappa=_parse(r[3]),
+        tau_pi_us=_parse(r[4]),
+        single_transition_error=_parse(r[5]),
+    )
+
+
 def load_transition_params(fixtures_dir=None) -> list[TransitionParams]:
-    header, rows = _read_csv(fixture_path("table_e5.csv", fixtures_dir))
-    out = []
-    for r in rows:
-        out.append(
-            TransitionParams(
-                index=None if r[0] == "NA" else int(r[0]),
-                atomic_state=r[1],
-                spam_error=_parse(r[2]),
-                kappa=_parse(r[3]),
-                tau_pi_us=_parse(r[4]),
-                single_transition_error=_parse(r[5]),
-            )
-        )
-    return out
+    _, rows = _read_csv(fixture_path("table_e5.csv", fixtures_dir), _transition_params)
+    return rows

@@ -244,9 +244,7 @@ class ErrorScalingFit:
         return float(np.sqrt(self.covariance[1, 1]))
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        chi = self.scale * np.asarray(x, dtype=float)
-        eps = 0.5 * -np.expm1(-chi)
-        return self.intercept + eps / (eps + (1.0 - eps) ** 2)
+        return _scaling_model(self.scale, self.intercept, np.asarray(x, dtype=float))
 
 
 def _scaling_model(c: float, b: float, x: np.ndarray) -> np.ndarray:

@@ -35,7 +35,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 import numpy as np
 
 from .angmom import HalfInt
-from .fixtures import _read_csv, load_confusion_fixture, load_transition_params
+from .fixtures import _labeled_numbers, _read_csv, load_confusion_fixture, load_transition_params
 from .transitions import PAPER13_D_STATES
 
 __all__ = [
@@ -880,23 +880,28 @@ def write_confusion_csv(path, matrix: ConfusionMatrix) -> None:
             w.writerow([str(i)] + [repr(float(x)) for x in matrix.probs[i]])
 
 
-def read_confusion_csv(path, shots: int = 1000, row_tol: float = 2.5e-3) -> ConfusionMatrix:
-    """Read a confusion CSV (probability form).  Printed-precision tables
-    may miss row-stochasticity by a couple of counts; row_tol bounds that."""
-    header, rows = _read_csv(path)
+# shots per prepared state behind the confusion tables the package reads
+_TABLE_SHOTS = 1000
+
+
+def read_confusion_csv(path) -> ConfusionMatrix:
+    """Read a confusion CSV (probability form) of 1000 shots per row."""
+    header, rows = _read_csv(path, _labeled_numbers)
     has_null = header[-1] == "Null"
-    probs = np.array([[float(x) for x in r[1:]] for r in rows])
+    probs = np.array([v for _, v in rows])
     dev = np.abs(probs.sum(axis=1) - 1.0).max()
-    if dev > row_tol:
-        raise ValueError(f"rows deviate from unit sum by {dev:g} (> {row_tol:g})")
+    # printed precision can miss row-stochasticity by a couple of counts
+    if dev > 2.5e-3:
+        raise ValueError(f"rows deviate from unit sum by {dev:g} (> 0.0025)")
     return ConfusionMatrix(
-        probs=probs, shots=np.full(probs.shape[0], shots), has_null=has_null
+        probs=probs, shots=np.full(probs.shape[0], _TABLE_SHOTS), has_null=has_null
     )
 
 
-def load_reference_confusion(name: str, fixtures_dir=None, shots: int = 1000) -> ConfusionMatrix:
-    """Bundled confusion fixture ('e2', 'e3', 's1', 's2') as a matrix."""
+def load_reference_confusion(name: str, fixtures_dir=None) -> ConfusionMatrix:
+    """Bundled confusion fixture ('e2', 'e3', 's1', 's2') as a matrix of
+    1000 shots per row."""
     _, outcomes, probs, has_null = load_confusion_fixture(name, fixtures_dir)
     return ConfusionMatrix(
-        probs=probs, shots=np.full(probs.shape[0], shots), has_null=has_null
+        probs=probs, shots=np.full(probs.shape[0], _TABLE_SHOTS), has_null=has_null
     )

@@ -25,11 +25,9 @@ from .angmom import HalfInt, clebsch_gordan
 from .atomstruct import (
     BA137_D52,
     BA137_S12,
-    CONSTANTS,
     FieldMismatchError,
     LabeledEigenstate,
     LevelConstants,
-    PhysicalConstants,
     diagonalize,
 )
 
@@ -174,11 +172,6 @@ class StrengthTable:
         j = self.s_labels.index((HalfInt.coerce(s_label[0]), HalfInt.coerce(s_label[1])))
         return {d: float(self.values[i, j]) for i, d in enumerate(self.d_labels)}
 
-    def rabi_frequency(self, d_label, s_label, omega_ref: float) -> float:
-        """Rabi frequency of one transition given the calibration scale
-        omega_ref (laser field times reduced matrix element, user units)."""
-        return self.value(d_label, s_label) * omega_ref
-
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
@@ -227,18 +220,12 @@ def _col_labels(level: LevelConstants) -> tuple[tuple[HalfInt, HalfInt], ...]:
     return tuple(out)
 
 
-def strength_table(
-    B: float,
-    geometry: LaserGeometry,
-    ground_level: LevelConstants = BA137_S12,
-    excited_level: LevelConstants = BA137_D52,
-    constants: PhysicalConstants = CONSTANTS,
-) -> StrengthTable:
-    """Full excited x ground relative-strength table at one field."""
-    gsys = diagonalize(ground_level, B, constants)
-    esys = diagonalize(excited_level, B, constants)
-    d_labels = _row_labels(excited_level)
-    s_labels = _col_labels(ground_level)
+def strength_table(B: float, geometry: LaserGeometry) -> StrengthTable:
+    """Full 5D5/2 x 6S1/2 relative-strength table at one field."""
+    gsys = diagonalize(BA137_S12, B)
+    esys = diagonalize(BA137_D52, B)
+    d_labels = _row_labels(BA137_D52)
+    s_labels = _col_labels(BA137_S12)
     values = np.zeros((len(d_labels), len(s_labels)))
     for j, (sf, sm) in enumerate(s_labels):
         g = gsys.state(sf, sm)
@@ -251,15 +238,15 @@ def strength_table(
 
 
 def encodable_states(
-    table: StrengthTable, threshold: float = 0.03, ground_label=(2, 2)
+    table: StrengthTable, threshold: float = 0.03
 ) -> tuple[tuple[HalfInt, HalfInt], ...]:
-    """Excited states reachable from one ground state above a strength cut.
+    """Excited states reachable from the ground state |6S1/2, F~=2, m=2>
+    above a strength cut.
 
-    Ordered by (F~ descending, m descending); for the default ground
-    |6S1/2, F~=2, m=2> and threshold this reproduces the |1>..|12> index
-    assignment of the 13-level encoding.
+    Ordered by (F~ descending, m descending); for the default threshold
+    this reproduces the |1>..|12> index assignment of the 13-level encoding.
     """
-    column = table.column(ground_label)
+    column = table.column((2, 2))
     picked = [lab for lab, s in column.items() if s > threshold]
     picked.sort(key=lambda lab: (-lab[0].twice, -lab[1].twice))
     return tuple(picked)

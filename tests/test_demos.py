@@ -1,4 +1,4 @@
-"""Smoke test: the SPAM, noise-model and calibration demos run to completion."""
+"""Smoke test: every demo runs to completion."""
 
 import os
 import subprocess
@@ -11,6 +11,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("name", [
+    "01_energy_levels.py", "02_eigenstate_mixing.py", "03_transition_strengths.py",
     "04_spam_protocol.py", "05_noise_model.py", "06_calibration.py", "07_25_level_encoding.py",
 ])
 def test_demo_runs(name):

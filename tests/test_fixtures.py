@@ -1,6 +1,8 @@
-"""Fixture loaders: a table whose rows do not match its header's width
-fails with the file and line named, never with a numpy shape error."""
+"""Fixture loaders: a table whose rows do not match its header's width, or
+whose cells are not numbers, fails with the file and line named, never with
+a numpy shape error or a bare float conversion error."""
 
+import re
 import shutil
 
 import pytest
@@ -24,29 +26,44 @@ LOADERS = {
 
 def ragged_fixtures(tmp_path, name, line=4, extra=False):
     """Copy of the bundled fixtures in which one data row of `name` (file
-    line `line`) lost its last field, or gained one if `extra`."""
+    line `line`) lost its last field, gained one if `extra` is True, or, if
+    `extra` is a string, had its last field replaced by that string."""
     d = tmp_path / "fixtures"
     shutil.copytree(fixture_path(name).parent, d)
     lines = (d / name).read_text().splitlines(keepends=True)
     row = lines[line - 1].rstrip("\n")
-    lines[line - 1] = (row + ",0" if extra else row.rsplit(",", 1)[0]) + "\n"
+    if isinstance(extra, str):
+        row = row.rsplit(",", 1)[0] + "," + extra
+    else:
+        row = row + ",0" if extra else row.rsplit(",", 1)[0]
+    lines[line - 1] = row + "\n"
     (d / name).write_text("".join(lines))
     return d
 
 
+# what follows "<file>, line N: " in the error for each ragged_fixtures edit
+EDIT_MESSAGE = {
+    False: r"\d+ fields, the header has \d+",
+    True: r"\d+ fields, the header has \d+",
+    "x": "could not convert string to float: 'x'",
+}
+
+
 @pytest.mark.parametrize("name", sorted(LOADERS))
-@pytest.mark.parametrize("extra", [False, True])
+@pytest.mark.parametrize("extra", [False, True, "x"])
 def test_ragged_row_names_file_and_line(tmp_path, name, extra):
     d = ragged_fixtures(tmp_path, name, extra=extra)
     # a ValueError, so callers that caught numpy's shape error still catch it
-    with pytest.raises(ValueError, match=rf"{name}, line 4: \d+ fields, the header has \d+"):
+    with pytest.raises(ValueError, match=rf"{name}, line 4: {EDIT_MESSAGE[extra]}") as info:
         LOADERS[name](d)
+    assert isinstance(info.value, TableError)
 
 
 def test_read_confusion_csv_ragged_row(tmp_path):
-    d = ragged_fixtures(tmp_path, "table_e2.csv", line=7)
-    with pytest.raises(TableError, match="table_e2.csv, line 7"):
-        read_confusion_csv(d / "table_e2.csv")
+    for extra in (False, "x"):
+        d = ragged_fixtures(tmp_path / str(extra), "table_e2.csv", line=7, extra=extra)
+        with pytest.raises(TableError, match=rf"table_e2.csv, line 7: {EDIT_MESSAGE[extra]}"):
+            read_confusion_csv(d / "table_e2.csv")
 
 
 @pytest.mark.parametrize("text, message", [
@@ -68,17 +85,19 @@ def test_empty_table(tmp_path, text, message):
     ("table_e5.csv", ["spam", "--errors", "table-e5", "--shots", "10"]),
 ])
 def test_cli_ragged_fixture_exits_2(tmp_path, capsys, name, argv):
-    d = ragged_fixtures(tmp_path, name)
-    rc = main(["--out", str(tmp_path / "out"), "--fixtures-dir", str(d)] + argv)
-    assert rc == 2
-    assert f"{name}, line 4: " in capsys.readouterr().err
+    for extra in (False, "x"):
+        d = ragged_fixtures(tmp_path / str(extra), name, extra=extra)
+        rc = main(["--out", str(tmp_path / "out"), "--fixtures-dir", str(d)] + argv)
+        assert rc == 2
+        assert re.search(rf"{name}, line 4: {EDIT_MESSAGE[extra]}", capsys.readouterr().err)
 
 
 def test_cli_ragged_confusion_table_exits_2(tmp_path, capsys):
-    d = ragged_fixtures(tmp_path, "table_e2.csv")
-    rc = main(["--out", str(tmp_path / "out"), "spam", "--analyze", str(d / "table_e2.csv")])
-    assert rc == 2
-    assert "table_e2.csv, line 4: " in capsys.readouterr().err
+    for extra in (False, "x"):
+        d = ragged_fixtures(tmp_path / str(extra), "table_e2.csv", extra=extra)
+        rc = main(["--out", str(tmp_path / "out"), "spam", "--analyze", str(d / "table_e2.csv")])
+        assert rc == 2
+        assert re.search(rf"table_e2.csv, line 4: {EDIT_MESSAGE[extra]}", capsys.readouterr().err)
 
 
 def test_cli_header_only_confusion_table_exits_2(tmp_path, capsys):

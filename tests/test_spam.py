@@ -427,7 +427,7 @@ class TestConfusionIO:
         enc = two_level()
         m = run_experiment(enc, ErrorParams.uniform(enc, 0.1), 1000, seed=2)
         write_confusion_csv(tmp_path / "m.csv", m)
-        back = read_confusion_csv(tmp_path / "m.csv", shots=1000)
+        back = read_confusion_csv(tmp_path / "m.csv")
         assert back.has_null
         assert np.allclose(back.probs, m.probs, atol=1e-9)
 
