@@ -1,0 +1,99 @@
+"""Small dense nonlinear least squares in numpy.
+
+Levenberg-Marquardt (Nocedal & Wright, *Numerical Optimization*, 2nd ed.,
+section 10.3) with Marquardt's diagonal scaling kept nondecreasing as in
+More's MINPACK design, on a Jacobian the caller supplies.  Box bounds are
+handled by an active set: a parameter on a bound whose gradient points
+outward stays fixed for that step, and the step is projected back into the
+box.  Sized for the package's fits: a few parameters, tens of residuals.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+
+# trial steps per solve; the package's fits take at most about 50
+_MAX_ITER = 200
+# converged when the next scaled step is this small relative to the scaled
+# parameters, or when a step the box does not cut would lower the cost by
+# this fraction at most (cost differences that small are rounding)
+_XTOL = 1e-12
+_FTOL = 1e-15
+
+
+@dataclass(frozen=True, eq=False)
+class Solution:
+    x: np.ndarray
+    cost: float  # |r(x)|^2 / 2
+    jac: np.ndarray  # Jacobian at x
+    iterations: int
+    converged: bool
+
+
+def least_squares(
+    fun: Callable[[np.ndarray], np.ndarray],
+    jac: Callable[[np.ndarray], np.ndarray],
+    x0,
+    lower=None,
+    upper=None,
+) -> Solution:
+    """Minimize |fun(x)|^2 / 2 from x0 within lower <= x <= upper.
+
+    Returns unconverged after ``_MAX_ITER`` trial steps; each caller turns
+    that into its own error.
+    """
+    x = np.asarray(x0, dtype=float)
+    lo = np.full(x.size, -np.inf) if lower is None else np.asarray(lower, dtype=float)
+    hi = np.full(x.size, np.inf) if upper is None else np.asarray(upper, dtype=float)
+    x = np.minimum(np.maximum(x, lo), hi)
+    r = fun(x)
+    J = jac(x)
+    cost = 0.5 * float(r @ r)
+    scale = np.zeros(x.size)
+    lam, nu = 1e-3, 2.0
+    for it in range(1, _MAX_ITER + 1):
+        g = J.T @ r
+        A = J.T @ J
+        scale = np.maximum(scale, np.sqrt(np.diag(A)))
+        d = np.where(scale > 0, scale, 1.0)
+        free = ~(((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0)))
+        if cost == 0.0 or not np.any(g[free]):
+            return Solution(x, cost, J, it - 1, True)
+        idx = np.flatnonzero(free)
+        M = A[np.ix_(idx, idx)] / np.outer(d[idx], d[idx]) + lam * np.eye(idx.size)
+        step = np.zeros(x.size)
+        step[idx] = _solve(M, -g[idx] / d[idx]) / d[idx]
+        trial = x + step
+        x_new = np.minimum(np.maximum(trial, lo), hi)
+        clipped = np.any(x_new != trial)
+        step = x_new - x
+        predicted = -(g @ step + 0.5 * step @ A @ step)
+        if np.linalg.norm(d * step) <= _XTOL * (np.linalg.norm(d * x) + _XTOL) or (
+            not clipped and predicted <= _FTOL * cost
+        ):
+            return Solution(x, cost, J, it, True)
+        r_new = fun(x_new)
+        cost_new = 0.5 * float(r_new @ r_new)
+        if predicted > 0 and cost_new < cost:
+            rho = (cost - cost_new) / predicted
+            x, r, cost = x_new, r_new, cost_new
+            J = jac(x)
+            # Nielsen's damping update: shrink by at most 3 on a good step
+            lam *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+            nu = 2.0
+        else:
+            lam *= nu
+            nu *= 2.0
+    return Solution(x, cost, J, _MAX_ITER, False)
+
+
+def _solve(M, b) -> np.ndarray:
+    """M z = b for the damped normal matrix, which is singular only when
+    the damping has shrunk below rounding on a rank-deficient Jacobian."""
+    try:
+        return np.linalg.solve(M, b)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(M, b, rcond=None)[0]

@@ -9,9 +9,9 @@ Delta f tracks the field).  Every other transition frequency is then
 predicted as f_n = a_n1 * Delta f + f_offset + a_n2 with per-transition
 coefficients regressed from drift history.
 
-scipy is imported only inside the fits and the field estimate
-(``fit_lorentzian``, ``estimate_field``, ``fit_rabi_flop``), so importing
-this module, and the linear calibration, need numpy alone.
+The Lorentzian and Rabi fits and the field estimate run on the package's
+numpy least-squares solver (Levenberg-Marquardt on analytic Jacobians), so
+this module needs numpy alone; scipy is not imported.
 """
 
 from __future__ import annotations
@@ -23,10 +23,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import _lsq
 from .atomstruct import (
     BA137_D52,
     BA137_S12,
     StateRef,
+    field_sensitivity,
     transition_frequency_at,
 )
 from .transitions import StrengthTable
@@ -100,8 +102,6 @@ def fit_lorentzian(scan: FrequencyScan) -> LorentzianFit:
     A center within one grid step of either scan edge is flagged
     ``at_boundary`` (the scan window should be re-centered).
     """
-    from scipy import optimize
-
     f, y = scan.freq_khz, scan.p_dark
     if len(f) < 5:
         raise FitError("need at least 5 scan points")
@@ -115,9 +115,17 @@ def fit_lorentzian(scan: FrequencyScan) -> LorentzianFit:
     def resid(p):
         return _lorentzian(f, *p) - y
 
-    res = optimize.least_squares(resid, [f0, w0, a0, c0], method="lm", max_nfev=5000)
-    if not res.success:
-        raise FitError(f"Lorentzian fit did not converge: {res.message}")
+    def jac(p):
+        f0, w, a, _ = p
+        d = f - f0
+        q = d**2 + w**2
+        return np.column_stack(
+            [2 * a * w**2 * d / q**2, 2 * a * w * d**2 / q**2, w**2 / q, np.ones_like(f)]
+        )
+
+    res = _lsq.least_squares(resid, jac, [f0, w0, a0, c0])
+    if not res.converged:
+        raise FitError(f"Lorentzian fit did not converge in {res.iterations} steps")
     dof = max(len(f) - 4, 1)
     s2 = 2.0 * res.cost / dof
     cov = s2 * np.linalg.pinv(res.jac.T @ res.jac)
@@ -221,10 +229,8 @@ class FieldEstimate:
     reference: tuple
 
 
-# estimate_field: spacing (G) of the coarse grid over the prior, and the
-# field tolerance (G) of the bounded refinement around its best point
+# estimate_field: spacing (G) of the coarse grid over the prior
 _GRID_STEP = 0.25
-_FIELD_TOL = 1e-5
 
 
 def _splittings(transitions: Sequence[tuple[StateRef, StateRef]], B: float) -> np.ndarray:
@@ -239,48 +245,56 @@ def estimate_field(
 
     Frequencies are compared relative to the first transition in the map
     (any common optical offset drops out), so at least two transitions
-    with distinct field sensitivity are required.  Coarse grid search over
-    the prior interval followed by golden-section refinement.
+    with distinct field sensitivity are required.  A coarse grid over the
+    prior interval finds the local minima; each is refined by Gauss-Newton
+    on the Hellmann-Feynman slopes of ``field_sensitivity``, clamped to its
+    grid bracket.  Two separated minima that refine to the same cost make
+    the data ambiguous and raise ``FitError``.
     """
-    from scipy import optimize
-
     pairs = list(measured.keys())
     if len(pairs) < 2:
         raise ValueError("need at least two measured transitions")
     ref = pairs[0]
     meas = np.array([measured[p] - measured[ref] for p in pairs[1:]])
 
-    def cost(B: float) -> float:
-        sims = _splittings(pairs, B)
-        sim_rel = sims[1:] - sims[0]
-        return float(np.sum((sim_rel - meas) ** 2))
+    def resid(x) -> np.ndarray:
+        sims = _splittings(pairs, x[0])
+        return sims[1:] - sims[0] - meas
+
+    def jac(x) -> np.ndarray:
+        slopes = np.array([field_sensitivity(g, e, x[0]) for g, e in pairs])
+        return (slopes[1:] - slopes[0])[:, None]
 
     lo = max(prior[0], 1e-4)
     grid = np.arange(lo, prior[1] + _GRID_STEP, _GRID_STEP)
-    values = np.array([cost(b) for b in grid])
+    values = np.array([np.sum(resid([b]) ** 2) for b in grid])
     best = int(np.argmin(values))
-
-    # a second, separated local minimum this deep means the data cannot
-    # pin the field; report rather than silently picking one
-    local_min = [
+    starts = {best} | {
         i
         for i in range(1, len(grid) - 1)
         if values[i] <= values[i - 1] and values[i] <= values[i + 1]
-    ]
-    deep = [i for i in local_min if values[i] <= values[best] + 1e-9 * (1 + values[best])]
-    if len(deep) > 1 and np.ptp(grid[deep]) > 2 * _GRID_STEP:
+    }
+    minima = []
+    for i in sorted(starts):
+        left, right = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+        res = _lsq.least_squares(resid, jac, [grid[i]], lower=[left], upper=[right])
+        if not res.converged:
+            raise FitError(
+                f"field estimate did not converge in {res.iterations} steps near B = {grid[i]} G"
+            )
+        minima.append((2.0 * res.cost, float(res.x[0])))
+    sq, B = min(minima)
+
+    # a second, separated minimum this deep means the data cannot pin the
+    # field; report rather than silently picking one
+    deep = [b for v, b in minima if v <= sq + 1e-9 * (1 + sq)]
+    if max(deep) - min(deep) > 2 * _GRID_STEP:
         raise FitError(
             f"field estimate is ambiguous: near-equal minima at B = "
-            f"{[round(float(grid[i]), 3) for i in deep]} G"
+            f"{[round(b, 4) for b in deep]} G"
         )
-
-    a = grid[max(best - 1, 0)]
-    b = grid[min(best + 1, len(grid) - 1)]
-    res = optimize.minimize_scalar(
-        cost, bounds=(a, b), method="bounded", options={"xatol": _FIELD_TOL}
-    )
-    rms = math.sqrt(res.fun / max(len(meas), 1))
-    return FieldEstimate(B=float(res.x), residual_rms=rms, reference=ref)
+    rms = math.sqrt(sq / max(len(meas), 1))
+    return FieldEstimate(B=B, residual_rms=rms, reference=ref)
 
 
 def simulate_splittings(
@@ -349,8 +363,6 @@ def fit_rabi_flop(trace: RabiTrace) -> RabiFit:
     pulse error is eps_pi = 1 - A - C.  Smoothing (3-point moving average)
     is used only to locate the peak, never in the fit.
     """
-    from scipy import optimize
-
     t, p = trace.t_us, trace.p
     t_peak_r = _first_peak_time(t, p)
     mask = (t >= t_peak_r / 2.0) & (t <= 1.5 * t_peak_r)
@@ -373,11 +385,17 @@ def fit_rabi_flop(trace: RabiTrace) -> RabiFit:
     upper = [1.5, 0.5, 1.5 * t_peak_r, 4.0 * t_peak_r]
     x0 = np.clip(x0, lower, upper)
 
-    res = optimize.least_squares(
-        lambda q: model(q) - pw, x0, bounds=(lower, upper), method="trf", max_nfev=5000
-    )
-    if not res.success:
-        raise FitError(f"Rabi fit did not converge: {res.message}")
+    def jac(params):
+        a, _, tp, ts = params
+        theta = np.pi * (tw - tp) / (2.0 * ts)
+        sin2 = a * np.sin(2.0 * theta)
+        return np.column_stack(
+            [np.cos(theta) ** 2, np.ones_like(tw), sin2 * np.pi / (2.0 * ts), sin2 * theta / ts]
+        )
+
+    res = _lsq.least_squares(lambda q: model(q) - pw, jac, x0, lower=lower, upper=upper)
+    if not res.converged:
+        raise FitError(f"Rabi fit did not converge in {res.iterations} steps")
     a, c, tp, ts = res.x
     dof = max(len(tw) - 4, 1)
     s2 = 2.0 * res.cost / dof

@@ -443,8 +443,12 @@ def cmd_calibrate_demo(args, cfg):
     outdir = _outdir(args)
     seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
     b_center = _field(_resolve(args, cfg, "b_center", _B_EXPERIMENT), "--b-center")
-    drift = float(_resolve(args, cfg, "drift", 0.02))
+    drift = _field(_resolve(args, cfg, "drift", 0.02), "--drift")
+    if drift == 0.0:
+        raise CliError("--drift must be positive: sessions at one field cannot calibrate")
     sessions = int(_resolve(args, cfg, "sessions", 5))
+    if sessions < 2:
+        raise CliError(f"--sessions must be at least 2 for the linear calibration, got {sessions}")
     rng = np.random.default_rng(seed)
 
     plan = calib.scan_plan()
@@ -509,13 +513,23 @@ def cmd_calibrate_demo(args, cfg):
 def cmd_budget(args, cfg):
     outdir = _outdir(args)
     timings = spam.reference_timings(args.fixtures_dir)
-    fluor = _resolve(args, cfg, "fluorescence_ms")
-    awg = _resolve(args, cfg, "awg_ms")
-    pump = _resolve(args, cfg, "optical_pump_ms")
+
+    def seconds(key, flag, default):
+        """A time given in ms (flag or config), finite and nonnegative."""
+        value = _resolve(args, cfg, key)
+        if value is None:
+            return default
+        t = float(value)
+        if not 0.0 <= t < math.inf:
+            raise CliError(f"{flag} must be a finite, nonnegative time in ms, got {value!r}")
+        return t * 1e-3
+
     timings = spam.Timings(
-        fluorescence_check=float(fluor) * 1e-3 if fluor is not None else timings.fluorescence_check,
-        awg_trigger=float(awg) * 1e-3 if awg is not None else timings.awg_trigger,
-        optical_pump=float(pump) * 1e-3 if pump is not None else timings.optical_pump,
+        fluorescence_check=seconds(
+            "fluorescence_ms", "--fluorescence-ms", timings.fluorescence_check
+        ),
+        awg_trigger=seconds("awg_ms", "--awg-ms", timings.awg_trigger),
+        optical_pump=seconds("optical_pump_ms", "--optical-pump-ms", timings.optical_pump),
         pi_pulse=timings.pi_pulse,
     )
     budget = spam.timing_budget(spam.paper13_encoding(), timings, prepared=1)

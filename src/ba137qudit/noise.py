@@ -13,8 +13,9 @@ the magnetic-field noise normalization (per-gauss PSD units).  Absolute
 h values are not measurable here; only the PSD shape and the
 kappa^2 tau_pi^2 scaling are exercised.
 
-scipy is imported only inside the chi quadrature (``chi_numeric``) and
-the error-scaling fit (``fit_error_scaling``); the rest needs numpy alone.
+scipy is imported only inside the chi quadrature (``chi_numeric``); the
+error-scaling fit runs on the package's numpy least-squares solver, so the
+rest needs numpy alone.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
+
+from . import _lsq
 
 __all__ = [
     "NoiseModel",
@@ -259,8 +262,6 @@ def fit_error_scaling(points) -> ErrorScalingFit:
     (Levenberg-Marquardt) with an analytic Jacobian; initialized with
     b = min eps and c from the two extreme-x points.
     """
-    from scipy import optimize
-
     pts = [(float(k), float(t), float(e)) for k, t, e in points]
     if len(pts) < 3:
         raise ValueError("need at least 3 points")
@@ -286,9 +287,9 @@ def fit_error_scaling(points) -> ErrorScalingFit:
         deps_dc = 0.5 * x * np.exp(-c * x)
         return np.column_stack([dspam_deps * deps_dc, np.ones_like(x)])
 
-    res = optimize.least_squares(resid, [c0, b0], jac=jac, method="lm", max_nfev=2000)
-    if not res.success:
-        raise RuntimeError(f"error-scaling fit did not converge: {res.message}")
+    res = _lsq.least_squares(resid, jac, [c0, b0])
+    if not res.converged:
+        raise RuntimeError(f"error-scaling fit did not converge in {res.iterations} steps")
     dof = max(len(x) - 2, 1)
     s2 = 2.0 * res.cost / dof
     jtj = res.jac.T @ res.jac

@@ -9,6 +9,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import optimize
 
 from ba137qudit.spam import AtomicState, PulseStep, build_measurement_sequence
 
@@ -285,3 +286,98 @@ def oracle_enumerate_outcomes(encoding, errors, prepared, mode="first-bright", i
         outcome = _oracle_outcome(reads, mode, plan.check_outcomes)
         out[outcome] = out.get(outcome, 0.0) + p
     return out
+
+
+# Reference fits: scipy's solvers on the same problems the package fits
+# (model, start point, bounds and window), as the package called them before
+# it had its own least-squares solver.  Each returns the parameters and the
+# cost |r|^2 / 2 at them, so a fit can be checked against the optimum here.
+
+
+def lorentzian_residuals(f, y, params):
+    f0, w, a, c = params
+    return a * w**2 / ((f - f0) ** 2 + w**2) + c - y
+
+
+def oracle_fit_lorentzian(f, y):
+    """MINPACK Levenberg-Marquardt with a finite-difference Jacobian."""
+    f, y = np.asarray(f, dtype=float), np.asarray(y, dtype=float)
+    c0 = float(min(y[0], y[-1]))
+    x0 = [float(f[np.argmax(y)]), max((f[-1] - f[0]) / 6.0, 1e-6), float(y.max() - c0), c0]
+    res = optimize.least_squares(
+        lambda p: lorentzian_residuals(f, y, p), x0, method="lm", max_nfev=5000
+    )
+    assert res.success, res.message
+    return res.x, res.cost
+
+
+def rabi_residuals(t, p, params):
+    a, c, tp, ts = params
+    return a * np.cos(np.pi * (t - tp) / (2.0 * ts)) ** 2 + c - p
+
+
+def oracle_fit_rabi(t, p):
+    """Bounded trust-region reflective fit on the first-peak window.
+
+    Returns the window too.  The peak locator is the package's: it defines
+    the problem, not the solver under test.
+    """
+    from ba137qudit.calib import _first_peak_time
+
+    t, p = np.asarray(t, dtype=float), np.asarray(p, dtype=float)
+    t_peak = _first_peak_time(t, p)
+    mask = (t >= t_peak / 2.0) & (t <= 1.5 * t_peak)
+    tw, pw = t[mask], p[mask]
+    lower = [0.0, -0.5, t_peak / 2.0, t_peak / 4.0]
+    upper = [1.5, 0.5, 1.5 * t_peak, 4.0 * t_peak]
+    x0 = np.clip([max(pw.max() - pw.min(), 0.1), pw.min(), t_peak, t_peak], lower, upper)
+    res = optimize.least_squares(
+        lambda q: rabi_residuals(tw, pw, q), x0, bounds=(lower, upper), method="trf",
+        max_nfev=5000,
+    )
+    assert res.success, res.message
+    return res.x, res.cost, (tw, pw)
+
+
+def scaling_residuals(x, y, params):
+    c, b = params
+    eps = 0.5 * -np.expm1(-c * x)
+    return b + eps / (eps + (1.0 - eps) ** 2) - y
+
+
+def oracle_fit_error_scaling(points):
+    """MINPACK Levenberg-Marquardt with a finite-difference Jacobian."""
+    x = np.array([(k * t) ** 2 for k, t, _ in points])
+    y = np.array([e for _, _, e in points])
+    i_lo, i_hi = int(np.argmin(x)), int(np.argmax(x))
+    c0 = max((y[i_hi] - y[i_lo]) / (x[i_hi] - x[i_lo]), 0.0) if x[i_hi] > x[i_lo] else 0.0
+    res = optimize.least_squares(
+        lambda q: scaling_residuals(x, y, q), [c0, float(y.min())], method="lm", max_nfev=2000
+    )
+    assert res.success, res.message
+    return res.x, res.cost, (x, y)
+
+
+def field_sum_of_squares(measured, B):
+    """Sum of squared residuals of the splittings relative to the first."""
+    from ba137qudit.calib import simulate_splittings
+
+    pairs = list(measured)
+    sims = simulate_splittings(pairs, B)
+    return sum(
+        ((sims[q] - sims[pairs[0]]) - (measured[q] - measured[pairs[0]])) ** 2
+        for q in pairs[1:]
+    )
+
+
+def oracle_estimate_field(measured, prior=(0.0, 20.0), step=0.25):
+    """0.25 G grid, then bounded Brent (xatol 1e-5 G) in the best point's bracket."""
+    grid = np.arange(max(prior[0], 1e-4), prior[1] + step, step)
+    values = [field_sum_of_squares(measured, b) for b in grid]
+    best = int(np.argmin(values))
+    bracket = (grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)])
+    res = optimize.minimize_scalar(
+        lambda b: field_sum_of_squares(measured, b), bounds=bracket, method="bounded",
+        options={"xatol": 1e-5},
+    )
+    return float(res.x), float(res.fun)

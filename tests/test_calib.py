@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ba137qudit import _lsq
 from ba137qudit.atomstruct import field_sensitivity
 from ba137qudit.calib import (
     CalSnapshot,
@@ -25,6 +26,14 @@ from ba137qudit.calib import (
 )
 from ba137qudit.fixtures import load_transition_params
 from ba137qudit.transitions import PAPER13_GEOMETRY, strength_table
+from oracles import (
+    field_sum_of_squares,
+    lorentzian_residuals,
+    oracle_estimate_field,
+    oracle_fit_lorentzian,
+    oracle_fit_rabi,
+    rabi_residuals,
+)
 
 
 def lorentzian(f, f0, w, a, c):
@@ -151,7 +160,15 @@ class TestEstimateField:
         pairs = self.refs()
         measured = simulate_splittings(pairs, 8.35)
         est = estimate_field(measured)
-        assert est.B == pytest.approx(8.35, abs=5e-4)
+        assert est.B == pytest.approx(8.35, abs=1e-9)
+
+    def test_two_roots_ambiguous(self):
+        # one relative splitting fits exactly at 1.3437 G and at 5.3393 G;
+        # neither root lies on the 0.25 G grid
+        trans = paper13_transition_refs()
+        measured = simulate_splittings([trans[6], trans[9]], 1.3437)
+        with pytest.raises(FitError, match="ambiguous"):
+            estimate_field(measured)
 
     def test_single_transition_rejected(self):
         pairs = self.refs()[:1]
@@ -359,3 +376,79 @@ class TestRabiWindowTooThin:
         p = 0.9 * np.sin(np.pi * t / (2 * 4.0)) ** 2 + 0.02
         with pytest.raises(FitError):
             fit_rabi_flop(RabiTrace(t, p, np.full(len(t), 100)))
+
+
+def noisy_scan(rng):
+    """21-point, 1 kHz fine scan of a 5 kHz line, uniform +-0.02 noise."""
+    line = rng.uniform(-5.0, 5.0)
+    f = 10.0 * round(line / 10.0) + np.arange(-10.0, 11.0)
+    y = lorentzian(f, line, 5.0, 0.5, 0.02) + rng.uniform(-0.02, 0.02, len(f))
+    return FrequencyScan(f, np.clip(y, 0.0, 1.0), np.full(len(f), 400))
+
+
+def binomial_trace(rng):
+    """First 1.6 Rabi periods at 100 shots per point."""
+    eps, offset, t_pi = rng.uniform(0.01, 0.1), rng.uniform(0.0, 0.03), rng.uniform(30.0, 100.0)
+    t = np.arange(0.0, 3.2 * t_pi, t_pi / 50.0)
+    p = (1.0 - eps - offset) * np.sin(np.pi * t / (2.0 * t_pi)) ** 2 + offset
+    return RabiTrace(t, rng.binomial(100, p) / 100.0, np.full(len(t), 100))
+
+
+class TestFitsAgainstScipy:
+    """Each fit reaches at least the optimum scipy finds from the same start."""
+
+    def test_lorentzian_noisy_scans(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            scan = noisy_scan(rng)
+            fit = fit_lorentzian(scan)
+            x, cost_ref = oracle_fit_lorentzian(scan.freq_khz, scan.p_dark)
+            r = lorentzian_residuals(
+                scan.freq_khz, scan.p_dark,
+                [fit.center_khz, fit.width_khz, fit.amplitude, fit.offset],
+            )
+            assert 0.5 * r @ r <= cost_ref * (1 + 1e-9)
+            assert abs(fit.center_khz - x[0]) <= 1e-3 * fit.center_err
+
+    def test_rabi_binomial_traces(self):
+        rng = np.random.default_rng(32)
+        on_bound = 0
+        for _ in range(100):
+            trace = binomial_trace(rng)
+            fit = fit_rabi_flop(trace)
+            x, cost_ref, (tw, pw) = oracle_fit_rabi(trace.t_us, trace.p)
+            assert fit.window == (tw[0], tw[-1])
+            r = rabi_residuals(tw, pw, [fit.amplitude, fit.offset, fit.t_peak_us, fit.t_scale_us])
+            assert 0.5 * r @ r <= cost_ref * (1 + 1e-9)
+            assert fit.eps_pi == pytest.approx(1.0 - x[0] - x[1], abs=1e-5)
+            on_bound += fit.offset == -0.5
+        # the offset's lower bound is active in a fair share of these traces
+        assert on_bound >= 10
+
+    def test_field_noisy_splittings(self):
+        rng = np.random.default_rng(33)
+        trans = paper13_transition_refs()
+        for b_true, ns in [(8.1, (1, 3, 5, 10)), (8.6, tuple(range(1, 13))), (15.5, (1, 3, 5, 10))]:
+            measured = {
+                k: v + rng.uniform(-1e-3, 1e-3)
+                for k, v in simulate_splittings([trans[n] for n in ns], b_true).items()
+            }
+            est = estimate_field(measured)
+            b_ref, sq_ref = oracle_estimate_field(measured)
+            sq = field_sum_of_squares(measured, est.B)
+            assert sq <= sq_ref * (1 + 1e-9)
+            assert est.residual_rms == pytest.approx(math.sqrt(sq / (len(ns) - 1)), rel=1e-6)
+            assert est.B == pytest.approx(b_ref, abs=1e-4)
+
+
+@pytest.mark.parametrize("fit", [
+    lambda: fit_lorentzian(noisy_scan(np.random.default_rng(4))),
+    lambda: fit_rabi_flop(binomial_trace(np.random.default_rng(4))),
+    lambda: estimate_field(simulate_splittings(
+        [paper13_transition_refs()[n] for n in (1, 3, 5, 10)], 8.3
+    )),
+], ids=["lorentzian", "rabi", "field"])
+def test_iteration_cap_raises(monkeypatch, fit):
+    monkeypatch.setattr(_lsq, "_MAX_ITER", 1)
+    with pytest.raises(FitError, match="did not converge"):
+        fit()

@@ -51,6 +51,9 @@ class TestLevels:
     ["levels", "--b", "0:1:1", "--b-mark", "nan"],
     ["eigenstates", "--f-tilde", "4", "--m-tilde", "1", "--b", "inf:1:1"],
     ["calibrate-demo", "--b-center", "inf"],
+    ["calibrate-demo", "--drift", "-1"],
+    ["calibrate-demo", "--drift", "nan"],
+    ["calibrate-demo", "--drift", "inf"],
 ])
 def test_bad_field_flag_exits_2(tmp_path, capsys, argv):
     assert main(["--out", str(tmp_path)] + argv) == 2
@@ -191,6 +194,26 @@ def test_bad_spam_input_exits_2(tmp_path, capsys, argv, config):
     assert "shots" in err or "mode" in err
 
 
+@pytest.mark.parametrize("argv, config, flag", [
+    (["calibrate-demo", "--sessions", "0"], None, "--sessions"),
+    (["calibrate-demo", "--sessions", "1"], None, "--sessions"),
+    (["calibrate-demo"], {"sessions": 1}, "--sessions"),
+    (["calibrate-demo", "--drift", "0"], None, "--drift"),
+    (["budget", "--awg-ms", "nan"], None, "--awg-ms"),
+    (["budget", "--fluorescence-ms", "-5"], None, "--fluorescence-ms"),
+    (["budget", "--optical-pump-ms", "inf"], None, "--optical-pump-ms"),
+    (["budget"], {"awg_ms": -1.0}, "--awg-ms"),
+])
+def test_bad_numeric_flag_exits_2(tmp_path, capsys, argv, config, flag):
+    prefix = ["--out", str(tmp_path)]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        prefix += ["--config", str(tmp_path / "cfg.json")]
+    assert main(prefix + argv) == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "budget.json").exists()
+
+
 def test_unknown_spam_mode_flag_exits_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["--out", str(tmp_path), "spam", "--mode", "majority"])
@@ -282,10 +305,10 @@ class TestEstimateB:
 
 
 class TestConfigPrecedence:
-    def test_flags_beat_config_beat_presets(self, tmp_path):
+    def test_flags_beat_config_beat_defaults(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"b_gauss": 4.0}))
-        # config overrides the 8.35 preset
+        # config overrides the 8.35 default
         rc = main(["--out", str(tmp_path / "a"), "--config", str(cfg), "strengths"])
         assert rc == 0
         rep = json.load(open(tmp_path / "a" / "strengths_report.json"))

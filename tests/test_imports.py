@@ -1,8 +1,9 @@
-"""Cold-start guard: importing the package and running the commands that
-fit nothing load numpy only; scipy loads on the first fit, field estimate
-or chi quadrature.  Each check runs in a fresh interpreter."""
+"""Cold-start guard: importing the package and running any command loads
+numpy only; scipy loads on the first chi quadrature, which no command runs.
+Each check runs in a fresh interpreter."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
+from ba137qudit.calib import paper13_transition_refs, simulate_splittings
 from ba137qudit.cli import main
 from ba137qudit.fixtures import fixture_path
+from ba137qudit.noise import reference_scaling_points, write_scaling_points
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -37,7 +40,7 @@ def test_package_import_leaves_scipy_unloaded():
 
 
 def test_commands_without_fits_leave_scipy_unloaded(tmp_path):
-    # the calibration history comes from this process, which may load scipy
+    # the calibration history is written by this process, outside the probe
     assert main(["--out", str(tmp_path), "--seed", "3", "calibrate-demo", "--sessions", "3"]) == 0
     out = str(tmp_path / "out")
     commands = [
@@ -55,14 +58,48 @@ def test_commands_without_fits_leave_scipy_unloaded(tmp_path):
     assert scipy_modules_after(code) == []
 
 
-@pytest.mark.parametrize("code, module", [
-    (
+def write_csv(path, header, rows):
+    path.write_text("\n".join([",".join(header)] + [",".join(map(str, r)) for r in rows]) + "\n")
+
+
+def test_fit_commands_leave_scipy_unloaded(tmp_path):
+    f = [float(x) for x in range(-10, 11)]
+    write_csv(tmp_path / "scan.csv", ["freq_kHz", "p_dark", "shots"],
+              [(x, 0.5 * 25.0 / ((x - 1.0) ** 2 + 25.0) + 0.02, 400) for x in f])
+    t = [float(x) for x in range(0, 160)]
+    write_csv(tmp_path / "rabi.csv", ["t_us", "p_transition", "shots"],
+              [(x, 0.93 * math.sin(math.pi * x / 100.0) ** 2 + 0.02, 100) for x in t])
+    write_scaling_points(tmp_path / "points.csv", reference_scaling_points())
+    refs = paper13_transition_refs()
+    sims = simulate_splittings([refs[n] for n in (1, 3, 5, 10)], 8.35)
+    write_csv(tmp_path / "splittings.csv", ["transition", "freq_MHz"],
+              [(f"S:F{g.F}:m{g.m}->D:F{e.F}:m{e.m}", v) for (g, e), v in sims.items()])
+    out = str(tmp_path / "out")
+    commands = [
+        ["fit", "lorentzian", str(tmp_path / "scan.csv")],
+        ["fit", "rabi", str(tmp_path / "rabi.csv")],
+        ["fit", "error-scaling", str(tmp_path / "points.csv")],
+        ["estimate-b", str(tmp_path / "splittings.csv")],
+        ["--seed", "3", "calibrate-demo", "--sessions", "3"],
+    ]
+    code = "\n".join(
+        ["from ba137qudit.cli import main"]
+        + [f"assert main({['--out', out] + argv!r}) == 0, {argv!r}" for argv in commands]
+    )
+    assert scipy_modules_after(code) == []
+
+
+def test_fit_lorentzian_leaves_scipy_unloaded():
+    code = (
         "import numpy as np\n"
         "from ba137qudit.calib import FrequencyScan, fit_lorentzian\n"
         "f = np.arange(-10.0, 11.0)\n"
-        "fit_lorentzian(FrequencyScan(f, 0.5 * 25.0 / ((f - 1.0) ** 2 + 25.0), [400] * 21))",
-        "scipy.optimize",
-    ),
+        "fit_lorentzian(FrequencyScan(f, 0.5 * 25.0 / ((f - 1.0) ** 2 + 25.0), [400] * 21))"
+    )
+    assert scipy_modules_after(code) == []
+
+
+@pytest.mark.parametrize("code, module", [
     (
         "from ba137qudit.noise import NoiseModel, TransitionNoiseParams, chi_numeric\n"
         "chi_numeric(NoiseModel(), TransitionNoiseParams(kappa=1.0, tau_pi=20e-6))",

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from ba137qudit import _lsq
 from ba137qudit.noise import (
     ErrorBudget,
     NoiseModel,
@@ -20,9 +21,11 @@ from ba137qudit.noise import (
     load_scaling_points,
     pi_pulse_error,
     psd,
+    reference_scaling_points,
     spam_error_from_pi,
     write_scaling_points,
 )
+from oracles import oracle_fit_error_scaling, scaling_residuals
 
 
 class TestPsd:
@@ -208,6 +211,35 @@ class TestErrorScalingFit:
     def test_requires_three_points(self):
         with pytest.raises(ValueError):
             fit_error_scaling([(1.0, 50.0, 0.1), (2.0, 50.0, 0.2)])
+
+    @staticmethod
+    def noisy_sets(n):
+        """The bundled points, then n draws of eps = b + spam(pi(c x)) plus
+        0.003 Gaussian noise at the bundled kappa and tau_pi."""
+        ref = reference_scaling_points()
+        rng = np.random.default_rng(34)
+        yield ref
+        for _ in range(n):
+            b, c = rng.uniform(0.02, 0.05), 10 ** rng.uniform(6.0, 6.7)
+            yield [
+                (k, t, b + spam_error_from_pi(pi_pulse_error(c * (k * t) ** 2))
+                 + rng.normal(0.0, 0.003))
+                for k, t, _ in ref
+            ]
+
+    def test_matches_scipy_optimum(self):
+        # at least scipy's optimum from the same start, on every set
+        for pts in self.noisy_sets(50):
+            fit = fit_error_scaling(pts)
+            x_ref, cost_ref, (x, y) = oracle_fit_error_scaling(pts)
+            r = scaling_residuals(x, y, [fit.scale, fit.intercept])
+            assert 0.5 * r @ r <= cost_ref * (1 + 1e-9)
+            assert fit.intercept == pytest.approx(x_ref[1], abs=1e-6)
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(_lsq, "_MAX_ITER", 1)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            fit_error_scaling(next(self.noisy_sets(0)))
 
     def test_csv_roundtrip(self, tmp_path):
         pts = [(2.7992, 37.2e-6, 0.061), (1.1202, 29.7e-6, 0.042)]
