@@ -64,7 +64,6 @@ from .spam import (
     average_fidelity,
     build_measurement_sequence,
     enumerate_outcomes,
-    interpret,
     paper13_encoding,
     post_select,
     run_experiment,

@@ -32,6 +32,18 @@ class Solution:
     iterations: int
     converged: bool
 
+    def covariance(self) -> np.ndarray:
+        """s^2 (J^T J)^-1 with s^2 = |r|^2 / (m - n).  J^T J is inverted with
+        unit-norm columns, so a parameter near 1e6 beside one near 0.03 keeps
+        its variance instead of falling under the pseudo-inverse's cutoff."""
+        m, n = self.jac.shape
+        s2 = 2.0 * self.cost / max(m - n, 1)
+        A = self.jac.T @ self.jac
+        d = np.sqrt(np.diag(A))
+        d = np.where(d > 0, d, 1.0)
+        outer = np.outer(d, d)
+        return s2 * np.linalg.pinv(A / outer) / outer
+
 
 def least_squares(
     fun: Callable[[np.ndarray], np.ndarray],

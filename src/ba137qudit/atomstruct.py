@@ -286,9 +286,6 @@ class EigenSystem:
     def __iter__(self):
         return iter(self.states)
 
-    def energies(self) -> dict[tuple[HalfInt, HalfInt], float]:
-        return {(s.F_tilde, s.m_F_tilde): s.energy for s in self.states}
-
 
 @lru_cache(maxsize=32)
 def _block_indices(level: LevelConstants) -> dict[int, np.ndarray]:

@@ -31,6 +31,7 @@ from .atomstruct import (
     field_sensitivity,
     transition_frequency_at,
 )
+from .fixtures import _write_json
 from .transitions import StrengthTable
 
 __all__ = [
@@ -126,9 +127,7 @@ def fit_lorentzian(scan: FrequencyScan) -> LorentzianFit:
     res = _lsq.least_squares(resid, jac, [f0, w0, a0, c0])
     if not res.converged:
         raise FitError(f"Lorentzian fit did not converge in {res.iterations} steps")
-    dof = max(len(f) - 4, 1)
-    s2 = 2.0 * res.cost / dof
-    cov = s2 * np.linalg.pinv(res.jac.T @ res.jac)
+    cov = res.covariance()
     center, width = float(res.x[0]), float(abs(res.x[1]))
     step = float(np.min(np.diff(f)))
     boundary = center <= f[0] + step or center >= f[-1] - step
@@ -175,9 +174,7 @@ class CalibrationModel:
                 for n in sorted(self.a1)
             },
         }
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, doc)
 
     @classmethod
     def from_json(cls, path) -> "CalibrationModel":
@@ -397,9 +394,7 @@ def fit_rabi_flop(trace: RabiTrace) -> RabiFit:
     if not res.converged:
         raise FitError(f"Rabi fit did not converge in {res.iterations} steps")
     a, c, tp, ts = res.x
-    dof = max(len(tw) - 4, 1)
-    s2 = 2.0 * res.cost / dof
-    cov = s2 * np.linalg.pinv(res.jac.T @ res.jac)
+    cov = res.covariance()
     return RabiFit(
         amplitude=float(a),
         offset=float(c),

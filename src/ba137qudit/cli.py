@@ -22,12 +22,15 @@ import numpy as np
 
 from . import atomstruct, calib, fixtures, noise, spam, transitions
 from .atomstruct import BA137_D52, BA137_S12, StateRef
+from .fixtures import _number, _read_csv, _write_json
 
 LEVELS = {"6S1/2": BA137_S12, "5D5/2": BA137_D52}
 
 # gauss: the field of the 13-level experiment, default of strengths --b and
 # calibrate-demo --b-center
 _B_EXPERIMENT = 8.35
+# most field values a --b range may hold
+_MAX_FIELDS = 100_001
 
 
 class CliError(Exception):
@@ -43,7 +46,7 @@ def _load_config(path):
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read config {path}: {exc}")
     unknown = set(cfg) - {
-        "b_gauss", "phi_deg", "gamma_deg", "threshold", "encoding",
+        "b_gauss", "phi_deg", "gamma_deg", "threshold",
         "shots", "seed", "mode", "errors", "level", "b_range", "b_mark",
         "f", "m", "b_center", "drift", "sessions", "fluorescence_ms",
         "awg_ms", "optical_pump_ms",
@@ -61,12 +64,14 @@ def _resolve(args, cfg, key, default=None):
     return cfg.get(key, default)
 
 
-def _field(value, flag):
-    """A field in gauss from a flag or config value: finite and nonnegative."""
-    b = float(value)
-    if not 0.0 <= b < math.inf:
-        raise CliError(f"{flag} must be a finite, nonnegative field in gauss, got {value!r}")
-    return b
+def _finite(value, flag, nonnegative=False):
+    """A flag or config value as a finite float, nonnegative if asked (a
+    field in gauss, a time in ms)."""
+    x = float(value)
+    if not math.isfinite(x) or (nonnegative and x < 0):
+        kind = "finite, nonnegative" if nonnegative else "finite"
+        raise CliError(f"{flag} must be a {kind} number, got {value!r}")
+    return x
 
 
 def _parse_b_range(text):
@@ -83,20 +88,16 @@ def _parse_b_range(text):
         raise CliError(f"bad B range {text!r}; need finite 0 <= start <= stop, step >= 0")
     if stop == start or step == 0:
         return [start]
-    n = int(round((stop - start) / step)) + 1
-    return [start + i * step for i in range(n)]
+    steps = (stop - start) / step
+    if steps > _MAX_FIELDS - 1:
+        raise CliError(f"B range {text!r} has more than {_MAX_FIELDS} points")
+    return [start + i * step for i in range(int(round(steps)) + 1)]
 
 
 def _outdir(args) -> Path:
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _write_json(path, doc) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def cmd_levels(args, cfg):
@@ -106,7 +107,7 @@ def cmd_levels(args, cfg):
     bs = _parse_b_range(_resolve(args, cfg, "b_range", "0:10:0.05"))
     b_mark = _resolve(args, cfg, "b_mark")
     if b_mark is not None:
-        b_mark = _field(b_mark, "--b-mark")
+        b_mark = _finite(b_mark, "--b-mark", nonnegative=True)
     out = _outdir(args) / f"levels_{level_name.replace('/', '')}.csv"
 
     level = LEVELS[level_name]
@@ -152,10 +153,12 @@ def cmd_eigenstates(args, cfg):
 
 
 def cmd_strengths(args, cfg):
-    b = _field(_resolve(args, cfg, "b_gauss", _B_EXPERIMENT), "--b")
-    phi = float(_resolve(args, cfg, "phi_deg", transitions.PAPER13_GEOMETRY.phi))
-    gamma = float(_resolve(args, cfg, "gamma_deg", transitions.PAPER13_GEOMETRY.gamma))
-    threshold = float(_resolve(args, cfg, "threshold", 0.03))
+    b = _finite(_resolve(args, cfg, "b_gauss", _B_EXPERIMENT), "--b", nonnegative=True)
+    phi = _finite(_resolve(args, cfg, "phi_deg", transitions.PAPER13_GEOMETRY.phi), "--phi")
+    gamma = _finite(
+        _resolve(args, cfg, "gamma_deg", transitions.PAPER13_GEOMETRY.gamma), "--gamma"
+    )
+    threshold = _finite(_resolve(args, cfg, "threshold", 0.03), "--threshold")
     fmt = args.format or "csv"
     outdir = _outdir(args)
 
@@ -214,9 +217,6 @@ def cmd_spam(args, cfg):
                      "average_fidelity": fid, "uncertainty": sigma})
         return [outdir / "spam_analysis.json"]
 
-    enc_name = _resolve(args, cfg, "encoding", "paper13")
-    if enc_name != "paper13":
-        raise CliError(f"unknown encoding preset {enc_name!r}")
     encoding = spam.paper13_encoding()
     shots = int(_resolve(args, cfg, "shots", 1000))
     if shots < 1:
@@ -280,61 +280,33 @@ def cmd_spam(args, cfg):
     return written
 
 
-def _read_scan_csv(path):
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    try:
-        f = [float(r["freq_kHz"]) for r in rows]
-        p = [float(r["p_dark"]) for r in rows]
-        shots = [int(r["shots"]) for r in rows]
-    except (KeyError, ValueError) as exc:
-        raise CliError(f"{path}: expected columns freq_kHz,p_dark,shots ({exc})")
-    return calib.FrequencyScan(f, p, shots)
+def _read_trace(path, x, y):
+    """The x, y and shots columns of a measured scan or Rabi trace table."""
+    _, rows = _read_csv(path, lambda r: (_number(r[x]), _number(r[y]), int(r["shots"])))
+    return zip(*rows)
 
 
-def _read_rabi_csv(path):
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    try:
-        t = [float(r["t_us"]) for r in rows]
-        p = [float(r["p_transition"]) for r in rows]
-        shots = [int(r["shots"]) for r in rows]
-    except (KeyError, ValueError) as exc:
-        raise CliError(f"{path}: expected columns t_us,p_transition,shots ({exc})")
-    return calib.RabiTrace(t, p, shots)
-
-
-def _read_calibration_csv(path):
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    if not rows:
-        raise CliError(f"{path}: empty calibration history")
-    snaps = []
-    try:
-        keys = sorted(
-            int(k[1:-4]) for k in rows[0] if k.startswith("f") and k.endswith("_MHz")
-            and k[1:-4].isdigit()
-        )
-        for r in rows:
-            snaps.append(calib.CalSnapshot(
-                f_offset=float(r["f_offset_MHz"]),
-                f_low=float(r["f_low_MHz"]),
-                f_up=float(r["f_up_MHz"]),
-                freqs={n: float(r[f"f{n}_MHz"]) for n in keys},
-            ))
-    except (KeyError, ValueError) as exc:
-        raise CliError(
-            f"{path}: expected columns f_offset_MHz,f_low_MHz,f_up_MHz,fN_MHz ({exc})"
-        )
-    return snaps
+def _snapshot(row):
+    """A calibration session: f_offset_MHz, f_low_MHz, f_up_MHz, fN_MHz columns."""
+    freqs = {
+        int(k[1:-4]): _number(v)
+        for k, v in row.items()
+        if k.startswith("f") and k.endswith("_MHz") and k[1:-4].isdigit()
+    }
+    if not freqs:
+        raise ValueError("no fN_MHz transition columns")
+    return calib.CalSnapshot(
+        f_offset=_number(row["f_offset_MHz"]),
+        f_low=_number(row["f_low_MHz"]),
+        f_up=_number(row["f_up_MHz"]),
+        freqs=freqs,
+    )
 
 
 def cmd_fit(args, cfg):
     outdir = _outdir(args)
     kind = args.kind
-    path = Path(args.input)
-    if not path.exists():
-        raise CliError(f"input file {path} does not exist")
+    path = args.input
     if kind == "error-scaling":
         points = noise.load_scaling_points(path)
         fit = noise.fit_error_scaling(points)
@@ -357,7 +329,7 @@ def cmd_fit(args, cfg):
               f"scale = {fit.scale:.4g} +/- {fit.scale_err:.4g}")
         return [out, outdir / "fit_error_scaling_residuals.csv"]
     if kind == "lorentzian":
-        fit = calib.fit_lorentzian(_read_scan_csv(path))
+        fit = calib.fit_lorentzian(calib.FrequencyScan(*_read_trace(path, "freq_kHz", "p_dark")))
         doc = {
             "center_kHz": fit.center_khz,
             "center_err_kHz": fit.center_err,
@@ -372,7 +344,7 @@ def cmd_fit(args, cfg):
               + (" (AT SCAN BOUNDARY)" if fit.at_boundary else ""))
         return [out]
     if kind == "rabi":
-        fit = calib.fit_rabi_flop(_read_rabi_csv(path))
+        fit = calib.fit_rabi_flop(calib.RabiTrace(*_read_trace(path, "t_us", "p_transition")))
         doc = {
             "amplitude": fit.amplitude,
             "offset": fit.offset,
@@ -386,7 +358,7 @@ def cmd_fit(args, cfg):
         print(f"fit: eps_pi = {fit.eps_pi:.4f} (t_peak {fit.t_peak_us:.2f} us)")
         return [out]
     if kind == "calibration":
-        model = calib.fit_calibration(_read_calibration_csv(path))
+        model = calib.fit_calibration(_read_csv(path, _snapshot)[1])
         out = outdir / "fit_calibration.json"
         model.to_json(out)
         worst = max(model.residual_rms.values())
@@ -396,25 +368,16 @@ def cmd_fit(args, cfg):
     raise CliError(f"unknown fit kind {kind!r}")
 
 
-def _read_splittings_csv(path):
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    measured = {}
-    try:
-        for r in rows:
-            g_key, e_key = r["transition"].split("->")
-            g = spam.parse_atomic_state(g_key)
-            e = spam.parse_atomic_state(e_key)
-            g_ref = StateRef(BA137_S12 if g.level == "S" else BA137_D52, g.F, g.m)
-            e_ref = StateRef(BA137_D52 if e.level == "D" else BA137_S12, e.F, e.m)
-            measured[(g_ref, e_ref)] = float(r["freq_MHz"])
-    except (KeyError, ValueError) as exc:
-        raise CliError(f"{path}: expected columns transition,freq_MHz ({exc})")
-    return measured
+def _splitting(row):
+    """((ground, excited), frequency) of a measured-splittings row: columns
+    transition (e.g. S:F2:m2->D:F4:m4) and freq_MHz."""
+    states = [spam.parse_atomic_state(key) for key in row["transition"].split("->")]
+    g, e = (StateRef(BA137_S12 if s.level == "S" else BA137_D52, s.F, s.m) for s in states)
+    return (g, e), _number(row["freq_MHz"])
 
 
 def cmd_estimate_b(args, cfg):
-    measured = _read_splittings_csv(Path(args.input))
+    measured = dict(_read_csv(args.input, _splitting)[1])
     try:
         est = calib.estimate_field(measured)
     except ValueError as exc:
@@ -442,8 +405,10 @@ def cmd_calibrate_demo(args, cfg):
     coarse/fine scans at drifted fields, Lorentzian centers, linear model."""
     outdir = _outdir(args)
     seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
-    b_center = _field(_resolve(args, cfg, "b_center", _B_EXPERIMENT), "--b-center")
-    drift = _field(_resolve(args, cfg, "drift", 0.02), "--drift")
+    b_center = _finite(
+        _resolve(args, cfg, "b_center", _B_EXPERIMENT), "--b-center", nonnegative=True
+    )
+    drift = _finite(_resolve(args, cfg, "drift", 0.02), "--drift", nonnegative=True)
     if drift == 0.0:
         raise CliError("--drift must be positive: sessions at one field cannot calibrate")
     sessions = int(_resolve(args, cfg, "sessions", 5))
@@ -517,12 +482,7 @@ def cmd_budget(args, cfg):
     def seconds(key, flag, default):
         """A time given in ms (flag or config), finite and nonnegative."""
         value = _resolve(args, cfg, key)
-        if value is None:
-            return default
-        t = float(value)
-        if not 0.0 <= t < math.inf:
-            raise CliError(f"{flag} must be a finite, nonnegative time in ms, got {value!r}")
-        return t * 1e-3
+        return default if value is None else _finite(value, flag, nonnegative=True) * 1e-3
 
     timings = spam.Timings(
         fluorescence_check=seconds(
@@ -595,7 +555,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--errors", default=None, help="zero | table-e5 | params.json")
     p.add_argument("--shots", type=int, default=None)
     p.add_argument("--mode", choices=spam.MODES, default=None)
-    p.add_argument("--encoding", default=None)
     p.add_argument("--analyze", default=None, help="confusion CSV to analyze instead")
     p.set_defaults(func=cmd_spam)
 
@@ -632,10 +591,10 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         args.func(args, cfg)
-    except (CliError, fixtures.TableError) as exc:
+    except (CliError, fixtures.TableError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, FileNotFoundError, RuntimeError) as exc:
+    except (ValueError, KeyError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

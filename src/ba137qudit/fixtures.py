@@ -1,4 +1,5 @@
-"""Access to the bundled reference tables from the 13-level SPAM experiment.
+"""Bundled reference tables from the 13-level SPAM experiment, and the
+package's one CSV table reader and one JSON writer.
 
 The package ships six CSV fixtures used for regression comparisons:
 
@@ -13,14 +14,18 @@ table_e5.csv  per-transition parameters: SPAM error, field sensitivity
 Values are as printed (3-4 decimals), so confusion rows can be off
 row-stochasticity by up to ~0.002.  An alternative fixtures directory can
 be supplied to every loader, which the command line exposes as
---fixtures-dir.  A table with no data rows, a row whose width differs
-from its header's, or a cell that is not a number where one is expected
-raises TableError naming the file and line.
+--fixtures-dir.  Every table the package reads goes through ``_read_csv``:
+no data rows, a row whose width differs from its header's, a missing
+column, or a cell that is not a finite number where one is expected
+raises TableError naming the file and the line or column.  Every JSON
+file the package writes goes through ``_write_json``.
 """
 
 from __future__ import annotations
 
 import csv
+import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -36,39 +41,44 @@ __all__ = [
     "TableError",
 ]
 
-FIXTURE_NAMES = (
-    "table_e1.csv",
-    "table_e2.csv",
-    "table_e3.csv",
-    "table_s1.csv",
-    "table_s2.csv",
-    "table_e5.csv",
-)
-
 
 def fixture_path(name: str, fixtures_dir=None) -> Path:
     if fixtures_dir is not None:
-        p = Path(fixtures_dir) / name
-        if not p.exists():
-            raise FileNotFoundError(p)
-        return p
+        return Path(fixtures_dir) / name
     return Path(resources.files("ba137qudit") / "fixtures" / name)
 
 
 class TableError(ValueError):
     """A CSV table has no header or data rows, a row whose width differs
-    from its header's, or a cell its reader cannot parse."""
+    from its header's, or lacks a column or a cell its reader can parse."""
 
 
-def _read_csv(path: Path, parse) -> tuple[list[str], list]:
+class _Row(dict):
+    """One data row of a table: cell text by column name, in header order."""
+
+    def __missing__(self, column):
+        raise TableError(f"no column {column!r}; the header has {','.join(self)}")
+
+
+def _number(cell: str) -> float:
+    """A table cell as a finite float."""
+    x = float(cell)
+    if not math.isfinite(x):
+        raise ValueError(f"{cell!r} is not a finite number")
+    return x
+
+
+def _read_csv(path, parse) -> tuple[list[str], list]:
     """(header, parsed data rows) of a CSV table whose rows all have the
-    header's width; ``parse`` turns one row of strings into a value, and a
+    header's width; ``parse`` turns one ``_Row`` into a value, and a
     ValueError it raises becomes a TableError naming the line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header:
             raise TableError(f"{path}: no header row")
+        if len(set(header)) != len(header):
+            raise TableError(f"{path}: repeated column names in the header")
         rows = []
         for row in reader:
             if len(row) != len(header):
@@ -77,7 +87,9 @@ def _read_csv(path: Path, parse) -> tuple[list[str], list]:
                     f"the header has {len(header)}"
                 )
             try:
-                rows.append(parse(row))
+                rows.append(parse(_Row(zip(header, row))))
+            except TableError as exc:  # a column the header lacks
+                raise TableError(f"{path}: {exc}") from None
             except ValueError as exc:
                 raise TableError(f"{path}, line {reader.line_num}: {exc}") from None
     if not rows:
@@ -85,9 +97,17 @@ def _read_csv(path: Path, parse) -> tuple[list[str], list]:
     return header, rows
 
 
-def _labeled_numbers(row: list[str]) -> tuple[str, list[float]]:
+def _write_json(path, doc) -> None:
+    """JSON with sorted keys, a two-space indent and a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _labeled_numbers(row: _Row) -> tuple[str, list[float]]:
     """(label, values) of a row whose cells after the first are numbers."""
-    return row[0], [float(x) for x in row[1:]]
+    label, *values = row.values()
+    return label, [_number(x) for x in values]
 
 
 def load_strength_fixture(fixtures_dir=None):
@@ -111,7 +131,7 @@ def load_confusion_fixture(name: str, fixtures_dir=None):
 
 
 def _parse(cell: str):
-    return None if cell == "NA" else float(cell)
+    return None if cell == "NA" else _number(cell)
 
 
 @dataclass(frozen=True)
@@ -126,14 +146,14 @@ class TransitionParams:
     single_transition_error: float | None
 
 
-def _transition_params(r: list[str]) -> TransitionParams:
+def _transition_params(r: _Row) -> TransitionParams:
     return TransitionParams(
-        index=None if r[0] == "NA" else int(r[0]),
-        atomic_state=r[1],
-        spam_error=_parse(r[2]),
-        kappa=_parse(r[3]),
-        tau_pi_us=_parse(r[4]),
-        single_transition_error=_parse(r[5]),
+        index=None if r["state"] == "NA" else int(r["state"]),
+        atomic_state=r["atomic_state"],
+        spam_error=_parse(r["spam_error"]),
+        kappa=_parse(r["kappa_MHz_per_G"]),
+        tau_pi_us=_parse(r["tau_pi_us"]),
+        single_transition_error=_parse(r["single_transition_error"]),
     )
 
 

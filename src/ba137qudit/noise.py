@@ -29,6 +29,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import _lsq
+from .fixtures import _number, _read_csv, _write_json, load_transition_params
 
 __all__ = [
     "NoiseModel",
@@ -93,9 +94,7 @@ class NoiseModel:
         return self.h_a / omega + self.h_b
 
     def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, asdict(self))
 
     @classmethod
     def from_json(cls, path) -> "NoiseModel":
@@ -290,11 +289,9 @@ def fit_error_scaling(points) -> ErrorScalingFit:
     res = _lsq.least_squares(resid, jac, [c0, b0])
     if not res.converged:
         raise RuntimeError(f"error-scaling fit did not converge in {res.iterations} steps")
-    dof = max(len(x) - 2, 1)
-    s2 = 2.0 * res.cost / dof
-    jtj = res.jac.T @ res.jac
-    cov = s2 * np.linalg.pinv(jtj)
-    return ErrorScalingFit(scale=float(res.x[0]), intercept=float(res.x[1]), covariance=cov)
+    return ErrorScalingFit(
+        scale=float(res.x[0]), intercept=float(res.x[1]), covariance=res.covariance()
+    )
 
 
 def _log_poisson_pmf(k: int, lam: float) -> float:
@@ -352,8 +349,6 @@ def error_budget(
 def reference_scaling_points(fixtures_dir=None) -> list[tuple[float, float, float]]:
     """(kappa, tau_pi, eps_spam) triples from the bundled per-transition
     table, for the encoded metastable states (|0> carries no pulse)."""
-    from .fixtures import load_transition_params
-
     out = []
     for row in load_transition_params(fixtures_dir):
         if row.index in (None, 0):
@@ -367,21 +362,12 @@ def reference_scaling_points(fixtures_dir=None) -> list[tuple[float, float, floa
 def load_scaling_points(path) -> list[tuple[float, float, float]]:
     """Read (kappa, tau_pi, eps_spam) rows; CSV columns kappa_MHz_per_G,
     tau_pi_us, eps_spam.  tau is converted from microseconds to seconds."""
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = {"kappa_MHz_per_G", "tau_pi_us", "eps_spam"} - set(reader.fieldnames or ())
-        if missing:
-            raise ValueError(f"scaling-point CSV missing columns: {sorted(missing)}")
-        for row in reader:
-            out.append(
-                (
-                    float(row["kappa_MHz_per_G"]),
-                    float(row["tau_pi_us"]) * 1e-6,
-                    float(row["eps_spam"]),
-                )
-            )
-    return out
+
+    def point(row):
+        kappa, tau_us = _number(row["kappa_MHz_per_G"]), _number(row["tau_pi_us"])
+        return kappa, tau_us * 1e-6, _number(row["eps_spam"])
+
+    return _read_csv(path, point)[1]
 
 
 def write_scaling_points(path, points) -> None:

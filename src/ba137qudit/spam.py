@@ -35,7 +35,14 @@ from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 import numpy as np
 
 from .angmom import HalfInt
-from .fixtures import _labeled_numbers, _read_csv, load_confusion_fixture, load_transition_params
+from .fixtures import (
+    TableError,
+    _labeled_numbers,
+    _read_csv,
+    _write_json,
+    load_confusion_fixture,
+    load_transition_params,
+)
 from .transitions import PAPER13_D_STATES
 
 __all__ = [
@@ -56,7 +63,6 @@ __all__ = [
     "paper13_encoding",
     "twenty_five_level_encoding",
     "build_measurement_sequence",
-    "interpret",
     "run_experiment",
     "enumerate_outcomes",
     "post_select",
@@ -409,9 +415,7 @@ def error_params_to_json(path, errors: ErrorParams) -> None:
             for k, (sp, p) in errors.leak.items()
         },
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, doc)
 
 
 def _parse_pair(key: str) -> tuple[AtomicState, AtomicState]:
@@ -470,30 +474,6 @@ def _decay_probs(
     probs = -np.expm1(-errors.decay_rate * ivals)
     probs[0] = 0.0
     return probs
-
-
-def interpret(
-    reads: Sequence[bool],
-    mode: str = "first-bright",
-    check_outcomes: Sequence[int] | None = None,
-):
-    """Map a read sequence to an outcome index, or None for Null.
-
-    first-bright: the first bright check decides; strict-single-bright:
-    additionally Null whenever more than one check reads bright.
-    """
-    reads = tuple(reads)
-    if mode not in MODES:
-        raise ValueError(f"unknown interpretation mode {mode!r}")
-    n_bright = sum(reads)
-    if n_bright == 0:
-        return None
-    if mode == "strict-single-bright" and n_bright > 1:
-        return None
-    first = reads.index(True)
-    if check_outcomes is None:
-        return first
-    return check_outcomes[first]
 
 
 @dataclass(eq=False)
@@ -884,17 +864,29 @@ def write_confusion_csv(path, matrix: ConfusionMatrix) -> None:
 _TABLE_SHOTS = 1000
 
 
-def read_confusion_csv(path) -> ConfusionMatrix:
-    """Read a confusion CSV (probability form) of 1000 shots per row."""
-    header, rows = _read_csv(path, _labeled_numbers)
-    has_null = header[-1] == "Null"
-    probs = np.array([v for _, v in rows])
-    dev = np.abs(probs.sum(axis=1) - 1.0).max()
+def _confusion_row(row) -> list[float]:
+    _, probs = _labeled_numbers(row)
+    dev = abs(sum(probs) - 1.0)
     # printed precision can miss row-stochasticity by a couple of counts
     if dev > 2.5e-3:
-        raise ValueError(f"rows deviate from unit sum by {dev:g} (> 0.0025)")
+        raise ValueError(f"row deviates from unit sum by {dev:g} (> 0.0025)")
+    return probs
+
+
+def read_confusion_csv(path) -> ConfusionMatrix:
+    """Read a confusion CSV (probability form) of 1000 shots per row.
+
+    Header: prepared,0,1,...,d-1 and an optional Null column."""
+    header, rows = _read_csv(path, _confusion_row)
+    outcomes = [str(i) for i in range(len(rows))]
+    if header[1:] not in (outcomes, outcomes + ["Null"]):
+        raise TableError(
+            f"{path}: outcome columns {','.join(header[1:])}; {len(rows)} rows need "
+            f"0..{len(rows) - 1} and an optional Null"
+        )
+    probs = np.array(rows)
     return ConfusionMatrix(
-        probs=probs, shots=np.full(probs.shape[0], _TABLE_SHOTS), has_null=has_null
+        probs=probs, shots=np.full(probs.shape[0], _TABLE_SHOTS), has_null=header[-1] == "Null"
     )
 
 

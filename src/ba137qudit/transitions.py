@@ -14,7 +14,6 @@ dropped.  The geometric factor g^(q) encodes the laser direction phi
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -30,6 +29,7 @@ from .atomstruct import (
     LevelConstants,
     diagonalize,
 )
+from .fixtures import _write_json
 
 __all__ = [
     "LaserGeometry",
@@ -199,9 +199,7 @@ class StrengthTable:
             "reduced_element": self.reduced_element,
             "entries": entries,
         }
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, doc)
 
 
 def _row_labels(level: LevelConstants) -> tuple[tuple[HalfInt, HalfInt], ...]:

@@ -294,6 +294,23 @@ def oracle_enumerate_outcomes(encoding, errors, prepared, mode="first-bright", i
 # cost |r|^2 / 2 at them, so a fit can be checked against the optimum here.
 
 
+def oracle_covariance(residuals, params, rel_step=1e-4):
+    """s^2 (J^T J)^-1 at ``params``, s^2 = |r|^2 / (m - n), with J from
+    central differences of ``residuals`` and the inverse from a QR
+    factorisation J = QR: (J^T J)^-1 = R^-1 R^-T, never forming J^T J."""
+    p = np.asarray(params, dtype=float)
+    r = residuals(p)
+    cols = []
+    for k in range(p.size):
+        h = np.zeros(p.size)
+        h[k] = rel_step * max(abs(p[k]), 1.0)
+        cols.append((residuals(p + h) - residuals(p - h)) / (2.0 * h[k]))
+    J = np.column_stack(cols)
+    _, R = np.linalg.qr(J)
+    R_inv = np.linalg.solve(R, np.eye(p.size))
+    return (r @ r) / (len(r) - p.size) * R_inv @ R_inv.T
+
+
 def lorentzian_residuals(f, y, params):
     f0, w, a, c = params
     return a * w**2 / ((f - f0) ** 2 + w**2) + c - y

@@ -29,6 +29,7 @@ from ba137qudit.transitions import PAPER13_GEOMETRY, strength_table
 from oracles import (
     field_sum_of_squares,
     lorentzian_residuals,
+    oracle_covariance,
     oracle_estimate_field,
     oracle_fit_lorentzian,
     oracle_fit_rabi,
@@ -409,6 +410,17 @@ class TestFitsAgainstScipy:
             )
             assert 0.5 * r @ r <= cost_ref * (1 + 1e-9)
             assert abs(fit.center_khz - x[0]) <= 1e-3 * fit.center_err
+
+    def test_lorentzian_center_err_matches_qr_oracle(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            scan = noisy_scan(rng)
+            fit = fit_lorentzian(scan)
+            ref = oracle_covariance(
+                lambda p: lorentzian_residuals(scan.freq_khz, scan.p_dark, p),
+                [fit.center_khz, fit.width_khz, fit.amplitude, fit.offset],
+            )
+            assert fit.center_err == pytest.approx(math.sqrt(ref[0, 0]), rel=1e-6)
 
     def test_rabi_binomial_traces(self):
         rng = np.random.default_rng(32)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from ba137qudit.cli import main
+from ba137qudit.cli import CliError, _parse_b_range, main
 from ba137qudit.fixtures import fixture_path
 from ba137qudit.noise import reference_scaling_points, write_scaling_points
 
@@ -54,10 +54,30 @@ class TestLevels:
     ["calibrate-demo", "--drift", "-1"],
     ["calibrate-demo", "--drift", "nan"],
     ["calibrate-demo", "--drift", "inf"],
+    ["strengths", "--phi", "nan"],
+    ["strengths", "--gamma", "inf"],
+    ["strengths", "--threshold", "nan"],
 ])
 def test_bad_field_flag_exits_2(tmp_path, capsys, argv):
     assert main(["--out", str(tmp_path)] + argv) == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["levels"],
+    ["eigenstates", "--f-tilde", "4", "--m-tilde", "1"],
+])
+def test_b_range_over_point_cap_exits_2(tmp_path, capsys, command):
+    # the count is checked before any list is built, so this returns at once
+    assert main(["--out", str(tmp_path), *command, "--b", "0:1e9:1e-9"]) == 2
+    assert "more than 100001 points" in capsys.readouterr().err
+
+
+def test_b_range_point_cap_edge():
+    assert len(_parse_b_range("0:100000:1")) == 100_001
+    for text in ("0:100001:1", "0:1:1e-320"):
+        with pytest.raises(CliError, match="more than 100001 points"):
+            _parse_b_range(text)
 
 
 class TestEigenstates:
@@ -212,6 +232,15 @@ def test_bad_numeric_flag_exits_2(tmp_path, capsys, argv, config, flag):
     assert main(prefix + argv) == 2
     assert flag in capsys.readouterr().err
     assert not (tmp_path / "budget.json").exists()
+
+
+def test_spam_encoding_flag_and_key_are_gone(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(tmp_path), "spam", "--encoding", "paper13"])
+    assert exc.value.code == 2
+    (tmp_path / "cfg.json").write_text(json.dumps({"encoding": "paper13"}))
+    assert main(["--out", str(tmp_path), "--config", str(tmp_path / "cfg.json"), "spam"]) == 2
+    assert "unknown config keys" in capsys.readouterr().err
 
 
 def test_unknown_spam_mode_flag_exits_2(tmp_path):

@@ -1,10 +1,13 @@
-"""Fixture loaders: a table whose rows do not match its header's width, or
-whose cells are not numbers, fails with the file and line named, never with
-a numpy shape error or a bare float conversion error."""
+"""Table readers, for the bundled fixtures and for every table a command
+reads: a table whose rows do not match its header's width, that lacks a
+column, or whose cells are not finite numbers, fails with the file and the
+line or column named, never with a numpy shape error, a bare float
+conversion error or a silent nan."""
 
 import re
 import shutil
 
+import numpy as np
 import pytest
 
 from ba137qudit.cli import main
@@ -105,3 +108,91 @@ def test_cli_header_only_confusion_table_exits_2(tmp_path, capsys):
     rc = main(["--out", str(tmp_path / "out"), "spam", "--analyze", str(tmp_path / "empty.csv")])
     assert rc == 2
     assert "empty.csv: no data rows" in capsys.readouterr().err
+
+
+def valid_tables():
+    """command argv (input path last) -> (file name, CSV text) of a table
+    that command reads without error."""
+    from ba137qudit.calib import paper13_transition_refs, simulate_splittings, synthetic_snapshot
+    from ba137qudit.noise import reference_scaling_points
+
+    f = np.arange(-10.0, 11.0)
+    p = 0.5 * 25.0 / ((f - 1.0) ** 2 + 25.0) + 0.02
+    t = np.linspace(0.0, 200.0, 201)
+    q = 0.95 * np.sin(np.pi * t / (2 * 40.0)) ** 2 + 0.02
+    snaps = [synthetic_snapshot(b) for b in (8.3, 8.34, 8.37, 8.4)]
+    trans = paper13_transition_refs()
+    sims = simulate_splittings([trans[n] for n in (1, 3, 5, 10)], 8.35)
+
+    def text(header, rows):
+        return "\n".join([",".join(header)] + [",".join(map(str, r)) for r in rows]) + "\n"
+
+    return {
+        ("fit", "lorentzian"): ("scan.csv", text(
+            ["freq_kHz", "p_dark", "shots"], [(a, b, 400) for a, b in zip(f, p)])),
+        ("fit", "rabi"): ("rabi.csv", text(
+            ["t_us", "p_transition", "shots"], [(a, b, 100) for a, b in zip(t, q)])),
+        ("fit", "error-scaling"): ("points.csv", text(
+            ["kappa_MHz_per_G", "tau_pi_us", "eps_spam"],
+            [(k, tau * 1e6, e) for k, tau, e in reference_scaling_points()])),
+        ("fit", "calibration"): ("history.csv", text(
+            ["f_offset_MHz", "f_low_MHz", "f_up_MHz"] + [f"f{n}_MHz" for n in snaps[0].freqs],
+            [[s.f_offset, s.f_low, s.f_up] + list(s.freqs.values()) for s in snaps])),
+        ("estimate-b",): ("splittings.csv", text(
+            ["transition", "freq_MHz"],
+            [(f"S:F{g.F}:m{g.m}->D:F{e.F}:m{e.m}", v) for (g, e), v in sims.items()])),
+        ("spam", "--analyze"): ("table_e2.csv", fixture_path("table_e2.csv").read_text()),
+    }
+
+
+COMMANDS = list(valid_tables())
+
+
+def edited(text, case):
+    """`text` with file line 3 cut short, made over-long, or given a nan
+    second cell, or with the second header column renamed."""
+    lines = text.splitlines()
+    cells = lines[2].split(",")
+    if case == "short row":
+        lines[2] = ",".join(cells[:-1])
+    elif case == "over-long row":
+        lines[2] = ",".join(cells + ["0"])
+    elif case == "nan cell":
+        lines[2] = ",".join([cells[0], "nan"] + cells[2:])
+    else:
+        header = lines[0].split(",")
+        lines[0] = ",".join([header[0], "x"] + header[2:])
+    return "\n".join(lines) + "\n"
+
+
+# what each edit's message must name besides the file
+CASE_MESSAGE = {
+    "short row": r"line 3: \d+ fields, the header has \d+",
+    "over-long row": r"line 3: \d+ fields, the header has \d+",
+    "nan cell": "line 3: 'nan' is not a finite number",
+    "missing column": "column",
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+def test_cli_reads_valid_table(tmp_path, command):
+    name, text = valid_tables()[command]
+    (tmp_path / name).write_text(text)
+    assert main(["--out", str(tmp_path / "out"), *command, str(tmp_path / name)]) == 0
+
+
+@pytest.mark.parametrize("case", sorted(CASE_MESSAGE))
+@pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+def test_cli_malformed_table_exits_2(tmp_path, capsys, command, case):
+    name, text = valid_tables()[command]
+    (tmp_path / name).write_text(edited(text, case))
+    assert main(["--out", str(tmp_path / "out"), *command, str(tmp_path / name)]) == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path / name) in err
+    assert re.search(CASE_MESSAGE[case], err), err
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+def test_cli_missing_table_exits_2(tmp_path, capsys, command):
+    assert main(["--out", str(tmp_path / "out"), *command, str(tmp_path / "absent.csv")]) == 2
+    assert "absent.csv" in capsys.readouterr().err

@@ -25,7 +25,7 @@ from ba137qudit.noise import (
     spam_error_from_pi,
     write_scaling_points,
 )
-from oracles import oracle_fit_error_scaling, scaling_residuals
+from oracles import oracle_covariance, oracle_fit_error_scaling, scaling_residuals
 
 
 class TestPsd:
@@ -235,6 +235,22 @@ class TestErrorScalingFit:
             r = scaling_residuals(x, y, [fit.scale, fit.intercept])
             assert 0.5 * r @ r <= cost_ref * (1 + 1e-9)
             assert fit.intercept == pytest.approx(x_ref[1], abs=1e-6)
+
+    def test_covariance_matches_qr_oracle(self):
+        # the bundled points come first: there J^T J has singular values 12
+        # and 2e-15, so an unscaled pseudo-inverse drops the scale's variance
+        for pts in self.noisy_sets(50):
+            fit = fit_error_scaling(pts)
+            x = np.array([(k * t) ** 2 for k, t, _ in pts])
+            y = np.array([e for _, _, e in pts])
+            params = [fit.scale, fit.intercept]
+            ref = oracle_covariance(lambda q: scaling_residuals(x, y, q), params)
+            np.testing.assert_allclose(fit.covariance, ref, rtol=1e-6)
+
+    def test_bundled_error_bars(self):
+        fit = fit_error_scaling(reference_scaling_points())
+        assert fit.scale_err == pytest.approx(3.827e5, rel=1e-3)
+        assert fit.intercept_err == pytest.approx(5.820e-3, rel=1e-3)
 
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(_lsq, "_MAX_ITER", 1)

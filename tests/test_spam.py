@@ -18,7 +18,6 @@ from ba137qudit.spam import (
     build_measurement_sequence,
     enumerate_outcomes,
     error_params_from_reference,
-    interpret,
     intervals_from_timings,
     load_reference_confusion,
     paper13_encoding,
@@ -34,7 +33,7 @@ from ba137qudit.spam import (
 )
 from ba137qudit import spam
 
-from oracles import oracle_enumerate_outcomes, simulate_shot
+from oracles import _oracle_outcome, oracle_enumerate_outcomes, simulate_shot
 
 
 def S(f, m):
@@ -150,7 +149,7 @@ class TestSimulateShot:
         errs = ErrorParams(eps_pi=eps)
         rec = simulate_shot(3, enc, errs, np.random.default_rng(0))
         assert rec.reads[0] is True or rec.reads[0] == True  # noqa: E712
-        assert interpret(rec.reads) == 0
+        assert _oracle_outcome(rec.reads, "first-bright", range(13)) == 0
 
     def test_missing_transition_error(self):
         enc = two_level()
@@ -167,31 +166,32 @@ class TestInterpret:
     def test_single_bright(self):
         reads = [False] * 13
         reads[3] = True
-        assert interpret(reads, "first-bright") == 3
-        assert interpret(reads, "strict-single-bright") == 3
+        assert _oracle_outcome(reads, "first-bright", range(13)) == 3
+        assert _oracle_outcome(reads, "strict-single-bright", range(13)) == 3
 
     def test_double_bright(self):
         reads = [False] * 13
         reads[3] = reads[7] = True
-        assert interpret(reads, "first-bright") == 3
-        assert interpret(reads, "strict-single-bright") is None
+        assert _oracle_outcome(reads, "first-bright", range(13)) == 3
+        assert _oracle_outcome(reads, "strict-single-bright", range(13)) is None
 
     def test_all_dark(self):
-        assert interpret([False] * 13, "first-bright") is None
-        assert interpret([False] * 13, "strict-single-bright") is None
+        assert _oracle_outcome([False] * 13, "first-bright", range(13)) is None
+        assert _oracle_outcome([False] * 13, "strict-single-bright", range(13)) is None
 
     def test_modes_agree_on_single_bright(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
             reads = [False] * 8
             reads[rng.integers(8)] = True
-            assert interpret(reads, "first-bright") == interpret(
-                reads, "strict-single-bright"
+            assert _oracle_outcome(reads, "first-bright", range(8)) == _oracle_outcome(
+                reads, "strict-single-bright", range(8)
             )
 
     def test_unknown_mode(self):
+        enc = two_level()
         with pytest.raises(ValueError):
-            interpret([True], "majority")
+            enumerate_outcomes(enc, ErrorParams.zero(enc), 0, mode="majority")
 
 
 class TestRunExperiment:
@@ -500,7 +500,7 @@ class TestScalarPathMatchesEnumerator:
         counts = {}
         for _ in range(shots):
             rec = simulate_shot(1, enc, errs, rng, plan=plan)
-            outcome = interpret(rec.reads, "first-bright", plan.check_outcomes)
+            outcome = _oracle_outcome(rec.reads, "first-bright", plan.check_outcomes)
             counts[outcome] = counts.get(outcome, 0) + 1
         exact = enumerate_outcomes(enc, errs, prepared=1)
         for outcome, p in exact.items():
