@@ -224,10 +224,9 @@ class LabeledEigenstate:
     def f_component(self, F, m) -> float:
         """Amplitude on the zero-field state |F, m_F=m>."""
         key = (HalfInt.coerce(F).twice, HalfInt.coerce(m).twice)
-        for i, (tf, tm) in enumerate(_f_basis(self.level)):
-            if (tf, tm) == key:
-                return float(self.amp_FmF[i])
-        raise KeyError(f"no |F={F}, m={m}> state in {self.level.name}")
+        if key not in _f_basis(self.level):
+            raise KeyError(f"no |F={F}, m={m}> state in {self.level.name}")
+        return float(self.amp_FmF[_f_basis(self.level).index(key)])
 
 
 @lru_cache(maxsize=32)
@@ -288,99 +287,78 @@ class EigenSystem:
 
 
 @lru_cache(maxsize=32)
-def _block_indices(level: LevelConstants) -> dict[int, np.ndarray]:
-    basis = _basis(level)
-    tm = np.array([a + b for a, b in basis])
-    return {m: np.where(tm == m)[0] for m in sorted(set(tm.tolist()))}
+def _blocks(level: LevelConstants) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per m block, m ascending: (product-basis indices, ``_f_basis``
+    positions of the block's labels by ascending closed-form E(F))."""
+    tm = np.array([a + b for a, b in _basis(level)])
+    fbasis = _f_basis(level)
+    return tuple(
+        (
+            np.where(tm == m)[0],
+            np.array(sorted(
+                (k for k, (_, tmf) in enumerate(fbasis) if tmf == m),
+                key=lambda k: zero_field_energy(level, HalfInt(fbasis[k][0])),
+            )),
+        )
+        for m in sorted(set(tm.tolist()))
+    )
 
 
-@lru_cache(maxsize=32)
-def _rank_order(level: LevelConstants) -> dict[int, tuple[int, ...]]:
-    """Twice-F labels of each m block, by ascending closed-form E(F)."""
-    return {
-        tm: tuple(sorted(
-            (F.twice for F in level.f_values() if F.twice >= abs(tm)),
-            key=lambda tf: zero_field_energy(level, HalfInt(tf)),
-        ))
-        for tm in _block_indices(level)
-    }
-
-
-def _solve_blocks(
-    level: LevelConstants, B: float
-) -> tuple[dict[int, dict[int, np.ndarray]], dict[int, dict[int, float]]]:
-    """Rank-labeled eigenpairs at B: ({twice_m: {twice_F: vector-in-block}},
-    {twice_m: {twice_F: energy}})."""
+def _solve(level: LevelConstants, B: float) -> EigenSystem:
+    """Rank-labeled eigensystem at B; at B = 0 the energies are the
+    closed-form E(F), after a check that the eigenvalues match them."""
     h = build_hamiltonian(level, B)
-    block_idx = _block_indices(level)
-    vectors: dict[int, dict[int, np.ndarray]] = {}
-    energies: dict[int, dict[int, float]] = {}
-    for tm, order in _rank_order(level).items():
-        idx = block_idx[tm]
+    fbasis = _f_basis(level)
+    # row k of each array belongs to the label fbasis[k]
+    energies = np.empty(level.dim)
+    amps = np.zeros((level.dim, level.dim))
+    for idx, labels in _blocks(level):
         w, v = np.linalg.eigh(h[np.ix_(idx, idx)])
         gap = np.min(np.diff(w), initial=np.inf)
         if gap < _GAP_MIN:
             raise LabelingError(
-                f"{level.name}, m={HalfInt(tm)}: in-block gap {gap:.3e} MHz at B = {B} G "
-                f"is below {_GAP_MIN} MHz, so rank labels are ambiguous"
+                f"{level.name}, m={HalfInt(fbasis[labels[0]][1])}: in-block gap {gap:.3e} MHz "
+                f"at B = {B} G is below {_GAP_MIN} MHz, so rank labels are ambiguous"
             )
-        vectors[tm] = {tf: v[:, k] for k, tf in enumerate(order)}
-        energies[tm] = {tf: float(w[k]) for k, tf in enumerate(order)}
-    return vectors, energies
-
-
-def _assemble(
-    level: LevelConstants,
-    B: float,
-    blocks: dict[int, dict[int, np.ndarray]],
-    energies: dict[int, dict[int, float]],
-) -> EigenSystem:
+        if B == 0.0:
+            closed = [zero_field_energy(level, HalfInt(fbasis[k][0])) for k in labels]
+            for k, e, c in zip(labels, w, closed):
+                if abs(e - c) > _GAP_MIN:
+                    raise LabelingError(
+                        f"{level.name}: zero-field eigenvalue {e:.9f} MHz does not match "
+                        f"the closed-form E(F={HalfInt(fbasis[k][0])}) = {c:.9f} MHz"
+                    )
+            w = closed
+        energies[labels] = w
+        amps[labels[:, None], idx] = v.T
     u = _f_transform(level)
-    tm_f = np.array([tm for _, tm in _f_basis(level)])
-    block_idx = _block_indices(level)
-    states = []
-    for F in level.f_values():
-        for tm in range(F.twice, -F.twice - 1, -2):
-            vec = np.zeros(level.dim)
-            vec[block_idx[tm]] = blocks[tm][F.twice]
-            amp_f = u.T @ vec
-            if amp_f[np.argmax(np.abs(amp_f))] < 0:
-                vec = -vec
-                amp_f = -amp_f
-            # sanity: the F-basis amplitudes must respect m conservation exactly
-            if np.any(amp_f[tm_f != tm]):
-                raise LabelingError("m_F component leaked outside the m block")
-            states.append(
-                LabeledEigenstate(
-                    level=level,
-                    F_tilde=F,
-                    m_F_tilde=HalfInt(tm),
-                    energy=energies[tm][F.twice],
-                    B=B,
-                    amp_mImJ=vec,
-                    amp_FmF=amp_f,
-                )
-            )
-    return EigenSystem(level=level, B=B, states=tuple(states))
+    amp_f = np.array([u.T @ vec for vec in amps])
+    flip = amp_f[np.arange(level.dim), np.argmax(np.abs(amp_f), axis=1)] < 0
+    amps[flip] *= -1.0
+    amp_f[flip] *= -1.0
+    # sanity: the F-basis amplitudes must respect m conservation exactly
+    tm_f = np.array([tm for _, tm in fbasis])
+    if np.any(amp_f[np.not_equal.outer(tm_f, tm_f)]):
+        raise LabelingError("m_F component leaked outside the m block")
+    states = tuple(
+        LabeledEigenstate(
+            level=level,
+            F_tilde=HalfInt(tf),
+            m_F_tilde=HalfInt(tm),
+            energy=float(energies[k]),
+            B=B,
+            amp_mImJ=amps[k],
+            amp_FmF=amp_f[k],
+        )
+        for k, (tf, tm) in enumerate(fbasis)
+    )
+    return EigenSystem(level=level, B=B, states=states)
 
 
 @lru_cache(maxsize=32)
 def _zero_field_system(level: LevelConstants) -> EigenSystem:
-    """Eigensystem at B = 0 with the closed-form E(F) as energies.
-
-    Checks the rank order that every field inherits: each zero-field
-    eigenvalue must match the closed-form E(F) its rank assigns.
-    """
-    vectors, energies = _solve_blocks(level, 0.0)
-    for block in energies.values():
-        for tf, w in block.items():
-            block[tf] = zero_field_energy(level, HalfInt(tf))
-            if abs(w - block[tf]) > _GAP_MIN:
-                raise LabelingError(
-                    f"{level.name}: zero-field eigenvalue {w:.9f} MHz does not match "
-                    f"the closed-form E(F={HalfInt(tf)}) = {block[tf]:.9f} MHz"
-                )
-    return _assemble(level, 0.0, vectors, energies)
+    """Eigensystem at B = 0, whose solve checks the rank order every field inherits."""
+    return _solve(level, 0.0)
 
 
 def diagonalize_range(level: LevelConstants, b_values: Sequence[float]) -> list[EigenSystem]:
@@ -390,13 +368,10 @@ def diagonalize_range(level: LevelConstants, b_values: Sequence[float]) -> list[
     labeled by energy rank.  Repeated fields share one EigenSystem.
     """
     bs = [float(b) for b in b_values]
-    zero = _zero_field_system(level)
-    systems: dict[float, EigenSystem] = {}
+    systems = {0.0: _zero_field_system(level)}
     for b in bs:
         if b not in systems:
-            systems[b] = zero if b == 0.0 else _assemble(
-                level, b, *_solve_blocks(level, b)
-            )
+            systems[b] = _solve(level, b)
     return [systems[b] for b in bs]
 
 

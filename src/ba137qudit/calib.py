@@ -316,6 +316,8 @@ class RabiTrace:
         object.__setattr__(self, "shots", np.asarray(self.shots))
         if np.any(self.t_us < 0) or not np.all(np.diff(self.t_us) > 0):
             raise ValueError("times must be nonnegative and increasing")
+        if np.any((self.p < 0) | (self.p > 1)):
+            raise ValueError("probabilities must be in [0, 1]")
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import atomstruct, calib, fixtures, noise, spam, transitions
 from .atomstruct import BA137_D52, BA137_S12, StateRef
-from .fixtures import _number, _read_csv, _write_json
+from .fixtures import TableError, _number, _read_csv, _write_json
 
 LEVELS = {"6S1/2": BA137_S12, "5D5/2": BA137_D52}
 
@@ -280,10 +280,13 @@ def cmd_spam(args, cfg):
     return written
 
 
-def _read_trace(path, x, y):
-    """The x, y and shots columns of a measured scan or Rabi trace table."""
+def _read_trace(path, trace, x, y):
+    """A ``calib.FrequencyScan`` or ``calib.RabiTrace`` from a table's x, y and shots."""
     _, rows = _read_csv(path, lambda r: (_number(r[x]), _number(r[y]), int(r["shots"])))
-    return zip(*rows)
+    try:
+        return trace(*zip(*rows))
+    except ValueError as exc:
+        raise TableError(f"{path}: {exc}") from None
 
 
 def _snapshot(row):
@@ -329,7 +332,7 @@ def cmd_fit(args, cfg):
               f"scale = {fit.scale:.4g} +/- {fit.scale_err:.4g}")
         return [out, outdir / "fit_error_scaling_residuals.csv"]
     if kind == "lorentzian":
-        fit = calib.fit_lorentzian(calib.FrequencyScan(*_read_trace(path, "freq_kHz", "p_dark")))
+        fit = calib.fit_lorentzian(_read_trace(path, calib.FrequencyScan, "freq_kHz", "p_dark"))
         doc = {
             "center_kHz": fit.center_khz,
             "center_err_kHz": fit.center_err,
@@ -344,7 +347,7 @@ def cmd_fit(args, cfg):
               + (" (AT SCAN BOUNDARY)" if fit.at_boundary else ""))
         return [out]
     if kind == "rabi":
-        fit = calib.fit_rabi_flop(calib.RabiTrace(*_read_trace(path, "t_us", "p_transition")))
+        fit = calib.fit_rabi_flop(_read_trace(path, calib.RabiTrace, "t_us", "p_transition"))
         doc = {
             "amplitude": fit.amplitude,
             "offset": fit.offset,
@@ -377,7 +380,12 @@ def _splitting(row):
 
 
 def cmd_estimate_b(args, cfg):
-    measured = dict(_read_csv(args.input, _splitting)[1])
+    measured = {}
+    for (g, e), freq in _read_csv(args.input, _splitting)[1]:
+        if (g, e) in measured:
+            raise TableError(f"{args.input}: transition S:F{g.F}:m{g.m}->D:F{e.F}:m{e.m} "
+                             "is listed twice")
+        measured[g, e] = freq
     try:
         est = calib.estimate_field(measured)
     except ValueError as exc:
@@ -591,7 +599,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         args.func(args, cfg)
-    except (CliError, fixtures.TableError, FileNotFoundError) as exc:
+    except (CliError, TableError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError, RuntimeError) as exc:

@@ -50,7 +50,8 @@ def fixture_path(name: str, fixtures_dir=None) -> Path:
 
 class TableError(ValueError):
     """A CSV table has no header or data rows, a row whose width differs
-    from its header's, or lacks a column or a cell its reader can parse."""
+    from its header's, or lacks a column or a cell its reader can parse;
+    or a JSON input file is not the document its reader expects."""
 
 
 class _Row(dict):

@@ -398,15 +398,14 @@ class ErrorParams:
         return cls(eps_pi={k: eps for k in plan.pulse_keys()}, **kwargs)
 
 
+# the scalar ErrorParams fields, as the JSON keys of the same names
+_RATES = ("prep_error", "p_dark_given_s", "p_bright_given_d", "decay_rate")
+
+
 def error_params_to_json(path, errors: ErrorParams) -> None:
     doc = {
-        "eps_pi": {f"{s.key}->{d.key}": p for (s, d), p in sorted(
-            errors.eps_pi.items(), key=lambda kv: (kv[0][0].key, kv[0][1].key)
-        )},
-        "prep_error": errors.prep_error,
-        "p_dark_given_s": errors.p_dark_given_s,
-        "p_bright_given_d": errors.p_bright_given_d,
-        "decay_rate": errors.decay_rate,
+        **{key: getattr(errors, key) for key in _RATES},
+        "eps_pi": {f"{s.key}->{d.key}": p for (s, d), p in errors.eps_pi.items()},
         "leak": {
             f"{k[0].key}->{k[1].key}": {
                 "spectator": f"{sp[0].key}->{sp[1].key}",
@@ -419,25 +418,51 @@ def error_params_to_json(path, errors: ErrorParams) -> None:
 
 
 def _parse_pair(key: str) -> tuple[AtomicState, AtomicState]:
-    a, b = key.split("->")
+    a, _, b = key.partition("->")
     return parse_atomic_state(a), parse_atomic_state(b)
 
 
+# what a message calls each JSON value type an ErrorParams file holds
+_NUMBER = (int, float)
+_JSON_KINDS = {dict: "an object", str: "a string", _NUMBER: "a number"}
+
+
+def _json(x, kind):
+    """x, if it is a JSON value of the given kind (true and false are not numbers)."""
+    if isinstance(x, bool) or not isinstance(x, kind):
+        raise TypeError(f"expected {_JSON_KINDS[kind]}, got {x!r}")
+    return x
+
+
 def error_params_from_json(path) -> ErrorParams:
-    with open(path) as fh:
-        doc = json.load(fh)
-    leak = {
-        _parse_pair(k): (_parse_pair(v["spectator"]), v["probability"])
-        for k, v in doc.get("leak", {}).items()
-    }
-    return ErrorParams(
-        eps_pi={_parse_pair(k): p for k, p in doc.get("eps_pi", {}).items()},
-        prep_error=doc.get("prep_error", 0.0),
-        p_dark_given_s=doc.get("p_dark_given_s", 0.0),
-        p_bright_given_d=doc.get("p_bright_given_d", 0.0),
-        decay_rate=doc.get("decay_rate", 0.0),
-        leak=leak,
-    )
+    """Read what ``error_params_to_json`` writes.  A file that is not such a
+    document raises TableError naming the file and the key at fault."""
+    where = "document"
+    try:
+        with open(path) as fh:
+            doc = _json(json.load(fh), dict)
+        for where in doc:
+            if where not in ("eps_pi", "leak") + _RATES:
+                raise ValueError(f"unknown key; expected one of eps_pi, leak, {', '.join(_RATES)}")
+        eps_pi, leak = {}, {}
+        where = "eps_pi"
+        for k, p in _json(doc.get(where, {}), dict).items():
+            where = f"eps_pi {k}"
+            eps_pi[_parse_pair(k)] = _json(p, _NUMBER)
+        where = "leak"
+        for k, v in _json(doc.get(where, {}), dict).items():
+            where = f"leak {k}"
+            spectator, p = _json(v, dict)["spectator"], v["probability"]
+            leak[_parse_pair(k)] = (_parse_pair(_json(spectator, str)), _json(p, _NUMBER))
+        rates = {}
+        for where in _RATES:
+            rates[where] = _json(doc.get(where, 0.0), _NUMBER)
+        where = "values"
+        return ErrorParams(eps_pi=eps_pi, leak=leak, **rates)
+    except KeyError as exc:
+        raise TableError(f"{path}: {where}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise TableError(f"{path}: {where}: {exc}") from None
 
 
 def error_params_from_reference(fixtures_dir=None, **kwargs) -> ErrorParams:
@@ -557,74 +582,6 @@ def enumerate_outcomes(
     }
 
 
-@dataclass(eq=False)
-class _CompiledPlan:
-    d: int
-    code_states: tuple[AtomicState, ...]
-    is_d_level: np.ndarray
-    start_code: int
-    other_code: int
-    prep_success: np.ndarray  # per prepared index
-    prep_target: np.ndarray
-    steps: tuple  # ("pulse", lo, hi, eps, leak...) / ("check",)
-    check_outcomes: tuple[int, ...]
-
-
-def _compile_plan(
-    encoding: QuditEncoding, plan: MeasurementPlan, errors: ErrorParams
-) -> _CompiledPlan:
-    code_states = list(encoding.states)
-    for park in encoding.parking.values():
-        if park not in code_states:
-            code_states.append(park)
-    for key in plan.pulse_keys():
-        for st in key:
-            if st not in code_states:
-                code_states.append(st)
-    code_states.append(_OTHER_GROUND)
-    code = {s: i for i, s in enumerate(code_states)}
-    is_d_level = np.array([s.level == "D" for s in code_states])
-
-    prep_success = np.ones(encoding.d)
-    prep_target = np.arange(encoding.d)
-    for n in range(1, encoding.d):
-        p = 1.0
-        for pulse in plan.prep_paths[n]:
-            p *= 1.0 - errors.eps(pulse.key)
-        prep_success[n] = p
-        prep_target[n] = code[encoding.states[n]]
-
-    steps = []
-    for step in plan.steps:
-        if isinstance(step, CheckStep):
-            steps.append(("check",))
-            continue
-        key = step.key
-        leak_to, leak_p = errors.leak.get(key, (None, 0.0))
-        entry = (
-            "pulse",
-            code[step.s_state],
-            code[step.d_state],
-            errors.eps(key),
-            code[leak_to[0]] if leak_to else -1,
-            code[leak_to[1]] if leak_to else -1,
-            errors.eps(leak_to) if leak_to else 0.0,
-            leak_p,
-        )
-        steps.append(entry)
-    return _CompiledPlan(
-        d=encoding.d,
-        code_states=tuple(code_states),
-        is_d_level=is_d_level,
-        start_code=code[encoding.states[0]],
-        other_code=code[_OTHER_GROUND],
-        prep_success=prep_success,
-        prep_target=prep_target,
-        steps=tuple(steps),
-        check_outcomes=plan.check_outcomes,
-    )
-
-
 def _swap(prob: np.ndarray, lo: int, hi: int, eps: float) -> np.ndarray:
     """One pi pulse: population of lo and hi trades places with probability 1 - eps."""
     out = prob.copy()
@@ -652,46 +609,61 @@ def _outcome_matrix(
     if mode not in MODES:
         raise ValueError(f"unknown interpretation mode {mode!r}")
     plan = build_measurement_sequence(encoding)
-    cp = _compile_plan(encoding, plan, errors)
-    decay_p = _decay_probs(errors, intervals, plan.n_checks)
-    d = cp.d
+    outcomes = plan.check_outcomes
+    decay_p = _decay_probs(errors, intervals, len(outcomes))
+    d = encoding.d
     strict = mode == "strict-single-bright"
+    # every atomic state a plan pulse or a leak can touch, encoded states
+    # first (so state n has code n) and the inert ground last
+    code = {s: i for i, s in enumerate(dict.fromkeys([
+        *encoding.states,
+        *encoding.parking.values(),
+        *(st for key in plan.pulse_keys() for st in key),
+        *(st for spectator, p in errors.leak.values() if p > 0 for st in spectator),
+        _OTHER_GROUND,
+    ]))}
+    is_d_level = np.array([s.level == "D" for s in code])
+    other = code[_OTHER_GROUND]
 
-    n_blocks = 1 + (plan.n_checks if strict else 0)
-    prob = np.zeros((d, n_blocks, len(cp.code_states)))
+    prep_success = np.array([
+        math.prod(1.0 - errors.eps(pulse.key) for pulse in path) for path in plan.prep_paths
+    ])
+    n_blocks = 1 + (len(outcomes) if strict else 0)
+    prob = np.zeros((d, n_blocks, len(code)))
     rows = np.arange(d)
     stay = 1.0 - errors.prep_error
-    prob[rows, 0, cp.prep_target] += stay * cp.prep_success
-    prob[rows, 0, cp.start_code] += stay * (1.0 - cp.prep_success)
-    prob[:, 0, cp.other_code] += errors.prep_error
-    p_bright = np.where(cp.is_d_level, errors.p_bright_given_d, 1.0 - errors.p_dark_given_s)
+    prob[rows, 0, rows] += stay * prep_success
+    prob[rows, 0, 0] += stay * (1.0 - prep_success)
+    prob[:, 0, other] += errors.prep_error
+    p_bright = np.where(is_d_level, errors.p_bright_given_d, 1.0 - errors.p_dark_given_s)
 
     out = np.zeros((d, d + 1))
     ci = 0
-    for step in cp.steps:
-        if step[0] == "pulse":
-            _, lo, hi, eps, leak_lo, leak_hi, leak_eps, leak_p = step
-            swapped = _swap(prob, lo, hi, eps)
+    for step in plan.steps:
+        if isinstance(step, PulseStep):
+            key = step.key
+            swapped = _swap(prob, code[step.s_state], code[step.d_state], errors.eps(key))
+            spectator, leak_p = errors.leak.get(key, (None, 0.0))
             if leak_p > 0:
-                leaked = _swap(prob, leak_lo, leak_hi, leak_eps)
+                leaked = _swap(prob, code[spectator[0]], code[spectator[1]], errors.eps(spectator))
                 swapped = (1.0 - leak_p) * swapped + leak_p * leaked
             prob = swapped
             continue
         if decay_p[ci] > 0:
-            lost = prob[..., cp.is_d_level].sum(axis=-1) * decay_p[ci]
-            prob[..., cp.is_d_level] *= 1.0 - decay_p[ci]
-            prob[..., cp.other_code] += lost
+            lost = prob[..., is_d_level].sum(axis=-1) * decay_p[ci]
+            prob[..., is_d_level] *= 1.0 - decay_p[ci]
+            prob[..., other] += lost
         bright = prob * p_bright
         prob *= 1.0 - p_bright
         if strict:
             out[:, d] += bright[:, 1:].sum(axis=(1, 2))
             prob[:, 1 + ci] = bright[:, 0]
         else:
-            out[:, cp.check_outcomes[ci]] += bright[:, 0].sum(axis=-1)
+            out[:, outcomes[ci]] += bright[:, 0].sum(axis=-1)
         ci += 1
     out[:, d] += prob[:, 0].sum(axis=-1)
     if strict:
-        for j, outcome in enumerate(cp.check_outcomes):
+        for j, outcome in enumerate(outcomes):
             out[:, outcome] += prob[:, 1 + j].sum(axis=-1)
 
     dev = np.abs(out.sum(axis=1) - 1.0).max()

@@ -202,36 +202,18 @@ class StrengthTable:
         _write_json(path, doc)
 
 
-def _row_labels(level: LevelConstants) -> tuple[tuple[HalfInt, HalfInt], ...]:
-    out = []
-    for F in level.f_values():
-        for tm in range(F.twice, -F.twice - 1, -2):
-            out.append((F, HalfInt(tm)))
-    return tuple(out)
-
-
-def _col_labels(level: LevelConstants) -> tuple[tuple[HalfInt, HalfInt], ...]:
-    out = []
-    for F in level.f_values():
-        for tm in range(-F.twice, F.twice + 1, 2):
-            out.append((F, HalfInt(tm)))
-    return tuple(out)
-
-
 def strength_table(B: float, geometry: LaserGeometry) -> StrengthTable:
     """Full 5D5/2 x 6S1/2 relative-strength table at one field."""
-    gsys = diagonalize(BA137_S12, B)
-    esys = diagonalize(BA137_D52, B)
-    d_labels = _row_labels(BA137_D52)
-    s_labels = _col_labels(BA137_S12)
-    values = np.zeros((len(d_labels), len(s_labels)))
-    for j, (sf, sm) in enumerate(s_labels):
-        g = gsys.state(sf, sm)
-        for i, (df, dm) in enumerate(d_labels):
-            values[i, j] = relative_strength(g, esys.state(df, dm), geometry)
+    excited = diagonalize(BA137_D52, B).states
+    ground = sorted(diagonalize(BA137_S12, B), key=lambda g: (g.F_tilde, g.m_F_tilde))
+    values = np.array([[relative_strength(g, e, geometry) for g in ground] for e in excited])
     values.setflags(write=False)
     return StrengthTable(
-        geometry=geometry, B=B, d_labels=d_labels, s_labels=s_labels, values=values
+        geometry=geometry,
+        B=B,
+        d_labels=tuple((e.F_tilde, e.m_F_tilde) for e in excited),
+        s_labels=tuple((g.F_tilde, g.m_F_tilde) for g in ground),
+        values=values,
     )
 
 

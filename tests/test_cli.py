@@ -333,6 +333,34 @@ class TestEstimateB:
         assert rc != 0
 
 
+    def test_repeated_transition_exits_2(self, tmp_path, capsys):
+        (tmp_path / "twice.csv").write_text(
+            "transition,freq_MHz\n"
+            "S:F2:m2->D:F4:m4,100.0\nS:F2:m2->D:F4:m4,101.0\nS:F2:m2->D:F4:m3,102.0\n"
+        )
+        rc = main(["--out", str(tmp_path), "estimate-b", str(tmp_path / "twice.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "twice.csv: transition S:F2:m2->D:F4:m4 is listed twice" in err
+        assert not (tmp_path / "estimate_b.json").exists()
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"prep_error": "x"}', "prep_error"),
+    ("[1, 2]", "document"),
+    ("{bad", "document"),
+    ('{"leak": {"S:F2:m2->D:F4:m4": {"probability": 0.1}}}', "spectator"),
+    ('{"prep_eror": 0.5}', "prep_eror"),
+])
+def test_bad_spam_errors_file_exits_2(tmp_path, capsys, text, key):
+    (tmp_path / "params.json").write_text(text)
+    rc = main(["--out", str(tmp_path), "spam", "--errors", str(tmp_path / "params.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'params.json'}: " in err and key in err
+    assert not (tmp_path / "spam_raw.csv").exists()
+
+
 class TestConfigPrecedence:
     def test_flags_beat_config_beat_defaults(self, tmp_path):
         cfg = tmp_path / "cfg.json"

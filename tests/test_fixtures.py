@@ -192,6 +192,32 @@ def test_cli_malformed_table_exits_2(tmp_path, capsys, command, case):
     assert re.search(CASE_MESSAGE[case], err), err
 
 
+# a valid scan or Rabi table with one column's values replaced: (command,
+# column, values from file line 2 on, what the message must name)
+BAD_TRACES = {
+    "scan p_dark 1.5": (("fit", "lorentzian"), 1, [1.5] * 21, r"probabilities must be in \[0, 1\]"),
+    "scan decreasing": (("fit", "lorentzian"), 0, range(21, 0, -1), "strictly increasing"),
+    "rabi p 7": (("fit", "rabi"), 1, [7] * 201, r"probabilities must be in \[0, 1\]"),
+    "rabi decreasing": (("fit", "rabi"), 0, range(201, 0, -1), "nonnegative and increasing"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TRACES))
+def test_cli_bad_trace_values_exit_2(tmp_path, capsys, case):
+    command, column, values, message = BAD_TRACES[case]
+    name, text = valid_tables()[command]
+    lines = text.splitlines()
+    for i, value in enumerate(values, start=1):
+        cells = lines[i].split(",")
+        cells[column] = str(value)
+        lines[i] = ",".join(cells)
+    (tmp_path / name).write_text("\n".join(lines) + "\n")
+    assert main(["--out", str(tmp_path / "out"), *command, str(tmp_path / name)]) == 2
+    err = capsys.readouterr().err
+    assert f"{tmp_path / name}: " in err
+    assert re.search(message, err), err
+
+
 @pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
 def test_cli_missing_table_exits_2(tmp_path, capsys, command):
     assert main(["--out", str(tmp_path / "out"), *command, str(tmp_path / "absent.csv")]) == 2

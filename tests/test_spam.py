@@ -1,7 +1,9 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ba137qudit.spam import (
     CheckStep,
@@ -15,9 +17,13 @@ from ba137qudit.spam import (
     QuditEncoding,
     Timings,
     average_fidelity,
+    ALL_D_STATES,
+    ALL_S_STATES,
     build_measurement_sequence,
     enumerate_outcomes,
+    error_params_from_json,
     error_params_from_reference,
+    error_params_to_json,
     intervals_from_timings,
     load_reference_confusion,
     paper13_encoding,
@@ -642,3 +648,118 @@ class TestDecayValidation:
             enumerate_outcomes(enc, errs, 1, intervals=intervals)
         with pytest.raises(ValueError, match="intervals"):
             run_experiment(enc, errs, 10, seed=1, intervals=intervals)
+
+
+def assert_rows_match_oracle(enc, errs, intervals=0.0):
+    """Every row of the evaluator's matrix, in both modes, sums to 1 and
+    matches the branch enumerator within 1e-12."""
+    for mode in spam.MODES:
+        m = spam._outcome_matrix(enc, errs, mode, intervals)
+        assert np.max(np.abs(m.sum(axis=1) - 1.0)) <= 1e-12
+        for prepared, row in enumerate(m):
+            want = oracle_enumerate_outcomes(enc, errs, prepared, mode, intervals)
+            for k, p in enumerate(row):
+                assert p == pytest.approx(
+                    want.get(None if k == enc.d else k, 0.0), abs=1e-12
+                ), (enc.states, mode, prepared, k)
+
+
+class TestLeakOutsidePlan:
+    def case(self, leak_p):
+        """paper13's |0>, |1>, |5>, |9>, the first plan pulse leaking to
+        S:F2:m1 <-> D:F3:m1, a pair no plan pulse touches."""
+        enc13 = paper13_encoding()
+        enc = QuditEncoding("sub13", tuple(enc13.states[i] for i in (0, 1, 5, 9)))
+        plan = build_measurement_sequence(enc)
+        spectator = (S(2, 1), D(3, 1))
+        assert not set(spectator) & {st for key in plan.pulse_keys() for st in key}
+        errs = ErrorParams.uniform(enc, 0.02)
+        first = next(s.key for s in plan.steps if isinstance(s, PulseStep))
+        eps = {**errs.eps_pi, spectator: 0.03}
+        return enc, ErrorParams(eps_pi=eps, leak={first: (spectator, leak_p)}), errs
+
+    def test_matches_oracle(self):
+        enc, errs, _ = self.case(0.1)
+        assert_rows_match_oracle(enc, errs)
+
+    def test_zero_probability_leak_is_ignored(self):
+        enc, errs, no_leak = self.case(0.0)
+        for mode in spam.MODES:
+            assert np.array_equal(
+                spam._outcome_matrix(enc, errs, mode, 0.0),
+                spam._outcome_matrix(enc, no_leak, mode, 0.0),
+            )
+
+
+@st.composite
+def spam_cases(draw):
+    """A paper13 sub-encoding of d <= 6 states with eps on every plan pulse,
+    an optional leak to a pair in or out of the plan, read flips, decay and
+    per-check intervals."""
+    enc13 = paper13_encoding()
+    d = draw(st.integers(2, 6))
+    picks = draw(st.lists(st.integers(1, 12), min_size=d - 1, max_size=d - 1, unique=True))
+    enc = QuditEncoding("sub13", (enc13.states[0],) + tuple(enc13.states[i] for i in picks))
+    plan = build_measurement_sequence(enc)
+    prob = st.floats(0.0, 0.3)
+    eps = {key: draw(prob) for key in sorted(plan.pulse_keys())}
+    pulses = [s.key for s in plan.steps if isinstance(s, PulseStep)]
+    leak = {}
+    if pulses and draw(st.booleans()):
+        source = draw(st.sampled_from(pulses))
+        in_plan = [key for key in sorted(plan.pulse_keys()) if key != source]
+        anywhere = [(s, d) for s in ALL_S_STATES for d in ALL_D_STATES if (s, d) != source]
+        spectator = draw(st.sampled_from(in_plan if in_plan and draw(st.booleans()) else anywhere))
+        eps.setdefault(spectator, draw(prob))
+        leak = {source: (spectator, draw(prob))}
+    errs = ErrorParams(
+        eps_pi=eps,
+        prep_error=draw(st.floats(0.0, 0.05)),
+        p_dark_given_s=draw(st.floats(0.0, 0.05)),
+        p_bright_given_d=draw(st.floats(0.0, 0.05)),
+        decay_rate=draw(st.floats(0.0, 5.0)),
+        leak=leak,
+    )
+    intervals = draw(st.lists(
+        st.floats(0.0, 0.05), min_size=plan.n_checks, max_size=plan.n_checks
+    ))
+    return enc, errs, intervals
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(spam_cases())
+def test_evaluator_matches_oracle_property(case):
+    assert_rows_match_oracle(*case)
+
+
+class TestErrorParamsJson:
+    def test_round_trip(self, tmp_path):
+        enc = paper13_encoding()
+        key = next(iter(sorted(build_measurement_sequence(enc).pulse_keys())))
+        errs = error_params_from_reference(
+            prep_error=0.01, p_dark_given_s=0.02, p_bright_given_d=0.003, decay_rate=0.5,
+            leak={key: ((S(2, 1), D(3, 1)), 0.1)},
+        )
+        error_params_to_json(tmp_path / "errors.json", errs)
+        back = error_params_from_json(tmp_path / "errors.json")
+        assert back.eps_pi == errs.eps_pi
+        assert back.leak == errs.leak
+        for name in ("prep_error", "p_dark_given_s", "p_bright_given_d", "decay_rate"):
+            assert getattr(back, name) == getattr(errs, name)
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"prep_error": "x"}', "prep_error: expected a number"),
+        ("[1, 2]", r"document: expected an object, got \[1, 2\]"),
+        ("{bad", "document"),
+        ('{"leak": {"S:F2:m2->D:F4:m4": {"probability": 0.1}}}',
+         "leak S:F2:m2->D:F4:m4: missing key 'spectator'"),
+        ('{"prep_eror": 0.5}', "prep_eror: unknown key"),
+        ('{"eps_pi": {"S:F2:m2": 0.1}}', "eps_pi S:F2:m2: cannot parse"),
+        ('{"decay_rate": -1}', "decay_rate"),
+    ])
+    def test_malformed_file_names_file_and_key(self, tmp_path, text, message):
+        path = tmp_path / "errors.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message) as exc:
+            error_params_from_json(path)
+        assert str(path) in str(exc.value)
