@@ -2,8 +2,9 @@
 
 A pi pulse of Rabi frequency Omega filters transition-frequency noise
 with F(w) = 4 w^2/Omega^2 below Omega and 4 above.  For a 1/f + mains
-peak + white PSD the overlap chi has a closed form valid when the mains
-frequency sits well below Omega; the pulse error follows as
+peak + white PSD the overlap chi is an exact sum of elementary
+antiderivatives, and the paper's approximate closed form holds when the
+mains frequency sits well below Omega; the pulse error follows as
 (1 - exp(-chi))/2 and the post-selected SPAM error as
 eps/(eps + (1-eps)^2).  Because chi scales as kappa^2 tau_pi^2, plotting
 measured SPAM errors against that product collapses them onto one curve
@@ -30,7 +31,7 @@ from ba137qudit.noise import reference_scaling_points, write_scaling_points
 OUT = pathlib.Path(__file__).parent / "output"
 OUT.mkdir(exist_ok=True)
 
-print("== chi: closed form vs direct quadrature ==")
+print("== chi: closed form vs exact piecewise integral ==")
 model = NoiseModel(
     h_a=2e-6, h_b=1e-9, h_peak=4e-5,
     omega_0=2 * math.pi * 0.1,

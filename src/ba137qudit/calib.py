@@ -11,7 +11,7 @@ coefficients regressed from drift history.
 
 The Lorentzian and Rabi fits and the field estimate run on the package's
 numpy least-squares solver (Levenberg-Marquardt on analytic Jacobians), so
-this module needs numpy alone; scipy is not imported.
+this module needs numpy alone.
 """
 
 from __future__ import annotations

@@ -233,7 +233,10 @@ def cmd_spam(args, cfg):
     else:
         errors = spam.error_params_from_json(errors_src)
 
-    raw = spam.run_experiment(encoding, errors, shots, seed=seed, mode=mode)
+    try:
+        raw = spam.run_experiment(encoding, errors, shots, seed=seed, mode=mode)
+    except spam.MissingTransitionError as exc:
+        raise CliError(f"{errors_src}: {exc.args[0]}") from None
     post = spam.post_select(raw)
     fid_raw, sig_raw = spam.average_fidelity(raw)
     fid_post, sig_post = spam.average_fidelity(post)

@@ -13,9 +13,11 @@ the magnetic-field noise normalization (per-gauss PSD units).  Absolute
 h values are not measurable here; only the PSD shape and the
 kappa^2 tau_pi^2 scaling are exercised.
 
-scipy is imported only inside the chi quadrature (``chi_numeric``); the
-error-scaling fit runs on the package's numpy least-squares solver, so the
-rest needs numpy alone.
+Under this PSD the chi integrand on each interval between the cutoff,
+the mains-peak edges and the Rabi frequency is a sum of c, a/w, c/w^2 and
+a/w^3, so ``chi_numeric`` is an exact sum of antiderivatives; the
+error-scaling fit runs on the package's numpy least-squares solver.  The
+module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -36,7 +37,6 @@ __all__ = [
     "TransitionNoiseParams",
     "ErrorScalingFit",
     "ErrorBudget",
-    "QuadratureError",
     "kappa_to_rad",
     "psd",
     "filter_function_pi",
@@ -58,8 +58,11 @@ def kappa_to_rad(kappa_mhz_per_gauss: float) -> float:
     return _KAPPA_TO_RAD * kappa_mhz_per_gauss
 
 
-class QuadratureError(RuntimeError):
-    """The chi integral failed to converge on one of its sub-intervals."""
+def _require_finite(obj) -> None:
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -79,19 +82,25 @@ class NoiseModel:
     delta_omega_ac: float = 2.0 * math.pi * 1.0  # rad/s, mains peak width
 
     def __post_init__(self):
+        _require_finite(self)
         if self.omega_0 <= 0:
             raise ValueError("omega_0 must be positive")
-        if not self.delta_omega_ac < self.omega_ac:
-            raise ValueError("delta_omega_ac must be smaller than omega_ac")
+        if not 0 <= self.delta_omega_ac < self.omega_ac:
+            raise ValueError("delta_omega_ac must be nonnegative and smaller than omega_ac")
         if min(self.h_a, self.h_b, self.h_peak) < 0:
             raise ValueError("PSD levels must be nonnegative")
 
     def base_psd(self, omega: float) -> float:
+        a, c = self._piece(omega)
+        return a / omega + c if a else c
+
+    def _piece(self, omega: float) -> tuple[float, float]:
+        """(a, c) with S_B = a/w + c on the piece of the PSD that holds omega."""
         if omega < self.omega_0:
-            return self.h_a / self.omega_0
+            return 0.0, self.h_a / self.omega_0
         if self.omega_ac - self.delta_omega_ac / 2 < omega < self.omega_ac + self.delta_omega_ac / 2:
-            return self.h_peak
-        return self.h_a / omega + self.h_b
+            return 0.0, self.h_peak
+        return self.h_a, self.h_b
 
     def to_json(self, path) -> None:
         _write_json(path, asdict(self))
@@ -110,6 +119,7 @@ class TransitionNoiseParams:
     tau_pi: float  # s
 
     def __post_init__(self):
+        _require_finite(self)
         if self.tau_pi <= 0:
             raise ValueError("tau_pi must be positive")
 
@@ -136,57 +146,26 @@ def filter_function_pi(omega: float, big_omega: float) -> float:
 
 
 def chi_numeric(model: NoiseModel, params: TransitionNoiseParams) -> float:
-    """chi = (1/pi) int_0^inf S(w) F(w) / w^2 dw by adaptive quadrature.
+    """chi = (1/pi) int_0^inf S(w) F(w) / w^2 dw, exactly.
 
-    The integrand is split at the PSD cutoff, the mains-peak edges, and the
-    Rabi frequency; above an upper truncation point the analytic tail of
-    the w >= Omega branch (4 h_b/L + 2 h_a/L^2) is appended.
+    Between consecutive breakpoints (0, the PSD cutoff, the mains-peak
+    edges, the Rabi frequency Omega, infinity) S = a/w + c, and F/w^2 is
+    4/Omega^2 below Omega and 4/w^2 above it, so each interval adds an
+    elementary antiderivative.
     """
-    from scipy import integrate
-
     big_omega = params.omega
-    scale = kappa_to_rad(params.kappa) ** 2
-
-    def integrand(w: float) -> float:
-        if w == 0.0:
-            return 4.0 * (model.h_a / model.omega_0) / big_omega**2
-        return model.base_psd(w) * filter_function_pi(w, big_omega) / w**2
-
-    peak_lo = model.omega_ac - model.delta_omega_ac / 2
-    peak_hi = model.omega_ac + model.delta_omega_ac / 2
-    cut = 1e3 * max(big_omega, peak_hi, model.omega_0)
-    breaks = {model.omega_0, peak_lo, peak_hi, big_omega}
-    # decade subdivisions keep quad accurate on the slowly-decaying tails
-    w = min(model.omega_0, peak_lo, big_omega) if model.omega_0 > 0 else big_omega
-    while w < cut:
-        breaks.add(w)
-        w *= 10.0
-    points = sorted(p for p in breaks if 0.0 < p < cut)
+    half = model.delta_omega_ac / 2
+    edges = sorted({model.omega_0, model.omega_ac - half, model.omega_ac + half, big_omega})
     total = 0.0
-    err_total = 0.0
-    lo = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        for hi in points + [cut]:
-            if hi <= lo:
-                continue
-            try:
-                val, abserr = integrate.quad(
-                    integrand, lo, hi, epsabs=0.0, epsrel=1e-10, limit=200
-                )
-            except integrate.IntegrationWarning as exc:
-                raise QuadratureError(
-                    f"chi quadrature did not converge on [{lo:g}, {hi:g}] rad/s: {exc}"
-                ) from exc
-            total += val
-            err_total += abserr
-            lo = hi
-    if total > 0.0 and err_total > 1e-6 * total:
-        raise QuadratureError(
-            f"chi quadrature inaccurate: value {total:g}, error estimate {err_total:g}"
-        )
-    total += 4.0 * model.h_b / cut + 2.0 * model.h_a / cut**2
-    return scale * total / math.pi
+    for lo, hi in zip([0.0] + edges, edges + [math.inf]):
+        a, c = model._piece(2.0 * lo if hi == math.inf else 0.5 * (lo + hi))
+        if hi <= big_omega:
+            # lo = 0 only below the cutoff, where a = 0
+            log_term = a * math.log(hi / lo) if a else 0.0
+            total += 4.0 * (c * (hi - lo) + log_term) / big_omega**2
+        else:
+            total += 4.0 * (c * (1.0 / lo - 1.0 / hi) + 0.5 * a * (1.0 / lo**2 - 1.0 / hi**2))
+    return kappa_to_rad(params.kappa) ** 2 * total / math.pi
 
 
 def chi_closed_form(model: NoiseModel, params: TransitionNoiseParams) -> float:

@@ -372,11 +372,12 @@ class ErrorParams:
     ] = field(default_factory=dict)
 
     def __post_init__(self):
-        probs = [self.prep_error, self.p_dark_given_s, self.p_bright_given_d]
-        probs += list(self.eps_pi.values())
-        probs += [p for _, p in self.leak.values()]
-        if any(not 0.0 <= p <= 1.0 for p in probs):
-            raise ValueError("probabilities must be in [0, 1]")
+        probs = [(name, getattr(self, name)) for name in _PROBABILITIES]
+        probs += [(f"eps_pi {_pair_key(k)}", p) for k, p in self.eps_pi.items()]
+        probs += [(f"leak {_pair_key(k)}", p) for k, (_, p) in self.leak.items()]
+        for name, p in probs:
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {p!r}")
         if not (math.isfinite(self.decay_rate) and self.decay_rate >= 0):
             raise ValueError(f"decay_rate must be finite and nonnegative, got {self.decay_rate!r}")
 
@@ -399,18 +400,20 @@ class ErrorParams:
 
 
 # the scalar ErrorParams fields, as the JSON keys of the same names
-_RATES = ("prep_error", "p_dark_given_s", "p_bright_given_d", "decay_rate")
+_PROBABILITIES = ("prep_error", "p_dark_given_s", "p_bright_given_d")
+_RATES = _PROBABILITIES + ("decay_rate",)
+
+
+def _pair_key(pair: tuple[AtomicState, AtomicState]) -> str:
+    return f"{pair[0].key}->{pair[1].key}"
 
 
 def error_params_to_json(path, errors: ErrorParams) -> None:
     doc = {
         **{key: getattr(errors, key) for key in _RATES},
-        "eps_pi": {f"{s.key}->{d.key}": p for (s, d), p in errors.eps_pi.items()},
+        "eps_pi": {_pair_key(k): p for k, p in errors.eps_pi.items()},
         "leak": {
-            f"{k[0].key}->{k[1].key}": {
-                "spectator": f"{sp[0].key}->{sp[1].key}",
-                "probability": p,
-            }
+            _pair_key(k): {"spectator": _pair_key(sp), "probability": p}
             for k, (sp, p) in errors.leak.items()
         },
     }

@@ -6,10 +6,11 @@ internals) so it can serve as an oracle for the package implementations.
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
+from scipy import integrate, optimize
 
 from ba137qudit.spam import AtomicState, PulseStep, build_measurement_sequence
 
@@ -286,6 +287,59 @@ def oracle_enumerate_outcomes(encoding, errors, prepared, mode="first-bright", i
         outcome = _oracle_outcome(reads, mode, plan.check_outcomes)
         out[outcome] = out.get(outcome, 0.0) + p
     return out
+
+
+def oracle_chi_quad(model, params):
+    """chi = (1/pi) int_0^inf S(w) F(w) / w^2 dw by adaptive quadrature.
+
+    The quadrature the package used before its exact sum, with the PSD and
+    the pi-pulse filter function written out here and no decade point
+    placed on top of an edge.  The integrand is split
+    at the PSD cutoff, the mains-peak edges, the Rabi frequency and decade
+    points; above an upper truncation point the analytic tail of the
+    w >= Omega branch (4 h_b/L + 2 h_a/L^2) is appended.
+    """
+    big_omega = math.pi / params.tau_pi
+    scale = (2.0 * math.pi * 1e6 * params.kappa) ** 2
+    peak_lo = model.omega_ac - model.delta_omega_ac / 2
+    peak_hi = model.omega_ac + model.delta_omega_ac / 2
+
+    def integrand(w):
+        if w < model.omega_0:
+            s = model.h_a / model.omega_0
+        elif peak_lo < w < peak_hi:
+            s = model.h_peak
+        else:
+            s = model.h_a / w + model.h_b
+        return s * 4.0 / big_omega**2 if w < big_omega else s * 4.0 / w**2
+
+    cut = 1e3 * max(big_omega, peak_hi, model.omega_0)
+    edges = {model.omega_0, peak_lo, peak_hi, big_omega}
+    breaks = set(edges)
+    # decade subdivisions keep quad accurate on the slowly-decaying tails;
+    # one that rounds to within 1e-9 of an edge would leave a sliver
+    # interval holding the PSD step, where quad reports bad behaviour
+    w = min(model.omega_0, peak_lo, big_omega) if model.omega_0 > 0 else big_omega
+    while w < cut:
+        if all(abs(w - e) > 1e-9 * e for e in edges):
+            breaks.add(w)
+        w *= 10.0
+    points = sorted(p for p in breaks if 0.0 < p < cut)
+    total = 0.0
+    err_total = 0.0
+    lo = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", integrate.IntegrationWarning)
+        for hi in points + [cut]:
+            if hi <= lo:
+                continue
+            val, abserr = integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-10, limit=200)
+            total += val
+            err_total += abserr
+            lo = hi
+    assert total == 0.0 or err_total <= 1e-6 * total, (total, err_total)
+    total += 4.0 * model.h_b / cut + 2.0 * model.h_a / cut**2
+    return scale * total / math.pi
 
 
 # Reference fits: scipy's solvers on the same problems the package fits

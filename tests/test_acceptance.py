@@ -221,7 +221,7 @@ def test_criterion_08_chi_consistency():
         exact = chi_numeric(model, params)
         worst = max(worst, abs(approx - exact) / exact)
     ok = worst <= 0.05
-    report(8, ok, f"closed form vs quadrature: worst relative gap {worst:.3%} over 100 draws")
+    report(8, ok, f"closed form vs exact integral: worst relative gap {worst:.3%} over 100 draws")
 
 
 def test_criterion_09_error_budget():

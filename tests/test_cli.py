@@ -351,6 +351,14 @@ class TestEstimateB:
     ("{bad", "document"),
     ('{"leak": {"S:F2:m2->D:F4:m4": {"probability": 0.1}}}', "spectator"),
     ('{"prep_eror": 0.5}', "prep_eror"),
+    ('{"prep_error": 2}', "values: prep_error must be in [0, 1], got 2"),
+    ('{"eps_pi": {"S:F2:m2->D:F4:m4": 1.5}}',
+     "values: eps_pi S:F2:m2->D:F4:m4 must be in [0, 1], got 1.5"),
+    ('{"leak": {"S:F2:m2->D:F4:m4": {"spectator": "S:F2:m2->D:F4:m3", "probability": -0.1}}}',
+     "values: leak S:F2:m2->D:F4:m4 must be in [0, 1], got -0.1"),
+    # a valid file that lacks a pulse the 13-level plan needs
+    ('{"eps_pi": {"S:F2:m2->D:F4:m4": 0.01}}',
+     "no pi-pulse error for transition S:F2:m2 <-> D:F4:m3"),
 ])
 def test_bad_spam_errors_file_exits_2(tmp_path, capsys, text, key):
     (tmp_path / "params.json").write_text(text)

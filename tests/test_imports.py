@@ -1,7 +1,8 @@
-"""Cold-start guard: importing the package and running any command loads
-numpy only; scipy loads on the first chi quadrature, which no command runs.
-Each check runs in a fresh interpreter."""
+"""Cold-start guard: importing the package, running any command and
+computing chi load numpy only.  Each check runs in a fresh interpreter; a
+static check finds any scipy import in the package source, run or not."""
 
+import ast
 import json
 import math
 import os
@@ -99,13 +100,36 @@ def test_fit_lorentzian_leaves_scipy_unloaded():
     assert scipy_modules_after(code) == []
 
 
-@pytest.mark.parametrize("code, module", [
-    (
+def test_chi_numeric_leaves_scipy_unloaded():
+    code = (
         "from ba137qudit.noise import NoiseModel, TransitionNoiseParams, chi_numeric\n"
-        "chi_numeric(NoiseModel(), TransitionNoiseParams(kappa=1.0, tau_pi=20e-6))",
+        "chi_numeric(NoiseModel(h_a=1e-6, h_b=1e-9, h_peak=1e-5),"
+        " TransitionNoiseParams(kappa=1.0, tau_pi=20e-6))"
+    )
+    assert scipy_modules_after(code) == []
+
+
+def test_package_source_imports_no_scipy():
+    found = []
+    for path in sorted((ROOT / "src" / "ba137qudit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for n in names if n.split(".")[0] == "scipy"]
+    assert found == []
+
+
+@pytest.mark.parametrize("code, module", [
+    pytest.param(
+        f"import sys\nsys.path.insert(0, {str(ROOT / 'tests')!r})\nimport oracles",
         "scipy.integrate",
+        id="oracles",
     ),
 ])
 def test_first_use_loads_scipy(code, module):
-    # positive control: the probe sees scipy when a function does load it
+    # positive control: the probe sees scipy when a module does load it
     assert module in scipy_modules_after(code)

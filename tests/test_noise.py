@@ -1,16 +1,15 @@
 import math
-import re
-import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from ba137qudit import _lsq
 from ba137qudit.noise import (
     ErrorBudget,
     NoiseModel,
-    QuadratureError,
     TransitionNoiseParams,
     chi_closed_form,
     chi_numeric,
@@ -25,7 +24,12 @@ from ba137qudit.noise import (
     spam_error_from_pi,
     write_scaling_points,
 )
-from oracles import oracle_covariance, oracle_fit_error_scaling, scaling_residuals
+from oracles import (
+    oracle_chi_quad,
+    oracle_covariance,
+    oracle_fit_error_scaling,
+    scaling_residuals,
+)
 
 
 class TestPsd:
@@ -54,6 +58,8 @@ class TestPsd:
             NoiseModel(omega_0=0.0)
         with pytest.raises(ValueError):
             NoiseModel(omega_ac=100.0, delta_omega_ac=100.0)
+        with pytest.raises(ValueError):
+            NoiseModel(omega_ac=-5.0, delta_omega_ac=-10.0)
         with pytest.raises(ValueError):
             NoiseModel(h_a=-1.0)
 
@@ -298,7 +304,7 @@ class TestErrorBudget:
 class TestChiMainsAboveRabi:
     def test_numeric_handles_peak_above_omega(self):
         # slow pulse: the mains peak sits above the Rabi frequency, where
-        # the closed form is invalid but the quadrature stays well defined
+        # the closed form is invalid but the exact sum stays well defined
         params = TransitionNoiseParams(kappa=1.0, tau_pi=20e-3)  # Omega ~ 157
         base = dict(h_a=1e-8, h_b=1e-12, omega_0=1.0,
                     omega_ac=377.0, delta_omega_ac=3.0)
@@ -309,40 +315,69 @@ class TestChiMainsAboveRabi:
         assert hi > lo > 0.0
 
 
-class TestChiQuadratureFailure:
-    MODEL = NoiseModel(h_a=1e-8, h_b=1e-12, h_peak=1e-6, omega_0=1.0,
-                       omega_ac=377.0, delta_omega_ac=3.0)
-    PARAMS = TransitionNoiseParams(kappa=1.0, tau_pi=20e-6)
+def log_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda u: 10.0**u)
 
-    def test_integration_warning_names_interval(self, monkeypatch):
-        real_quad = integrate.quad
-        calls = []
 
-        def quad(func, a, b, **kw):
-            calls.append((a, b))
-            if len(calls) == 3:
-                warnings.warn("roundoff error is detected", integrate.IntegrationWarning)
-            return real_quad(func, a, b, **kw)
+CHI_LAYOUTS = [
+    "peak below Omega",
+    "peak above Omega",
+    "Omega inside peak",
+    "omega_0 above peak",
+    "omega_0 inside peak",
+]
 
-        monkeypatch.setattr(integrate, "quad", quad)
-        with pytest.raises(QuadratureError) as exc:
-            chi_numeric(self.MODEL, self.PARAMS)
-        lo, hi = calls[-1]
-        assert len(calls) == 3 and lo > 0.0
-        assert re.search(re.escape(f"did not converge on [{lo:g}, {hi:g}] rad/s"), str(exc.value))
-        assert isinstance(exc.value.__cause__, integrate.IntegrationWarning)
 
-    def test_large_error_estimate_is_inaccurate(self, monkeypatch):
-        real_quad = integrate.quad
+@st.composite
+def chi_cases(draw, layout, white):
+    """A model and pulse whose cutoff, mains peak and Rabi frequency Omega
+    sit in the given order; h_b = 0 unless white."""
+    big_omega = draw(log_uniform(2.0, 6.0))
+    if layout == "peak above Omega":
+        omega_ac = big_omega * draw(log_uniform(0.1, 3.0))
+    elif layout == "Omega inside peak":
+        omega_ac = big_omega * draw(log_uniform(-1e-3, 1e-3))
+    else:
+        omega_ac = big_omega * draw(log_uniform(-3.0, -0.1))
+    d_ac = omega_ac * draw(log_uniform(-2.0, -0.5))
+    if layout == "omega_0 above peak":
+        omega_0 = (omega_ac + d_ac / 2) * draw(log_uniform(0.01, 2.0))
+    elif layout == "omega_0 inside peak":
+        omega_0 = omega_ac + d_ac * draw(st.floats(-0.49, 0.49))
+    else:
+        omega_0 = min(omega_ac - d_ac / 2, big_omega) * draw(log_uniform(-4.0, -0.01))
+    h_a = draw(log_uniform(-8.0, -4.0))
+    model = NoiseModel(
+        h_a=h_a,
+        h_b=h_a / big_omega * draw(log_uniform(-2.0, 2.0)) if white else 0.0,
+        h_peak=draw(log_uniform(-8.0, -4.0)),
+        omega_0=omega_0,
+        omega_ac=omega_ac,
+        delta_omega_ac=d_ac,
+    )
+    return model, TransitionNoiseParams(kappa=draw(st.floats(0.1, 3.0)), tau_pi=math.pi / big_omega)
 
-        def quad(func, a, b, **kw):
-            val, _ = real_quad(func, a, b, **kw)
-            return val, abs(val)
 
-        monkeypatch.setattr(integrate, "quad", quad)
-        with pytest.raises(QuadratureError, match="chi quadrature inaccurate"):
-            chi_numeric(self.MODEL, self.PARAMS)
+@pytest.mark.parametrize("white", [True, False], ids=["white", "h_b=0"])
+@pytest.mark.parametrize("layout", CHI_LAYOUTS)
+def test_chi_matches_quadrature_property(layout, white):
+    @settings(derandomize=True, deadline=None, database=None, max_examples=25)
+    @given(chi_cases(layout, white))
+    def check(case):
+        model, params = case
+        want = oracle_chi_quad(model, params)
+        assert chi_numeric(model, params) == pytest.approx(want, rel=1e-12, abs=0.0)
 
-    def test_unpatched_quadrature_passes(self):
-        # the same inputs converge, so the failures above come from the patches
-        assert chi_numeric(self.MODEL, self.PARAMS) > 0.0
+    check()
+
+
+@pytest.mark.parametrize("cls, name", [
+    pytest.param(cls, f.name, id=f"{cls.__name__}.{f.name}")
+    for cls in (NoiseModel, TransitionNoiseParams)
+    for f in fields(cls)
+])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_field_is_named(cls, name, value):
+    base = {"kappa": 1.0, "tau_pi": 20e-6} if cls is TransitionNoiseParams else {}
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
+        cls(**{**base, name: value})
