@@ -8,7 +8,9 @@ The Hamiltonian is built in the |m_I, m_J> product basis, in MHz:
 
 with mu_B/h = ``MU_B_OVER_H``, the one physical constant the structure uses.
 
-It conserves m = m_I + m_J, so each m block is diagonalized independently.
+It conserves m = m_I + m_J, so each m block is diagonalized independently:
+all requested fields in one stacked eigendecomposition per block, from one
+cached per-level table of everything that does not depend on the field.
 Eigenstates are labeled |F~, m_F~> by energy rank: levels of one block
 cannot cross (von Neumann-Wigner), so the k-th lowest eigenvalue of a block
 carries the k-th lowest closed-form E(F) of that block at every field.  A
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
@@ -126,57 +128,64 @@ class StateRef(NamedTuple):
 def _spin_matrices(twice_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(jz, jp, jm) for spin j = twice_j/2, basis m = -j..j ascending."""
     j = twice_j / 2.0
-    dim = twice_j + 1
     ms = np.arange(-twice_j, twice_j + 1, 2) / 2.0
-    jz = np.diag(ms)
-    jp = np.zeros((dim, dim))
-    for i in range(dim - 1):
-        m = ms[i]
-        jp[i + 1, i] = np.sqrt(j * (j + 1) - m * (m + 1))
-    return jz, jp, jp.T
+    jp = np.diag(np.sqrt(j * (j + 1) - ms[:-1] * (ms[:-1] + 1)), -1)
+    return np.diag(ms), jp, jp.T
+
+
+class _Table(NamedTuple):
+    """The field-independent facts of one level."""
+
+    basis: tuple[tuple[int, int], ...]  # (2 m_I, 2 m_J); index = i_I * dim_J + i_J
+    h0: np.ndarray  # field-free Hamiltonian over the product basis, MHz
+    moment: np.ndarray  # g_J m_J + g_I m_I: dH/dB in units of mu_B/h
+    labels: tuple[tuple[HalfInt, HalfInt], ...]  # (F, m_F) by row: F up, m_F down
+    row: dict  # (2F, 2m_F) -> row
+    u: np.ndarray  # U[basis index, row] = <I m_I; J m_J | F m_F>
+    e_f: np.ndarray  # closed-form E(F) by row
+    off_block: np.ndarray  # [row, row']: True where the two m_F differ
+    # per m block, m ascending: (product-basis indices, label rows by ascending
+    # closed-form E(F), the block of h0, the block's moment as a diagonal matrix)
+    blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
 
 
 @lru_cache(maxsize=32)
-def _basis(level: LevelConstants) -> tuple[tuple[int, int], ...]:
-    """Product basis as (2*m_I, 2*m_J) pairs; index = i_I * dim_J + i_J."""
-    tmis = range(-level.I.twice, level.I.twice + 1, 2)
-    tmjs = list(range(-level.J.twice, level.J.twice + 1, 2))
-    return tuple((tmi, tmj) for tmi in tmis for tmj in tmjs)
-
-
-@lru_cache(maxsize=32)
-def _hyperfine_parts(level: LevelConstants) -> tuple[np.ndarray, np.ndarray]:
-    """(I.J matrix, quadrupole matrix without B_Q) in the product basis."""
+def _table(level: LevelConstants) -> _Table:
+    basis = tuple((tmi, tmj) for tmi in range(-level.I.twice, level.I.twice + 1, 2)
+                  for tmj in range(-level.J.twice, level.J.twice + 1, 2))
     iz, ip, im = _spin_matrices(level.I.twice)
     jz, jp, jm = _spin_matrices(level.J.twice)
-    idot = (
-        np.kron(iz, jz)
-        + 0.5 * (np.kron(ip, jm) + np.kron(im, jp))
-    )
-    if level.B_Q == 0.0 or level.I.twice < 2 or level.J.twice < 2:
-        quad = np.zeros_like(idot)
-    else:
-        I, J = float(level.I), float(level.J)
-        num = 3.0 * (idot @ idot) + 1.5 * idot - I * (I + 1) * J * (J + 1) * np.eye(level.dim)
-        quad = num / (2.0 * I * (2 * I - 1) * J * (2 * J - 1))
-    return idot, quad
-
-
-def _moment(level: LevelConstants) -> np.ndarray:
-    """g_J m_J + g_I m_I over the product basis: dH/dB in units of mu_B/h."""
-    tmi = np.array([p[0] for p in _basis(level)]) / 2.0
-    tmj = np.array([p[1] for p in _basis(level)]) / 2.0
-    return level.g_J * tmj + level.g_I * tmi
+    idot = np.kron(iz, jz) + 0.5 * (np.kron(ip, jm) + np.kron(im, jp))
+    I, J = float(level.I), float(level.J)
+    quad = 0.0 if level.B_Q == 0.0 else (  # B_Q != 0 only where I, J >= 1
+        3.0 * (idot @ idot) + 1.5 * idot - I * (I + 1) * J * (J + 1) * np.eye(level.dim)
+    ) / (2.0 * I * (2 * I - 1) * J * (2 * J - 1))
+    h0 = level.A_D * idot + level.B_Q * quad
+    tmi, tmj = np.array(basis).T
+    moment = level.g_J * (tmj / 2.0) + level.g_I * (tmi / 2.0)
+    keys = [(F.twice, tm) for F in level.f_values() for tm in range(F.twice, -F.twice - 1, -2)]
+    u = np.array([[
+        clebsch_gordan(level.I, HalfInt(ti), level.J, HalfInt(tj), HalfInt(tf), HalfInt(tmf))
+        if ti + tj == tmf else 0.0 for tf, tmf in keys
+    ] for ti, tj in basis])
+    e_f = np.array([zero_field_energy(level, HalfInt(tf)) for tf, _ in keys])
+    tm, tm_f = tmi + tmj, np.array([tmf for _, tmf in keys])
+    blocks = []
+    for m in sorted(set(tm.tolist())):
+        idx = np.flatnonzero(tm == m)
+        rows = np.array(sorted(np.flatnonzero(tm_f == m), key=lambda k: e_f[k]))
+        blocks.append((idx, rows, h0[np.ix_(idx, idx)], np.diag(moment[idx])))
+    labels = tuple((HalfInt(tf), HalfInt(tmf)) for tf, tmf in keys)
+    row = {key: k for k, key in enumerate(keys)}
+    off_block = np.not_equal.outer(tm_f, tm_f)
+    return _Table(basis, h0, moment, labels, row, u, e_f, off_block, tuple(blocks))
 
 
 def build_hamiltonian(level: LevelConstants, B: float) -> np.ndarray:
     """Hamiltonian matrix in MHz over the |m_I, m_J> basis at field B (gauss)."""
     if not 0.0 <= B < math.inf:
         raise ValueError(f"B must be finite and nonnegative, got {B}")
-    idot, quad = _hyperfine_parts(level)
-    h = level.A_D * idot + level.B_Q * quad
-    zeeman = B * MU_B_OVER_H * _moment(level)
-    return h + np.diag(zeeman)
+    return _table(level).h0 + np.diag(B * MU_B_OVER_H * _table(level).moment)
 
 
 def zero_field_energy(level: LevelConstants, F) -> float:
@@ -223,35 +232,15 @@ class LabeledEigenstate:
 
     def f_component(self, F, m) -> float:
         """Amplitude on the zero-field state |F, m_F=m>."""
-        key = (HalfInt.coerce(F).twice, HalfInt.coerce(m).twice)
-        if key not in _f_basis(self.level):
-            raise KeyError(f"no |F={F}, m={m}> state in {self.level.name}")
-        return float(self.amp_FmF[_f_basis(self.level).index(key)])
+        return float(self.amp_FmF[_row(self.level, F, m)])
 
 
-@lru_cache(maxsize=32)
-def _f_basis(level: LevelConstants) -> tuple[tuple[int, int], ...]:
-    out = []
-    for F in level.f_values():
-        for tm in range(F.twice, -F.twice - 1, -2):
-            out.append((F.twice, tm))
-    return tuple(out)
-
-
-@lru_cache(maxsize=32)
-def _f_transform(level: LevelConstants) -> np.ndarray:
-    """U[(mI,mJ) index, (F,mF) index] = <I mI; J mJ | F mF>."""
-    basis = _basis(level)
-    fbasis = _f_basis(level)
-    u = np.zeros((len(basis), len(fbasis)))
-    for a, (tmi, tmj) in enumerate(basis):
-        for b, (tf, tmf) in enumerate(fbasis):
-            if tmi + tmj != tmf:
-                continue
-            u[a, b] = clebsch_gordan(
-                level.I, HalfInt(tmi), level.J, HalfInt(tmj), HalfInt(tf), HalfInt(tmf)
-            )
-    return u
+def _row(level: LevelConstants, F, m) -> int:
+    """Row of the label |F, m_F> (or |F~, m_F~>) in the level's table."""
+    F, m = HalfInt.coerce(F), HalfInt.coerce(m)
+    if (F.twice, m.twice) not in _table(level).row:
+        raise KeyError(f"no state |F={F}, m={m}> in {level.name}")
+    return _table(level).row[F.twice, m.twice]
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,116 +256,89 @@ class EigenSystem:
     level: LevelConstants
     B: float
     states: tuple[LabeledEigenstate, ...]
-    _index: dict = field(repr=False, compare=False, default_factory=dict)
-
-    def __post_init__(self):
-        for k, s in enumerate(self.states):
-            self._index[(s.F_tilde.twice, s.m_F_tilde.twice)] = k
 
     def state(self, F, m) -> LabeledEigenstate:
-        key = (HalfInt.coerce(F).twice, HalfInt.coerce(m).twice)
-        try:
-            return self.states[self._index[key]]
-        except KeyError:
-            raise KeyError(
-                f"no state |F~={HalfInt(key[0])}, m={HalfInt(key[1])}> in {self.level.name}"
-            ) from None
+        return self.states[_row(self.level, F, m)]
 
     def __iter__(self):
         return iter(self.states)
 
 
-@lru_cache(maxsize=32)
-def _blocks(level: LevelConstants) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Per m block, m ascending: (product-basis indices, ``_f_basis``
-    positions of the block's labels by ascending closed-form E(F))."""
-    tm = np.array([a + b for a, b in _basis(level)])
-    fbasis = _f_basis(level)
-    return tuple(
-        (
-            np.where(tm == m)[0],
-            np.array(sorted(
-                (k for k, (_, tmf) in enumerate(fbasis) if tmf == m),
-                key=lambda k: zero_field_energy(level, HalfInt(fbasis[k][0])),
-            )),
-        )
-        for m in sorted(set(tm.tolist()))
-    )
-
-
-def _solve(level: LevelConstants, B: float) -> EigenSystem:
-    """Rank-labeled eigensystem at B; at B = 0 the energies are the
-    closed-form E(F), after a check that the eigenvalues match them."""
-    h = build_hamiltonian(level, B)
-    fbasis = _f_basis(level)
-    # row k of each array belongs to the label fbasis[k]
-    energies = np.empty(level.dim)
-    amps = np.zeros((level.dim, level.dim))
-    for idx, labels in _blocks(level):
-        w, v = np.linalg.eigh(h[np.ix_(idx, idx)])
-        gap = np.min(np.diff(w), initial=np.inf)
-        if gap < _GAP_MIN:
+def _solve(level: LevelConstants, bs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(energies, amp_mImJ, amp_FmF) at every field of ``bs``, of shapes
+    (n, dim), (n, dim, dim) and (n, dim, dim); row k of a field belongs to
+    the label ``_table(level).labels[k]``, its rank in its m block."""
+    t = _table(level)
+    for b in bs:
+        if not 0.0 <= b < math.inf:
+            raise ValueError(f"B must be finite and nonnegative, got {b}")
+    # + 0.0 makes a field of -0.0 the zero field
+    zeeman = (np.array(bs, dtype=float) + 0.0)[:, None, None] * MU_B_OVER_H
+    n = len(zeeman)
+    energies = np.empty((n, level.dim))
+    amps = np.zeros((n, level.dim, level.dim))
+    for idx, rows, h0, moment in t.blocks:
+        # entry for entry build_hamiltonian's h0 + diag(B mu_B/h moment)
+        w, v = np.linalg.eigh(h0 + zeeman * moment)
+        gap = np.diff(w).min(axis=-1, initial=np.inf)  # per field
+        if gap.min(initial=np.inf) < _GAP_MIN:
+            j = np.argmax(gap < _GAP_MIN)
             raise LabelingError(
-                f"{level.name}, m={HalfInt(fbasis[labels[0]][1])}: in-block gap {gap:.3e} MHz "
-                f"at B = {B} G is below {_GAP_MIN} MHz, so rank labels are ambiguous"
+                f"{level.name}, m={t.labels[rows[0]][1]}: in-block gap {gap[j]:.3e} MHz "
+                f"at B = {bs[j]} G is below {_GAP_MIN} MHz, so rank labels are ambiguous"
             )
-        if B == 0.0:
-            closed = [zero_field_energy(level, HalfInt(fbasis[k][0])) for k in labels]
-            for k, e, c in zip(labels, w, closed):
-                if abs(e - c) > _GAP_MIN:
-                    raise LabelingError(
-                        f"{level.name}: zero-field eigenvalue {e:.9f} MHz does not match "
-                        f"the closed-form E(F={HalfInt(fbasis[k][0])}) = {c:.9f} MHz"
-                    )
-            w = closed
-        energies[labels] = w
-        amps[labels[:, None], idx] = v.T
-    u = _f_transform(level)
-    amp_f = np.array([u.T @ vec for vec in amps])
-    flip = amp_f[np.arange(level.dim), np.argmax(np.abs(amp_f), axis=1)] < 0
+        energies[:, rows] = w
+        amps[:, rows[:, None], idx] = v.transpose(0, 2, 1)
+    # not amps @ u: only the batched matrix-vector form is bit-equal to U.T @ vec
+    amp_f = np.matmul(t.u.T, amps[..., None])[..., 0]
+    mag = np.abs(amp_f)
+    flip = amp_f[np.arange(n)[:, None], np.arange(level.dim), mag.argmax(axis=-1)] < 0
     amps[flip] *= -1.0
     amp_f[flip] *= -1.0
-    # sanity: the F-basis amplitudes must respect m conservation exactly
-    tm_f = np.array([tm for _, tm in fbasis])
-    if np.any(amp_f[np.not_equal.outer(tm_f, tm_f)]):
+    mag *= t.off_block  # the F-basis amplitudes must respect m conservation exactly
+    if mag.any():
         raise LabelingError("m_F component leaked outside the m block")
-    states = tuple(
-        LabeledEigenstate(
-            level=level,
-            F_tilde=HalfInt(tf),
-            m_F_tilde=HalfInt(tm),
-            energy=float(energies[k]),
-            B=B,
-            amp_mImJ=amps[k],
-            amp_FmF=amp_f[k],
-        )
-        for k, (tf, tm) in enumerate(fbasis)
-    )
-    return EigenSystem(level=level, B=B, states=states)
+    return energies, amps, amp_f
 
 
 @lru_cache(maxsize=32)
-def _zero_field_system(level: LevelConstants) -> EigenSystem:
-    """Eigensystem at B = 0, whose solve checks the rank order every field inherits."""
-    return _solve(level, 0.0)
+def _check_zero_field(level: LevelConstants) -> None:
+    """Check that the zero-field eigenvalues match the closed-form E(F): the
+    rank order every field inherits."""
+    t = _table(level)
+    e0 = _solve(level, [0.0])[0][0]
+    k = np.argmax(np.abs(e0 - t.e_f))
+    if abs(e0[k] - t.e_f[k]) > _GAP_MIN:
+        raise LabelingError(f"{level.name}: zero-field eigenvalue {e0[k]:.9f} MHz does not "
+                            f"match the closed-form E(F={t.labels[k][0]}) = {t.e_f[k]:.9f} MHz")
 
 
 def diagonalize_range(level: LevelConstants, b_values: Sequence[float]) -> list[EigenSystem]:
     """Labeled eigensystems at every requested field, in the given order.
 
-    Each field is solved on its own: one eigendecomposition per m block,
-    labeled by energy rank.  Repeated fields share one EigenSystem.
+    The distinct fields are solved together: one stacked eigendecomposition
+    per m block, labeled by energy rank.  At B = 0 the energies are the
+    closed-form E(F).  Repeated fields share one EigenSystem.
     """
-    bs = [float(b) for b in b_values]
-    systems = {0.0: _zero_field_system(level)}
-    for b in bs:
-        if b not in systems:
-            systems[b] = _solve(level, b)
+    bs = [float(b) + 0.0 for b in b_values]  # + 0.0: a field of -0.0 is the zero field
+    _check_zero_field(level)
+    t = _table(level)
+    new = list(dict.fromkeys(bs))
+    energies, amps, amp_f = _solve(level, new)
+    if 0.0 in new:
+        energies[new.index(0.0)] = t.e_f
+    systems = {
+        b: EigenSystem(level, b, tuple(
+            LabeledEigenstate(level, F, m, e, b, a[k], f[k])
+            for k, ((F, m), e) in enumerate(zip(t.labels, es.tolist()))
+        ))
+        for b, es, a, f in zip(new, energies, amps, amp_f)
+    }
     return [systems[b] for b in bs]
 
 
-# a miss costs one field's eigendecompositions (about a millisecond), so the
-# cache only needs to hold the fields one computation revisits
+# a miss costs one field's eigendecompositions (0.1-0.3 ms), so the cache
+# only needs to hold the fields one computation revisits
 @lru_cache(maxsize=256)
 def _diag_cached(level: LevelConstants, B: float) -> EigenSystem:
     return diagonalize_range(level, [B])[0]
@@ -407,22 +369,14 @@ def decomposition_scan(
     Identically-zero components (everything with m_F != m_F~, plus any
     accidental zeros) are omitted.
     """
-    F = HalfInt.coerce(F)
-    m = HalfInt.coerce(m)
-    systems = diagonalize_range(level, list(b_values))
-    systems[0].state(F, m)  # raises KeyError early on an unknown label
-    fbasis = _f_basis(level)
-    amps = np.array([sys.state(F, m).amp_FmF for sys in systems])
-    keep = np.where(np.max(np.abs(amps), axis=0) > 1e-12)[0]
-    comps = tuple((HalfInt(fbasis[i][0]), HalfInt(fbasis[i][1])) for i in keep)
-    return DecompositionScan(
-        level=level,
-        F_tilde=F,
-        m_F_tilde=m,
-        b_values=np.asarray(list(b_values), dtype=float),
-        components=comps,
-        amplitudes=amps[:, keep],
-    )
+    F, m = HalfInt.coerce(F), HalfInt.coerce(m)
+    k = _row(level, F, m)
+    _check_zero_field(level)
+    bs = np.asarray(list(b_values), dtype=float)
+    amps = _solve(level, bs)[2][:, k]
+    keep = np.flatnonzero(np.max(np.abs(amps), axis=0) > 1e-12)
+    comps = tuple(_table(level).labels[i] for i in keep)
+    return DecompositionScan(level, F, m, bs, comps, amps[:, keep])
 
 
 def transition_frequency(ground: LabeledEigenstate, excited: LabeledEigenstate) -> float:
@@ -452,7 +406,7 @@ def field_sensitivity(ground: StateRef, excited: StateRef, B: float) -> float:
 
     def slope(ref: StateRef) -> float:
         state = diagonalize(ref.level, B).state(ref.F, ref.m)
-        return MU_B_OVER_H * float(state.amp_mImJ**2 @ _moment(ref.level))
+        return MU_B_OVER_H * float(state.amp_mImJ**2 @ _table(ref.level).moment)
 
     return slope(excited) - slope(ground)
 

@@ -21,8 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from . import atomstruct, calib, fixtures, noise, spam, transitions
+from .angmom import HalfInt
 from .atomstruct import BA137_D52, BA137_S12, StateRef
-from .fixtures import TableError, _number, _read_csv, _write_json
+from .fixtures import _NUMBER, TableError, _json, _number, _read_csv, _write_json
 
 LEVELS = {"6S1/2": BA137_S12, "5D5/2": BA137_D52}
 
@@ -37,22 +38,32 @@ class CliError(Exception):
     pass
 
 
+# every config key, with the kind of JSON value it takes
+_CONFIG_KINDS = {
+    **dict.fromkeys(("shots", "seed", "sessions"), int),
+    **dict.fromkeys(("b_range", "level", "mode", "errors"), str),
+    "f": _NUMBER + (str,), "m": _NUMBER + (str,),
+    **dict.fromkeys(("b_gauss", "phi_deg", "gamma_deg", "threshold", "b_mark", "b_center",
+                     "drift", "fluorescence_ms", "awg_ms", "optical_pump_ms"), _NUMBER),
+}
+
+
 def _load_config(path):
     if path is None:
         return {}
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            cfg = _json(json.load(fh), dict)
+    except (OSError, json.JSONDecodeError, TypeError) as exc:
         raise CliError(f"cannot read config {path}: {exc}")
-    unknown = set(cfg) - {
-        "b_gauss", "phi_deg", "gamma_deg", "threshold",
-        "shots", "seed", "mode", "errors", "level", "b_range", "b_mark",
-        "f", "m", "b_center", "drift", "sessions", "fluorescence_ms",
-        "awg_ms", "optical_pump_ms",
-    }
+    unknown = set(cfg) - set(_CONFIG_KINDS)
     if unknown:
         raise CliError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in cfg.items():
+        try:
+            _json(value, _CONFIG_KINDS[key])
+        except TypeError as exc:
+            raise CliError(f"config {path}: {key}: {exc}") from None
     return cfg
 
 
@@ -72,6 +83,14 @@ def _finite(value, flag, nonnegative=False):
         kind = "finite, nonnegative" if nonnegative else "finite"
         raise CliError(f"{flag} must be a {kind} number, got {value!r}")
     return x
+
+
+def _half_int(value, flag):
+    """A state label, given by flag or config, as a half-integer."""
+    try:
+        return HalfInt.coerce(float(value))
+    except (TypeError, ValueError, OverflowError):
+        raise CliError(f"eigenstates needs {flag} as a half-integer, got {value!r}") from None
 
 
 def _parse_b_range(text):
@@ -137,13 +156,11 @@ def cmd_eigenstates(args, cfg):
     level_name = _resolve(args, cfg, "level", "5D5/2")
     if level_name not in LEVELS:
         raise CliError(f"unknown level {level_name!r}")
-    f_val = _resolve(args, cfg, "f")
-    m_val = _resolve(args, cfg, "m")
-    if f_val is None or m_val is None:
-        raise CliError("eigenstates needs --f-tilde and --m-tilde")
+    f_val, m_val = _resolve(args, cfg, "f"), _resolve(args, cfg, "m")
+    f, m = _half_int(f_val, "--f-tilde"), _half_int(m_val, "--m-tilde")
     bs = _parse_b_range(_resolve(args, cfg, "b_range", "0:10:0.05"))
     try:
-        scan = atomstruct.decomposition_scan(LEVELS[level_name], float(f_val), float(m_val), bs)
+        scan = atomstruct.decomposition_scan(LEVELS[level_name], f, m, bs)
     except KeyError as exc:
         raise CliError(str(exc))
     out = _outdir(args) / f"eigenstate_{level_name.replace('/', '')}_F{f_val}_m{m_val}.csv"
@@ -218,10 +235,10 @@ def cmd_spam(args, cfg):
         return [outdir / "spam_analysis.json"]
 
     encoding = spam.paper13_encoding()
-    shots = int(_resolve(args, cfg, "shots", 1000))
+    shots = _resolve(args, cfg, "shots", 1000)
     if shots < 1:
         raise CliError(f"--shots must be at least 1, got {shots}")
-    seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
+    seed = _resolve(args, cfg, "seed", 0)
     mode = _resolve(args, cfg, "mode", "first-bright")
     if mode not in spam.MODES:
         raise CliError(f"unknown mode {mode!r}; pick from {list(spam.MODES)}")
@@ -415,14 +432,14 @@ def cmd_calibrate_demo(args, cfg):
     """Synthetic end-to-end run of the documented calibration procedure:
     coarse/fine scans at drifted fields, Lorentzian centers, linear model."""
     outdir = _outdir(args)
-    seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
+    seed = _resolve(args, cfg, "seed", 0)
     b_center = _finite(
         _resolve(args, cfg, "b_center", _B_EXPERIMENT), "--b-center", nonnegative=True
     )
     drift = _finite(_resolve(args, cfg, "drift", 0.02), "--drift", nonnegative=True)
     if drift == 0.0:
         raise CliError("--drift must be positive: sessions at one field cannot calibrate")
-    sessions = int(_resolve(args, cfg, "sessions", 5))
+    sessions = _resolve(args, cfg, "sessions", 5)
     if sessions < 2:
         raise CliError(f"--sessions must be at least 2 for the linear calibration, got {sessions}")
     rng = np.random.default_rng(seed)

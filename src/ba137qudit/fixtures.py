@@ -18,7 +18,8 @@ be supplied to every loader, which the command line exposes as
 no data rows, a row whose width differs from its header's, a missing
 column, or a cell that is not a finite number where one is expected
 raises TableError naming the file and the line or column.  Every JSON
-file the package writes goes through ``_write_json``.
+file the package writes goes through ``_write_json``, and every value it
+reads from a JSON file is checked by ``_json``.
 """
 
 from __future__ import annotations
@@ -96,6 +97,19 @@ def _read_csv(path, parse) -> tuple[list[str], list]:
     if not rows:
         raise TableError(f"{path}: no data rows")
     return header, rows
+
+
+# what a message calls each kind of JSON value the package reads
+_NUMBER = (int, float)
+_JSON_KINDS = {dict: "an object", str: "a string", int: "an integer", _NUMBER: "a number",
+               _NUMBER + (str,): "a number or a string"}
+
+
+def _json(x, kind):
+    """x, if it is a JSON value of the given kind (true and false are not numbers)."""
+    if isinstance(x, bool) or not isinstance(x, kind):
+        raise TypeError(f"expected {_JSON_KINDS[kind]}, got {x!r}")
+    return x
 
 
 def _write_json(path, doc) -> None:

@@ -36,7 +36,9 @@ import numpy as np
 
 from .angmom import HalfInt
 from .fixtures import (
+    _NUMBER,
     TableError,
+    _json,
     _labeled_numbers,
     _read_csv,
     _write_json,
@@ -423,18 +425,6 @@ def error_params_to_json(path, errors: ErrorParams) -> None:
 def _parse_pair(key: str) -> tuple[AtomicState, AtomicState]:
     a, _, b = key.partition("->")
     return parse_atomic_state(a), parse_atomic_state(b)
-
-
-# what a message calls each JSON value type an ErrorParams file holds
-_NUMBER = (int, float)
-_JSON_KINDS = {dict: "an object", str: "a string", _NUMBER: "a number"}
-
-
-def _json(x, kind):
-    """x, if it is a JSON value of the given kind (true and false are not numbers)."""
-    if isinstance(x, bool) or not isinstance(x, kind):
-        raise TypeError(f"expected {_JSON_KINDS[kind]}, got {x!r}")
-    return x
 
 
 def error_params_from_json(path) -> ErrorParams:

@@ -27,6 +27,7 @@ from .atomstruct import (
     FieldMismatchError,
     LabeledEigenstate,
     LevelConstants,
+    _table,
     diagonalize,
 )
 from .fixtures import _write_json
@@ -104,10 +105,8 @@ def _coupling_matrix(
     ground_level: LevelConstants, excited_level: LevelConstants, twice_q: int
 ) -> np.ndarray:
     """Q[excited index, ground index] = delta_{m_I} <J_S m_J; 2 q | J_D m_J+q>."""
-    from .atomstruct import _basis
-
-    gb = _basis(ground_level)
-    eb = _basis(excited_level)
+    gb = _table(ground_level).basis
+    eb = _table(excited_level).basis
     out = np.zeros((len(eb), len(gb)))
     for a, (tmi_g, tmj_g) in enumerate(gb):
         for b, (tmi_e, tmj_e) in enumerate(eb):

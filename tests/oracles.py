@@ -12,6 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, optimize
 
+from ba137qudit.angmom import HalfInt, clebsch_gordan
+from ba137qudit.atomstruct import LabelingError, build_hamiltonian, zero_field_energy
 from ba137qudit.spam import AtomicState, PulseStep, build_measurement_sequence
 
 
@@ -151,6 +153,63 @@ def oracle_walk_energies(I, J, A, B_Q, g_J, g_I, mu_B_over_h, b_values, step=0.0
         b_cur = b
         out[b] = {(F, m): e for m, states in labels.items() for F, _, e in states}
     return [out[float(b)] for b in b_values]
+
+
+def oracle_solve_field(level, B):
+    """(energies, amp_mImJ, amp_FmF) of one level at one field, one field at
+    a time, as rows by label: F ascending, m_F descending.
+
+    Per m block: one eigh of the block of ``build_hamiltonian``, a gap
+    guard, and rank labels by ascending closed-form E(F); at B = 0 the
+    closed-form E(F) replace the eigenvalues once they match.  Then, per
+    vector, the F-basis amplitudes U.T @ vec, the sign rule (largest |F, m_F>
+    amplitude positive) and the m-conservation check.  Raises
+    ``LabelingError`` where the package must.  This is the per-field solve
+    the stacked solve replaced; it must agree with it bit for bit.
+    """
+    gap_min = 1e-6
+    h = build_hamiltonian(level, B)
+    basis = [
+        (tmi, tmj)
+        for tmi in range(-level.I.twice, level.I.twice + 1, 2)
+        for tmj in range(-level.J.twice, level.J.twice + 1, 2)
+    ]
+    fbasis = [(F.twice, tm) for F in level.f_values() for tm in range(F.twice, -F.twice - 1, -2)]
+    u = np.zeros((len(basis), len(fbasis)))
+    for a, (tmi, tmj) in enumerate(basis):
+        for b, (tf, tmf) in enumerate(fbasis):
+            if tmi + tmj == tmf:
+                u[a, b] = clebsch_gordan(
+                    level.I, HalfInt(tmi), level.J, HalfInt(tmj), HalfInt(tf), HalfInt(tmf)
+                )
+    energy_f = {tf: zero_field_energy(level, HalfInt(tf)) for tf, _ in fbasis}
+    tm = np.array([a + b for a, b in basis])
+    energies = np.empty(level.dim)
+    amps = np.zeros((level.dim, level.dim))
+    for m in sorted(set(tm.tolist())):
+        idx = np.where(tm == m)[0]
+        labels = np.array(sorted(
+            (k for k, (_, tmf) in enumerate(fbasis) if tmf == m),
+            key=lambda k: energy_f[fbasis[k][0]],
+        ))
+        w, v = np.linalg.eigh(h[np.ix_(idx, idx)])
+        if np.min(np.diff(w), initial=np.inf) < gap_min:
+            raise LabelingError(f"in-block gap below {gap_min} MHz at B = {B} G, m = {m}/2")
+        if B == 0.0:
+            closed = [energy_f[fbasis[k][0]] for k in labels]
+            if any(abs(e - c) > gap_min for e, c in zip(w, closed)):
+                raise LabelingError("zero-field eigenvalues differ from the closed-form E(F)")
+            w = closed
+        energies[labels] = w
+        amps[labels[:, None], idx] = v.T
+    amp_f = np.array([u.T @ vec for vec in amps])
+    flip = amp_f[np.arange(level.dim), np.argmax(np.abs(amp_f), axis=1)] < 0
+    amps[flip] *= -1.0
+    amp_f[flip] *= -1.0
+    tm_f = np.array([tmf for _, tmf in fbasis])
+    if np.any(amp_f[np.not_equal.outer(tm_f, tm_f)]):
+        raise LabelingError("m_F component leaked outside the m block")
+    return energies, amps, amp_f
 
 
 # Shelving SPAM: per-shot references for the forward-evaluated outcome model.

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ba137qudit import atomstruct
 from ba137qudit.angmom import HalfInt
@@ -22,16 +23,24 @@ from ba137qudit.atomstruct import (
     zero_field_energy,
 )
 
-from oracles import oracle_walk_energies
+from oracles import oracle_solve_field, oracle_walk_energies
 
 
 def _f_squared(level):
-    """(I+J)^2 matrix built from scratch, as an independent symmetry probe."""
-    from ba137qudit.atomstruct import _hyperfine_parts
-
-    idot, _ = _hyperfine_parts(level)
+    """(I+J)^2 matrix built from scratch over the table's product basis, as
+    an independent symmetry probe."""
+    basis = atomstruct._table(level).basis
     I, J = float(level.I), float(level.J)
-    return (I * (I + 1) + J * (J + 1)) * np.eye(level.dim) + 2.0 * idot
+    f2 = (I * (I + 1) + J * (J + 1)) * np.eye(level.dim)
+    for a, (tmi, tmj) in enumerate(basis):
+        mi, mj = tmi / 2, tmj / 2
+        f2[a, a] += 2.0 * mi * mj
+        if (tmi + 2, tmj - 2) in basis:  # I+ J- and its transpose I- J+
+            b = basis.index((tmi + 2, tmj - 2))
+            f2[b, a] = f2[a, b] = np.sqrt(I * (I + 1) - mi * (mi + 1)) * np.sqrt(
+                J * (J + 1) - mj * (mj - 1)
+            )
+    return f2
 
 
 class TestLevelConstants:
@@ -58,7 +67,7 @@ class TestHamiltonian:
     def test_diagonal_zeeman_entry(self):
         level = LevelConstants("test", HalfInt(3), HalfInt(1), 0.0, 0.0, 2.0, 0.0)
         h = build_hamiltonian(level, 1.0)
-        basis_mj = [tmj / 2 for (_, tmj) in __import__("ba137qudit.atomstruct", fromlist=["_basis"])._basis(level)]
+        basis_mj = [tmj / 2 for (_, tmj) in atomstruct._table(level).basis]
         i = basis_mj.index(0.5)
         assert h[i, i] == pytest.approx(1.3996245, abs=1e-12)
 
@@ -71,11 +80,9 @@ class TestHamiltonian:
     @pytest.mark.parametrize("level", [BA137_S12, BA137_D52])
     @pytest.mark.parametrize("B", [0.0, 1.0, 8.35])
     def test_hermitian_and_block_structure(self, level, B):
-        from ba137qudit.atomstruct import _basis
-
         h = build_hamiltonian(level, B)
         assert np.array_equal(h, h.T)
-        tm = np.array([a + b for a, b in _basis(level)])
+        tm = np.array([a + b for a, b in atomstruct._table(level).basis])
         off_block = h[np.not_equal.outer(tm, tm)]
         assert np.all(off_block == 0.0)
 
@@ -300,3 +307,86 @@ class TestLabelingFailure:
         diagonalize_range(BA137_D52, [0.0])
         with pytest.raises(LabelingError, match="B = 0.05 G"):
             diagonalize_range(BA137_D52, [0.05])
+
+
+def _rows(systems):
+    """(energies, amp_mImJ, amp_FmF) stacked over fields, rows by label."""
+    return (
+        np.array([[s.energy for s in sys_] for sys_ in systems]),
+        np.array([[s.amp_mImJ for s in sys_] for sys_ in systems]),
+        np.array([[s.amp_FmF for s in sys_] for sys_ in systems]),
+    )
+
+
+def _identical(a, b):
+    """Equal bit for bit, the signs of zeros included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _oracle_rows(level, b_values):
+    return tuple(np.array(x) for x in zip(*(oracle_solve_field(level, b) for b in b_values)))
+
+
+class TestStackedSolve:
+    @pytest.mark.parametrize("level", [BA137_S12, BA137_D52])
+    def test_matches_per_field_oracle_bit_for_bit(self, level):
+        grid = [i * 0.05 for i in range(4001)]  # 0-200 G
+        got = _rows(diagonalize_range(level, grid))
+        for g, want in zip(got, _oracle_rows(level, grid)):
+            assert _identical(g, want)
+
+    def test_edge_requests(self):
+        assert diagonalize_range(BA137_D52, []) == []
+        systems = diagonalize_range(BA137_D52, [-0.0, 0.0, 3.0, 3.0])
+        assert systems[0] is systems[1]
+        assert systems[0].B == 0.0 and not np.signbit(systems[0].B)
+        assert systems[2] is systems[3]
+        with pytest.raises(ValueError):
+            diagonalize_range(BA137_S12, [1.0, -1.0])
+
+
+@st.composite
+def drawn_levels(draw, degenerate=False):
+    """A level with I, J up to 5/2 (both at least 1/2 if degenerate, with
+    A_D = B_Q = 0); B_Q only when I, J >= 1."""
+    low = 1 if degenerate else 0
+    I, J = draw(st.integers(low, 5)), draw(st.integers(low, 5))
+    coupling = st.floats(-5000.0, 5000.0, allow_nan=False)
+    a_d = 0.0 if degenerate else draw(coupling)
+    b_q = draw(coupling) if I >= 2 and J >= 2 and not degenerate else 0.0
+    g_j = draw(st.floats(-3.0, 3.0))
+    g_i = draw(st.floats(-0.01, 0.01))
+    return LevelConstants("drawn", HalfInt(I), HalfInt(J), a_d, b_q, g_j, g_i)
+
+
+field_stacks = st.lists(st.floats(0.0, 200.0), min_size=1, max_size=6)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(drawn_levels(), field_stacks)
+def test_rank_labels_property(level, b_values):
+    try:
+        want = _oracle_rows(level, [0.0, *b_values])
+    except LabelingError:
+        with pytest.raises(LabelingError):
+            diagonalize_range(level, b_values)
+        return
+    systems = diagonalize_range(level, b_values)
+    for g, w in zip(_rows(systems), want):
+        assert _identical(g, w[1:])
+    for sys_ in systems:  # in each m block energy order is closed-form E(F) order
+        for m in {s.m_F_tilde for s in sys_}:
+            block = sorted(
+                (s for s in sys_ if s.m_F_tilde == m),
+                key=lambda s: zero_field_energy(level, s.F_tilde),
+            )
+            assert all(a.energy < b.energy for a, b in zip(block, block[1:]))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=20)
+@given(drawn_levels(degenerate=True), field_stacks)
+def test_degenerate_level_fails_at_every_field(level, b_values):
+    for b in b_values:
+        with pytest.raises(LabelingError):
+            diagonalize_range(level, [b])

@@ -223,6 +223,8 @@ def test_bad_spam_input_exits_2(tmp_path, capsys, argv, config):
     (["budget", "--fluorescence-ms", "-5"], None, "--fluorescence-ms"),
     (["budget", "--optical-pump-ms", "inf"], None, "--optical-pump-ms"),
     (["budget"], {"awg_ms": -1.0}, "--awg-ms"),
+    (["eigenstates", "--f-tilde", "4.3", "--m-tilde", "1"], None, "--f-tilde"),
+    (["eigenstates"], {"f": 4, "m": "x"}, "--m-tilde"),
 ])
 def test_bad_numeric_flag_exits_2(tmp_path, capsys, argv, config, flag):
     prefix = ["--out", str(tmp_path)]
@@ -367,6 +369,22 @@ def test_bad_spam_errors_file_exits_2(tmp_path, capsys, text, key):
     err = capsys.readouterr().err
     assert f"{tmp_path / 'params.json'}: " in err and key in err
     assert not (tmp_path / "spam_raw.csv").exists()
+
+
+@pytest.mark.parametrize("command, config, key", [
+    ("spam", {"shots": 1.7}, "shots"),
+    ("spam", {"shots": True}, "shots"),
+    ("spam", {"seed": 1.5}, "seed"),
+    ("calibrate-demo", {"sessions": 2.9}, "sessions"),
+    ("levels", {"b_range": 5}, "b_range"),
+    ("spam", {"errors": 5}, "errors"),
+])
+def test_config_value_of_wrong_kind_exits_2(tmp_path, capsys, command, config, key):
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "--config", str(tmp_path / "cfg.json"), command]) == 2
+    assert f"{key}: expected" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestConfigPrecedence:
