@@ -28,7 +28,6 @@ from .atomstruct import (
     diagonalize_range,
     field_sensitivity,
     transition_frequency,
-    transition_frequency_at,
     zero_field_energy,
 )
 from .calib import (

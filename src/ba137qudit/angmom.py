@@ -37,7 +37,7 @@ class HalfInt:
         if isinstance(x, int):
             return cls(2 * x)
         doubled = 2 * float(x)
-        if doubled != round(doubled):
+        if not math.isfinite(doubled) or doubled != round(doubled):
             raise ValueError(f"{x!r} is not a half-integer")
         return cls(int(round(doubled)))
 

@@ -18,7 +18,9 @@ gap guard raises ``LabelingError`` when two eigenvalues of a block, at zero
 field or at the requested field, come closer than ``_GAP_MIN``.
 The hyperfine terms are traceless over the level, so energies come out
 relative to the level centroid, and ``transition_frequency`` gives
-splittings relative to the two level centroids.
+splittings relative to the two level centroids.  Line frequencies at many
+fields (the field estimate's grid, the ``levels`` scan) are read straight
+from the stacked energies by ``_frequencies``, without building eigenstates.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ __all__ = [
     "diagonalize_range",
     "decomposition_scan",
     "transition_frequency",
-    "transition_frequency_at",
     "field_sensitivity",
     "write_decomposition_scan",
 ]
@@ -313,6 +314,15 @@ def _check_zero_field(level: LevelConstants) -> None:
                             f"match the closed-form E(F={t.labels[k][0]}) = {t.e_f[k]:.9f} MHz")
 
 
+def _labeled_solve(level: LevelConstants, bs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_solve`` at the fields ``bs`` after the zero-field check, with the
+    closed-form E(F) as the energies at B = 0."""
+    _check_zero_field(level)
+    energies, amps, amp_f = _solve(level, bs)
+    energies[np.equal(bs, 0.0)] = _table(level).e_f
+    return energies, amps, amp_f
+
+
 def diagonalize_range(level: LevelConstants, b_values: Sequence[float]) -> list[EigenSystem]:
     """Labeled eigensystems at every requested field, in the given order.
 
@@ -321,25 +331,36 @@ def diagonalize_range(level: LevelConstants, b_values: Sequence[float]) -> list[
     closed-form E(F).  Repeated fields share one EigenSystem.
     """
     bs = [float(b) + 0.0 for b in b_values]  # + 0.0: a field of -0.0 is the zero field
-    _check_zero_field(level)
-    t = _table(level)
     new = list(dict.fromkeys(bs))
-    energies, amps, amp_f = _solve(level, new)
-    if 0.0 in new:
-        energies[new.index(0.0)] = t.e_f
+    energies, amps, amp_f = _labeled_solve(level, new)
+    labels = _table(level).labels
     systems = {
         b: EigenSystem(level, b, tuple(
             LabeledEigenstate(level, F, m, e, b, a[k], f[k])
-            for k, ((F, m), e) in enumerate(zip(t.labels, es.tolist()))
+            for k, ((F, m), e) in enumerate(zip(labels, es.tolist()))
         ))
         for b, es, a, f in zip(new, energies, amps, amp_f)
     }
     return [systems[b] for b in bs]
 
 
+def _frequencies(pairs: Sequence[tuple[StateRef, StateRef]], b_values) -> np.ndarray:
+    """E_excited - E_ground in MHz of every (ground, excited) pair at every
+    field, shape (n_fields, n_pairs): each level is solved once for all the
+    fields, and at B = 0 its energies are the closed-form E(F)."""
+    refs = [ref for pair in pairs for ref in pair]
+    levels = dict.fromkeys(ref.level for ref in refs)
+    energies = {level: _labeled_solve(level, b_values)[0] for level in levels}
+    cols = np.array([energies[r.level][:, _row(r.level, r.F, r.m)] for r in refs])
+    cols = cols.reshape(len(pairs), 2, len(b_values))
+    return (cols[:, 1] - cols[:, 0]).T
+
+
 # a miss costs one field's eigendecompositions (0.1-0.3 ms), so the cache
-# only needs to hold the fields one computation revisits
-@lru_cache(maxsize=256)
+# only needs to hold the fields one computation revisits: field_sensitivity
+# reads both levels at one field for every pair, and the Gauss-Newton steps
+# of one field estimate visit about four fields
+@lru_cache(maxsize=32)
 def _diag_cached(level: LevelConstants, B: float) -> EigenSystem:
     return diagonalize_range(level, [B])[0]
 
@@ -371,9 +392,8 @@ def decomposition_scan(
     """
     F, m = HalfInt.coerce(F), HalfInt.coerce(m)
     k = _row(level, F, m)
-    _check_zero_field(level)
     bs = np.asarray(list(b_values), dtype=float)
-    amps = _solve(level, bs)[2][:, k]
+    amps = _labeled_solve(level, bs)[2][:, k]
     keep = np.flatnonzero(np.max(np.abs(amps), axis=0) > 1e-12)
     comps = tuple(_table(level).labels[i] for i in keep)
     return DecompositionScan(level, F, m, bs, comps, amps[:, keep])
@@ -388,12 +408,6 @@ def transition_frequency(ground: LabeledEigenstate, excited: LabeledEigenstate) 
             f"ground at B = {ground.B} G but excited at B = {excited.B} G"
         )
     return excited.energy - ground.energy
-
-
-def transition_frequency_at(ground: StateRef, excited: StateRef, B: float) -> float:
-    g = diagonalize(ground.level, B).state(ground.F, ground.m)
-    e = diagonalize(excited.level, B).state(excited.F, excited.m)
-    return transition_frequency(g, e)
 
 
 def field_sensitivity(ground: StateRef, excited: StateRef, B: float) -> float:

@@ -28,8 +28,8 @@ from .atomstruct import (
     BA137_D52,
     BA137_S12,
     StateRef,
+    _frequencies,
     field_sensitivity,
-    transition_frequency_at,
 )
 from .fixtures import _write_json
 from .transitions import StrengthTable
@@ -230,10 +230,6 @@ class FieldEstimate:
 _GRID_STEP = 0.25
 
 
-def _splittings(transitions: Sequence[tuple[StateRef, StateRef]], B: float) -> np.ndarray:
-    return np.array([transition_frequency_at(g, e, B) for g, e in transitions])
-
-
 def estimate_field(
     measured: Mapping[tuple[StateRef, StateRef], float],
     prior: tuple[float, float] = (0.0, 20.0),
@@ -251,12 +247,15 @@ def estimate_field(
     pairs = list(measured.keys())
     if len(pairs) < 2:
         raise ValueError("need at least two measured transitions")
+    if not (math.isfinite(prior[0]) and math.isfinite(prior[1]) and prior[0] < prior[1]):
+        raise ValueError(f"prior must be a finite interval (lo, hi) with lo < hi, got {prior}")
     ref = pairs[0]
     meas = np.array([measured[p] - measured[ref] for p in pairs[1:]])
 
-    def resid(x) -> np.ndarray:
-        sims = _splittings(pairs, x[0])
-        return sims[1:] - sims[0] - meas
+    def resid(bs) -> np.ndarray:
+        """Residuals at every field of ``bs``, one row per field."""
+        sims = _frequencies(pairs, bs)
+        return sims[:, 1:] - sims[:, :1] - meas
 
     def jac(x) -> np.ndarray:
         slopes = np.array([field_sensitivity(g, e, x[0]) for g, e in pairs])
@@ -264,7 +263,7 @@ def estimate_field(
 
     lo = max(prior[0], 1e-4)
     grid = np.arange(lo, prior[1] + _GRID_STEP, _GRID_STEP)
-    values = np.array([np.sum(resid([b]) ** 2) for b in grid])
+    values = np.sum(resid(grid) ** 2, axis=1)
     best = int(np.argmin(values))
     starts = {best} | {
         i
@@ -274,7 +273,7 @@ def estimate_field(
     minima = []
     for i in sorted(starts):
         left, right = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
-        res = _lsq.least_squares(resid, jac, [grid[i]], lower=[left], upper=[right])
+        res = _lsq.least_squares(lambda x: resid(x)[0], jac, [grid[i]], lower=[left], upper=[right])
         if not res.converged:
             raise FitError(
                 f"field estimate did not converge in {res.iterations} steps near B = {grid[i]} G"
@@ -298,7 +297,7 @@ def simulate_splittings(
     transitions: Sequence[tuple[StateRef, StateRef]], B: float
 ) -> dict[tuple[StateRef, StateRef], float]:
     """Model-generated transition frequencies, e.g. for round-trip tests."""
-    vals = _splittings(list(transitions), B)
+    vals = _frequencies(transitions, [B])[0]
     return dict(zip(transitions, vals.tolist()))
 
 
@@ -525,10 +524,6 @@ def synthetic_snapshot(B: float) -> CalSnapshot:
     """Model-generated calibration session at one field value."""
     refs = reference_trio()
     trans = paper13_transition_refs()
-    freqs = {n: transition_frequency_at(g, e, B) for n, (g, e) in trans.items()}
-    return CalSnapshot(
-        f_offset=transition_frequency_at(*refs["offset"], B),
-        f_low=transition_frequency_at(*refs["low"], B),
-        f_up=transition_frequency_at(*refs["up"], B),
-        freqs=freqs,
-    )
+    f = _frequencies([refs["offset"], refs["low"], refs["up"], *trans.values()], [B])[0]
+    f_offset, f_low, f_up, *freqs = f.tolist()
+    return CalSnapshot(f_offset=f_offset, f_low=f_low, f_up=f_up, freqs=dict(zip(trans, freqs)))

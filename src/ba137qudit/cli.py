@@ -89,7 +89,7 @@ def _half_int(value, flag):
     """A state label, given by flag or config, as a half-integer."""
     try:
         return HalfInt.coerce(float(value))
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, ValueError):
         raise CliError(f"eigenstates needs {flag} as a half-integer, got {value!r}") from None
 
 
@@ -130,21 +130,22 @@ def cmd_levels(args, cfg):
     out = _outdir(args) / f"levels_{level_name.replace('/', '')}.csv"
 
     level = LEVELS[level_name]
-    systems = atomstruct.diagonalize_range(level, bs)
-    ground_systems = None
-    if level_name == "5D5/2":
-        ground_systems = atomstruct.diagonalize_range(BA137_S12, bs)
+    labels = atomstruct._table(level).labels
+    if level is BA137_D52:  # lines from the encoding's ground state |F=2, m=2>
+        ground = StateRef.of(BA137_S12, 2, 2)
+        values = atomstruct._frequencies([(ground, StateRef(level, F, m)) for F, m in labels], bs)
+    else:  # energies relative to the level centroid
+        values = atomstruct._labeled_solve(level, bs)[0]
+    names = [f"F{F}_m{m}" for F, m in labels]
     with open(out, "w", newline="") as fh:
         w = csv.writer(fh)
         header = ["B_gauss", "state_label", "frequency_MHz"]
         if b_mark is not None:
             header.append("b_mark_gauss")
         w.writerow(header)
-        for i, sys_ in enumerate(systems):
-            ground = ground_systems[i].state(2, 2).energy if ground_systems is not None else 0.0
-            for s in sys_:
-                value = s.energy - ground
-                row = [repr(float(sys_.B)), f"F{s.F_tilde}_m{s.m_F_tilde}", repr(float(value))]
+        for b, row_values in zip(bs, values.tolist()):
+            for name, value in zip(names, row_values):
+                row = [repr(b + 0.0), name, repr(value)]  # + 0.0: -0.0 G is written 0.0
                 if b_mark is not None:
                     row.append(repr(float(b_mark)))
                 w.writerow(row)

@@ -212,6 +212,12 @@ def oracle_solve_field(level, B):
     return energies, amps, amp_f
 
 
+def oracle_label_row(ref):
+    """Row of a (level, F, m) state ref in ``oracle_solve_field``'s output."""
+    below = sum(F.twice + 1 for F in ref.level.f_values() if F < ref.F)
+    return below + (ref.F.twice - ref.m.twice) // 2
+
+
 # Shelving SPAM: per-shot references for the forward-evaluated outcome model.
 # Both take the pulse plan from build_measurement_sequence and nothing else
 # from the package's evaluator: decay, read flips, leak and interpretation
@@ -489,11 +495,15 @@ def oracle_fit_error_scaling(points):
 
 
 def field_sum_of_squares(measured, B):
-    """Sum of squared residuals of the splittings relative to the first."""
-    from ba137qudit.calib import simulate_splittings
-
+    """Sum of squared residuals of the splittings relative to the first,
+    from the energies of ``oracle_solve_field``."""
     pairs = list(measured)
-    sims = simulate_splittings(pairs, B)
+    levels = {ref.level for pair in pairs for ref in pair}
+    energies = {level: oracle_solve_field(level, B)[0] for level in levels}
+    sims = {
+        (g, e): energies[e.level][oracle_label_row(e)] - energies[g.level][oracle_label_row(g)]
+        for g, e in pairs
+    }
     return sum(
         ((sims[q] - sims[pairs[0]]) - (measured[q] - measured[pairs[0]])) ** 2
         for q in pairs[1:]

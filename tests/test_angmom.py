@@ -44,8 +44,9 @@ class TestHalfInt:
         assert HalfInt.coerce(HalfInt(5)).twice == 5
 
     def test_coerce_rejects_non_half_integer(self):
-        with pytest.raises(ValueError):
-            HalfInt.coerce(0.3)
+        for x in (0.3, math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError):
+                HalfInt.coerce(x)
 
     def test_arithmetic_and_str(self):
         assert float(HalfInt(3) + HalfInt(1)) == 2.0

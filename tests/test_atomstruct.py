@@ -18,12 +18,12 @@ from ba137qudit.atomstruct import (
     diagonalize_range,
     field_sensitivity,
     transition_frequency,
-    transition_frequency_at,
     write_decomposition_scan,
     zero_field_energy,
 )
+from ba137qudit.calib import paper13_transition_refs, reference_trio, simulate_splittings
 
-from oracles import oracle_solve_field, oracle_walk_energies
+from oracles import oracle_label_row, oracle_solve_field, oracle_walk_energies
 
 
 def _f_squared(level):
@@ -211,11 +211,11 @@ class TestTransitionFrequency:
         # pure stretched states: slopes g_J m_J mu_B exactly, so the m=+4 / m=-4
         # transition gap from a fixed ground is 6 mu_B B (Lande g_J = 6/5)
         B = 8.35
-        f_hi = transition_frequency_at(
-            StateRef.of(BA137_S12, 2, 2), StateRef.of(BA137_D52, 4, 4), B
+        f_hi = transition_frequency(
+            diagonalize(BA137_S12, B).state(2, 2), diagonalize(BA137_D52, B).state(4, 4)
         )
-        f_lo = transition_frequency_at(
-            StateRef.of(BA137_S12, 2, 2), StateRef.of(BA137_D52, 4, -4), B
+        f_lo = transition_frequency(
+            diagonalize(BA137_S12, B).state(2, 2), diagonalize(BA137_D52, B).state(4, -4)
         )
         assert f_hi - f_lo == pytest.approx(6 * MU_B_OVER_H * B, abs=1e-9)
 
@@ -262,7 +262,8 @@ class TestFieldSensitivity:
         for d in encoded:
             e = StateRef.of(BA137_D52, d.F, d.m)
             diff = (
-                transition_frequency_at(g, e, B + h) - transition_frequency_at(g, e, B - h)
+                simulate_splittings([(g, e)], B + h)[g, e]
+                - simulate_splittings([(g, e)], B - h)[g, e]
             ) / (2 * h)
             assert field_sensitivity(g, e, B) == pytest.approx(diff, abs=1e-6), d
 
@@ -296,9 +297,12 @@ class TestLabelingFailure:
         # every F of this level is degenerate at zero field, so the rank
         # order is undefined and must surface as an error at every field
         deg = LevelConstants("deg", 3, 5, 0.0, 0.0, 1.2)
+        pair = (StateRef.of(BA137_S12, 2, 2), StateRef.of(deg, 4, 4))
         for B in (0.0, 8.35):
             with pytest.raises(LabelingError):
                 diagonalize_range(deg, [B])
+            with pytest.raises(LabelingError):
+                atomstruct._frequencies([pair], [B])
 
     def test_gap_guard_at_requested_field(self, monkeypatch):
         # 5D5/2 has in-block gaps of 0.4856 MHz at zero field and 0.4717 MHz
@@ -335,6 +339,22 @@ class TestStackedSolve:
         got = _rows(diagonalize_range(level, grid))
         for g, want in zip(got, _oracle_rows(level, grid)):
             assert _identical(g, want)
+
+    def test_frequencies_match_oracle_bit_for_bit(self):
+        # the paper's lines, the reference trio, and every label of both levels
+        pairs = [*paper13_transition_refs().values(), *reference_trio().values()]
+        s22, d44 = StateRef.of(BA137_S12, 2, 2), StateRef.of(BA137_D52, 4, 4)
+        pairs += [(s22, StateRef(BA137_D52, F, m)) for F, m in atomstruct._table(BA137_D52).labels]
+        pairs += [(StateRef(BA137_S12, F, m), d44) for F, m in atomstruct._table(BA137_S12).labels]
+        grid = [i * 0.05 for i in range(401)] + [0.0, -0.0, 8.35, 8.35]  # 0-20 G
+        oracle = {level: _oracle_rows(level, grid)[0] for level in (BA137_S12, BA137_D52)}
+        want = np.column_stack([
+            oracle[e.level][:, oracle_label_row(e)] - oracle[g.level][:, oracle_label_row(g)]
+            for g, e in pairs
+        ])
+        got = atomstruct._frequencies(pairs, grid)
+        assert got.shape == (len(grid), len(pairs))
+        assert _identical(got, want)
 
     def test_edge_requests(self):
         assert diagonalize_range(BA137_D52, []) == []

@@ -369,6 +369,15 @@ class TestEstimateFieldPrior:
         est = estimate_field(measured, prior=(5.0, 12.0))
         assert est.B == pytest.approx(8.35, abs=1e-3)
 
+    @pytest.mark.parametrize("prior", [
+        (10.0, 5.0), (5.0, 5.0), (0.0, math.inf), (0.0, math.nan), (-math.inf, 5.0),
+    ])
+    def test_bad_prior_named(self, prior):
+        trans = paper13_transition_refs()
+        measured = simulate_splittings([trans[n] for n in (1, 3, 5, 10)], 8.35)
+        with pytest.raises(ValueError, match="prior"):
+            estimate_field(measured, prior=prior)
+
 
 class TestRabiWindowTooThin:
     def test_under_five_points(self):

@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from ba137qudit.cli import CliError, _parse_b_range, main
+from ba137qudit.atomstruct import BA137_S12, diagonalize, transition_frequency
+from ba137qudit.cli import LEVELS, CliError, _parse_b_range, main
 from ba137qudit.fixtures import fixture_path
 from ba137qudit.noise import reference_scaling_points, write_scaling_points
 
@@ -40,6 +41,19 @@ class TestLevels:
 
     def test_bad_level(self, tmp_path):
         assert main(["--out", str(tmp_path), "levels", "--level", "7P1/2"]) == 2
+
+    @pytest.mark.parametrize("level", ["5D5/2", "6S1/2"])
+    def test_values_row_by_row(self, tmp_path, level):
+        # 5D5/2: line frequencies from |F=2, m=2> of 6S1/2; 6S1/2: energies
+        assert main(["--out", str(tmp_path), "levels", "--level", level, "--b", "0:10:2.5"]) == 0
+        rows = read_csv(tmp_path / f"levels_{level.replace('/', '')}.csv")[1:]
+        want = []
+        for B in (0.0, 2.5, 5.0, 7.5, 10.0):
+            ground = diagonalize(BA137_S12, B).state(2, 2)
+            for s in diagonalize(LEVELS[level], B):
+                value = s.energy if level == "6S1/2" else transition_frequency(ground, s)
+                want.append([repr(B), f"F{s.F_tilde}_m{s.m_F_tilde}", repr(value)])
+        assert rows == want
 
 
 @pytest.mark.parametrize("argv", [
