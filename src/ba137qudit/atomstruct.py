@@ -21,6 +21,11 @@ relative to the level centroid, and ``transition_frequency`` gives
 splittings relative to the two level centroids.  Line frequencies at many
 fields (the field estimate's grid, the ``levels`` scan) are read straight
 from the stacked energies by ``_frequencies``, without building eigenstates.
+
+Three caches: ``_table`` and ``_check_zero_field`` keyed on the level, and
+``_field_solve``, one field's energies, eigenvectors and Hellmann-Feynman
+slopes keyed on (level, field), which ``diagonalize``, ``field_sensitivity``
+and the field estimate's Gauss-Newton steps read.
 """
 
 from __future__ import annotations
@@ -323,6 +328,14 @@ def _labeled_solve(level: LevelConstants, bs) -> tuple[np.ndarray, np.ndarray, n
     return energies, amps, amp_f
 
 
+def _system(level: LevelConstants, B: float, energies, amps, amp_f) -> EigenSystem:
+    """The EigenSystem of one field's row of ``_labeled_solve``."""
+    return EigenSystem(level, B, tuple(
+        LabeledEigenstate(level, F, m, e, B, amps[k], amp_f[k])
+        for k, ((F, m), e) in enumerate(zip(_table(level).labels, energies.tolist()))
+    ))
+
+
 def diagonalize_range(level: LevelConstants, b_values: Sequence[float]) -> list[EigenSystem]:
     """Labeled eigensystems at every requested field, in the given order.
 
@@ -332,15 +345,7 @@ def diagonalize_range(level: LevelConstants, b_values: Sequence[float]) -> list[
     """
     bs = [float(b) + 0.0 for b in b_values]  # + 0.0: a field of -0.0 is the zero field
     new = list(dict.fromkeys(bs))
-    energies, amps, amp_f = _labeled_solve(level, new)
-    labels = _table(level).labels
-    systems = {
-        b: EigenSystem(level, b, tuple(
-            LabeledEigenstate(level, F, m, e, b, a[k], f[k])
-            for k, ((F, m), e) in enumerate(zip(labels, es.tolist()))
-        ))
-        for b, es, a, f in zip(new, energies, amps, amp_f)
-    }
+    systems = {b: _system(level, b, *row) for b, *row in zip(new, *_labeled_solve(level, new))}
     return [systems[b] for b in bs]
 
 
@@ -356,18 +361,42 @@ def _frequencies(pairs: Sequence[tuple[StateRef, StateRef]], b_values) -> np.nda
     return (cols[:, 1] - cols[:, 0]).T
 
 
-# a miss costs one field's eigendecompositions (0.1-0.3 ms), so the cache
-# only needs to hold the fields one computation revisits: field_sensitivity
-# reads both levels at one field for every pair, and the Gauss-Newton steps
-# of one field estimate visit about four fields
+# keyed on (level, field).  A miss costs one field's eigendecompositions
+# (0.1-0.3 ms), so the cache only needs to hold the fields one computation
+# revisits: a field estimate's Gauss-Newton steps visit about four fields
+# per local minimum, and read both levels at each for the residual and the
+# Jacobian alike
 @lru_cache(maxsize=32)
-def _diag_cached(level: LevelConstants, B: float) -> EigenSystem:
-    return diagonalize_range(level, [B])[0]
+def _field_solve(level: LevelConstants, B: float) -> tuple[np.ndarray, ...]:
+    """(energies, amp_mImJ, amp_FmF, slopes) of one level at the one field B:
+    ``_labeled_solve`` at [B] plus every state's Hellmann-Feynman slope in
+    MHz/G, <psi| mu_B/h (g_J m_J + g_I m_I) |psi>, the expectation of dH/dB
+    in that state.  The arrays are read-only, as they are shared."""
+    (energies,), (amps,), (amp_f,) = _labeled_solve(level, [B])
+    moment = _table(level).moment
+    # one dot per state, not amps**2 @ moment: the batched form rounds differently
+    slopes = np.array([MU_B_OVER_H * float(a**2 @ moment) for a in amps])
+    for x in (energies, amps, amp_f, slopes):
+        x.setflags(write=False)
+    return energies, amps, amp_f, slopes
+
+
+def _lines_at(pairs: Sequence[tuple[StateRef, StateRef]], B: float) -> tuple[np.ndarray, ...]:
+    """(E_excited - E_ground in MHz, its slope in MHz/G) of every (ground,
+    excited) pair at the one field B, from ``_field_solve``."""
+    refs = [ref for pair in pairs for ref in pair]
+    levels = dict.fromkeys(ref.level for ref in refs)
+    solved = {level: _field_solve(level, float(B)) for level in levels}
+    rows = [(solved[r.level], _row(r.level, r.F, r.m)) for r in refs]
+    energy = np.array([s[0][k] for s, k in rows]).reshape(len(pairs), 2)
+    slope = np.array([s[3][k] for s, k in rows]).reshape(len(pairs), 2)
+    return energy[:, 1] - energy[:, 0], slope[:, 1] - slope[:, 0]
 
 
 def diagonalize(level: LevelConstants, B: float) -> EigenSystem:
     """Labeled eigensystem of one level at field B (gauss)."""
-    return _diag_cached(level, float(B))
+    B = float(B) + 0.0  # a field of -0.0 is the zero field
+    return _system(level, B, *_field_solve(level, B)[:3])
 
 
 @dataclass(frozen=True, eq=False)
@@ -417,12 +446,7 @@ def field_sensitivity(ground: StateRef, excited: StateRef, B: float) -> float:
     g_I m_I) |psi>, the expectation of dH/dB in its eigenstate.  At B = 0
     this is the slope into B > 0.
     """
-
-    def slope(ref: StateRef) -> float:
-        state = diagonalize(ref.level, B).state(ref.F, ref.m)
-        return MU_B_OVER_H * float(state.amp_mImJ**2 @ _table(ref.level).moment)
-
-    return slope(excited) - slope(ground)
+    return float(_lines_at([(ground, excited)], B)[1][0])
 
 
 def write_decomposition_scan(path, scan: DecompositionScan) -> None:

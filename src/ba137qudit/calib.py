@@ -29,9 +29,9 @@ from .atomstruct import (
     BA137_S12,
     StateRef,
     _frequencies,
-    field_sensitivity,
+    _lines_at,
 )
-from .fixtures import _write_json
+from .fixtures import _NUMBER, TableError, _json, _number, _write_json
 from .transitions import StrengthTable
 
 __all__ = [
@@ -178,15 +178,28 @@ class CalibrationModel:
 
     @classmethod
     def from_json(cls, path) -> "CalibrationModel":
-        with open(path) as fh:
-            doc = json.load(fh)
-        a1, a2, rms = {}, {}, {}
-        for key, entry in doc["transitions"].items():
-            n = int(key)
-            a1[n] = entry["a1"]
-            a2[n] = entry["a2_MHz"]
-            rms[n] = entry["residual_rms_MHz"]
-        return cls(a1=a1, a2=a2, residual_rms=rms, references=tuple(doc["references"]))
+        """Read what ``to_json`` writes.  A file that is not such a document,
+        or a coefficient that is not a finite number, raises TableError
+        naming the file and the key at fault."""
+        where = "document"
+        try:
+            with open(path) as fh:
+                doc = _json(json.load(fh), dict)
+            where = "references"
+            references = tuple(_json(r, str) for r in _json(doc[where], list))
+            a1, a2, rms = {}, {}, {}
+            where = "transitions"
+            for key, entry in _json(doc[where], dict).items():
+                where = f"transitions {key}"
+                n, entry = int(key), _json(entry, dict)
+                for table, name in ((a1, "a1"), (a2, "a2_MHz"), (rms, "residual_rms_MHz")):
+                    where = f"transitions {key} {name}"
+                    table[n] = _number(_json(entry[name], _NUMBER))
+        except KeyError as exc:
+            raise TableError(f"{path}: {where}: missing key {exc}") from None
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise TableError(f"{path}: {where}: {exc}") from None
+        return cls(a1=a1, a2=a2, residual_rms=rms, references=references)
 
 
 def fit_calibration(history: Sequence[CalSnapshot]) -> CalibrationModel:
@@ -240,8 +253,9 @@ def estimate_field(
     (any common optical offset drops out), so at least two transitions
     with distinct field sensitivity are required.  A coarse grid over the
     prior interval finds the local minima; each is refined by Gauss-Newton
-    on the Hellmann-Feynman slopes of ``field_sensitivity``, clamped to its
-    grid bracket.  Two separated minima that refine to the same cost make
+    on the Hellmann-Feynman slopes, clamped to its grid bracket.  The
+    residual and the Jacobian of a step read the same cached per-(level,
+    field) solve.  Two separated minima that refine to the same cost make
     the data ambiguous and raise ``FitError``.
     """
     pairs = list(measured.keys())
@@ -252,18 +266,18 @@ def estimate_field(
     ref = pairs[0]
     meas = np.array([measured[p] - measured[ref] for p in pairs[1:]])
 
-    def resid(bs) -> np.ndarray:
-        """Residuals at every field of ``bs``, one row per field."""
-        sims = _frequencies(pairs, bs)
-        return sims[:, 1:] - sims[:, :1] - meas
+    def resid(x) -> np.ndarray:
+        sims = _lines_at(pairs, x[0])[0]
+        return sims[1:] - sims[:1] - meas
 
     def jac(x) -> np.ndarray:
-        slopes = np.array([field_sensitivity(g, e, x[0]) for g, e in pairs])
+        slopes = _lines_at(pairs, x[0])[1]
         return (slopes[1:] - slopes[0])[:, None]
 
     lo = max(prior[0], 1e-4)
     grid = np.arange(lo, prior[1] + _GRID_STEP, _GRID_STEP)
-    values = np.sum(resid(grid) ** 2, axis=1)
+    sims = _frequencies(pairs, grid)
+    values = np.sum((sims[:, 1:] - sims[:, :1] - meas) ** 2, axis=1)
     best = int(np.argmin(values))
     starts = {best} | {
         i
@@ -273,7 +287,7 @@ def estimate_field(
     minima = []
     for i in sorted(starts):
         left, right = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
-        res = _lsq.least_squares(lambda x: resid(x)[0], jac, [grid[i]], lower=[left], upper=[right])
+        res = _lsq.least_squares(resid, jac, [grid[i]], lower=[left], upper=[right])
         if not res.converged:
             raise FitError(
                 f"field estimate did not converge in {res.iterations} steps near B = {grid[i]} G"

@@ -101,8 +101,8 @@ def _read_csv(path, parse) -> tuple[list[str], list]:
 
 # what a message calls each kind of JSON value the package reads
 _NUMBER = (int, float)
-_JSON_KINDS = {dict: "an object", str: "a string", int: "an integer", _NUMBER: "a number",
-               _NUMBER + (str,): "a number or a string"}
+_JSON_KINDS = {dict: "an object", list: "an array", str: "a string", int: "an integer",
+               _NUMBER: "a number", _NUMBER + (str,): "a number or a string"}
 
 
 def _json(x, kind):

@@ -22,6 +22,12 @@ forward algorithm of hidden Markov models (Rabiner, Proc. IEEE 77, 257
 carried through the plan, and each check moves its bright mass into the
 outcome it decides.  ``enumerate_outcomes`` is one row of that matrix and
 ``run_experiment`` a seeded multinomial draw from it.
+
+One cache serves the evaluator: ``_shortest_path``, the breadth-first
+preparation-path search, keyed on the (|0>, target) pair of immutable
+atomic states.  The plan and the matrix are rebuilt on every call, as
+encodings and error models are mutable, and each pulse updates the
+probability array in place.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -290,10 +297,12 @@ class MeasurementPlan:
         return keys
 
 
-def _prep_path(encoding: QuditEncoding, target: AtomicState) -> tuple[PulseStep, ...]:
-    """Shortest pulse path from |0> to the target over quadrupole-allowed
-    S<->D hops (breadth-first over all 32 states)."""
-    start = encoding.states[0]
+# every (|0>, target) pair of a valid encoding is one of 8 x 32
+@lru_cache(maxsize=256)
+def _shortest_path(start: AtomicState, target: AtomicState) -> tuple[PulseStep, ...] | None:
+    """Shortest pulse path from start to target over quadrupole-allowed
+    S<->D hops (breadth-first over all 32 states), or None when no path of
+    at most three hops exists."""
     if target == start:
         return ()
     frontier = [(start, ())]
@@ -316,10 +325,18 @@ def _prep_path(encoding: QuditEncoding, target: AtomicState) -> tuple[PulseStep,
                 seen.add(other)
                 nxt.append((other, new_path))
         frontier = nxt
-    raise PlanError(
-        f"{encoding.name}: state {target} is not reachable from {start} "
-        "within three quadrupole pulses"
-    )
+    return None
+
+
+def _prep_path(encoding: QuditEncoding, target: AtomicState) -> tuple[PulseStep, ...]:
+    """Shortest pulse path from the encoding's |0> to the target."""
+    path = _shortest_path(encoding.states[0], target)
+    if path is None:
+        raise PlanError(
+            f"{encoding.name}: state {target} is not reachable from {encoding.states[0]} "
+            "within three quadrupole pulses"
+        )
+    return path
 
 
 def build_measurement_sequence(encoding: QuditEncoding) -> MeasurementPlan:
@@ -575,12 +592,12 @@ def enumerate_outcomes(
     }
 
 
-def _swap(prob: np.ndarray, lo: int, hi: int, eps: float) -> np.ndarray:
-    """One pi pulse: population of lo and hi trades places with probability 1 - eps."""
-    out = prob.copy()
-    out[..., lo] = eps * prob[..., lo] + (1.0 - eps) * prob[..., hi]
-    out[..., hi] = eps * prob[..., hi] + (1.0 - eps) * prob[..., lo]
-    return out
+def _swap(prob: np.ndarray, lo: int, hi: int, eps: float) -> None:
+    """One pi pulse, in place: population of lo and hi trades places with
+    probability 1 - eps."""
+    new_lo = eps * prob[..., lo] + (1.0 - eps) * prob[..., hi]
+    prob[..., hi] = eps * prob[..., hi] + (1.0 - eps) * prob[..., lo]
+    prob[..., lo] = new_lo
 
 
 def _outcome_matrix(
@@ -629,25 +646,29 @@ def _outcome_matrix(
     prob[rows, 0, 0] += stay * (1.0 - prep_success)
     prob[:, 0, other] += errors.prep_error
     p_bright = np.where(is_d_level, errors.p_bright_given_d, 1.0 - errors.p_dark_given_s)
+    p_dark = 1.0 - p_bright
+    # per check, the factor decay leaves on each code: exactly 1.0 on S levels
+    keep = np.where(is_d_level, 1.0 - decay_p[:, None], 1.0)
 
     out = np.zeros((d, d + 1))
     ci = 0
     for step in plan.steps:
         if isinstance(step, PulseStep):
             key = step.key
-            swapped = _swap(prob, code[step.s_state], code[step.d_state], errors.eps(key))
             spectator, leak_p = errors.leak.get(key, (None, 0.0))
             if leak_p > 0:
-                leaked = _swap(prob, code[spectator[0]], code[spectator[1]], errors.eps(spectator))
-                swapped = (1.0 - leak_p) * swapped + leak_p * leaked
-            prob = swapped
+                leaked = prob.copy()
+                _swap(leaked, code[spectator[0]], code[spectator[1]], errors.eps(spectator))
+            _swap(prob, code[step.s_state], code[step.d_state], errors.eps(key))
+            if leak_p > 0:
+                prob = (1.0 - leak_p) * prob + leak_p * leaked
             continue
         if decay_p[ci] > 0:
             lost = prob[..., is_d_level].sum(axis=-1) * decay_p[ci]
-            prob[..., is_d_level] *= 1.0 - decay_p[ci]
+            prob *= keep[ci]
             prob[..., other] += lost
         bright = prob * p_bright
-        prob *= 1.0 - p_bright
+        prob *= p_dark
         if strict:
             out[:, d] += bright[:, 1:].sum(axis=(1, 2))
             prob[:, 1 + ci] = bright[:, 0]

@@ -5,6 +5,7 @@ formulas (plain floats, no exact arithmetic, no reuse of package
 internals) so it can serve as an oracle for the package implementations.
 """
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -216,6 +217,39 @@ def oracle_label_row(ref):
     """Row of a (level, F, m) state ref in ``oracle_solve_field``'s output."""
     below = sum(F.twice + 1 for F in ref.level.f_values() if F < ref.F)
     return below + (ref.F.twice - ref.m.twice) // 2
+
+
+# Shelving SPAM: the preparation path search, written as an exhaustive walk.
+
+# every 6S1/2 (F~ = 1, 2) and 5D5/2 (F~ = 1..4) state, built here rather than
+# read from the package
+_ORACLE_STATES = tuple(
+    AtomicState(level, HalfInt(2 * f), HalfInt(tm))
+    for level, fs in (("S", (1, 2)), ("D", (1, 2, 3, 4)))
+    for f in fs
+    for tm in range(-2 * f, 2 * f + 1, 2)
+)
+
+
+def oracle_prep_path(start, target):
+    """A shortest pulse path from start to target, by trying every walk of
+    one, two and then three hops through all 32 states; a hop joins a 6S and
+    a 5D state whose m differ by at most 2.  None when no walk of at most
+    three hops arrives, or the target is not one of the 32 states."""
+    if start == target:
+        return ()
+    if target not in _ORACLE_STATES:
+        return None
+    for hops in (1, 2, 3):
+        for middle in itertools.product(_ORACLE_STATES, repeat=hops - 1):
+            walk = (start, *middle, target)
+            if all(a.level != b.level and abs(a.m.twice - b.m.twice) <= 4
+                   for a, b in zip(walk, walk[1:])):
+                return tuple(
+                    PulseStep(a, b) if a.level == "S" else PulseStep(b, a)
+                    for a, b in zip(walk, walk[1:])
+                )
+    return None
 
 
 # Shelving SPAM: per-shot references for the forward-evaluated outcome model.

@@ -1,12 +1,16 @@
+import json
 import math
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from ba137qudit import _lsq
+from ba137qudit import _lsq, atomstruct
 from ba137qudit.atomstruct import field_sensitivity
 from ba137qudit.calib import (
     CalSnapshot,
+    CalibrationModel,
     FitError,
     FrequencyScan,
     RabiTrace,
@@ -24,7 +28,7 @@ from ba137qudit.calib import (
     simulate_splittings,
     synthetic_snapshot,
 )
-from ba137qudit.fixtures import load_transition_params
+from ba137qudit.fixtures import TableError, load_transition_params
 from ba137qudit.transitions import PAPER13_GEOMETRY, strength_table
 from oracles import (
     field_sum_of_squares,
@@ -145,11 +149,23 @@ class TestCalibrationModel:
     def test_json_roundtrip(self, tmp_path):
         model = fit_calibration(self.snapshots([8.33, 8.35, 8.37]))
         model.to_json(tmp_path / "cal.json")
-        from ba137qudit.calib import CalibrationModel
-
         back = CalibrationModel.from_json(tmp_path / "cal.json")
         assert back.a1 == pytest.approx(model.a1)
         assert back.a2 == pytest.approx(model.a2)
+
+    @pytest.mark.parametrize("key, entry, match", [
+        ("1", {"a1": "x", "a2_MHz": 1.0}, "transitions 1 a1: expected a number"),
+        ("1", {"a1": 0.5}, "transitions 1 a2_MHz: missing key 'a2_MHz'"),
+        ("one", {"a1": 0.5, "a2_MHz": 1.0}, "transitions one: invalid literal"),
+        ("1", {"a1": float("nan"), "a2_MHz": 1.0}, "transitions 1 a1: nan is not a finite"),
+    ], ids=["string", "missing", "bad-index", "nan"])
+    def test_from_json_rejects_bad_document(self, tmp_path, key, entry, match):
+        path = tmp_path / "cal.json"
+        doc = {"references": ["offset", "low", "up"],
+               "transitions": {key: {**entry, "residual_rms_MHz": 0.0}}}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(TableError, match=f"^{re.escape(str(path))}: {match}"):
+            CalibrationModel.from_json(path)
 
 
 class TestEstimateField:
@@ -185,6 +201,24 @@ class TestEstimateField:
             noisy = {k: v + rng.uniform(-1e-3, 1e-3) for k, v in measured.items()}
             est = estimate_field(noisy)
             assert abs(est.B - 8.35) < 0.01
+
+    def test_refinement_solves_each_level_field_once(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        pairs = list(paper13_transition_refs().values())
+        noisy = {k: v + rng.uniform(-1e-3, 1e-3)
+                 for k, v in simulate_splittings(pairs, 8.3).items()}
+        solve, single = atomstruct._solve, Counter()
+
+        def counting(level, bs):
+            if len(bs) == 1:
+                single[level.name, float(bs[0])] += 1
+            return solve(level, bs)
+
+        monkeypatch.setattr(atomstruct, "_solve", counting)
+        atomstruct._field_solve.cache_clear()
+        est = estimate_field(noisy)
+        assert abs(est.B - 8.3) < 0.01
+        assert len(single) >= 4 and max(single.values()) == 1, single
 
 
 class TestRabiFit:

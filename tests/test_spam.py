@@ -39,7 +39,7 @@ from ba137qudit.spam import (
 )
 from ba137qudit import spam
 
-from oracles import _oracle_outcome, oracle_enumerate_outcomes, simulate_shot
+from oracles import _oracle_outcome, oracle_enumerate_outcomes, oracle_prep_path, simulate_shot
 
 
 def S(f, m):
@@ -614,12 +614,45 @@ class TestForwardEvaluator:
         assert np.all(m >= 0.0)
         assert np.max(np.abs(m.sum(axis=1) - 1.0)) < 1e-12
 
+    @staticmethod
+    def break_swap(monkeypatch):
+        """Make every pi pulse gain 1% probability: the real in-place swap,
+        then an in-place scale."""
+        swap = spam._swap
+
+        def broken(prob, *args):
+            swap(prob, *args)
+            prob *= 1.01
+
+        monkeypatch.setattr(spam, "_swap", broken)
+
     def test_row_check_rejects_broken_propagation(self, monkeypatch):
         enc = two_level()
-        swap = spam._swap
-        monkeypatch.setattr(spam, "_swap", lambda prob, *a: 1.01 * swap(prob, *a))
+        self.break_swap(monkeypatch)
         with pytest.raises(ValueError, match="row-stochastic"):
             run_experiment(enc, ErrorParams.uniform(enc, 0.1), 10, seed=1)
+
+    def test_row_check_rejects_broken_leaking_pulse(self, monkeypatch):
+        enc = two_level()
+        uniform = ErrorParams.uniform(enc, 0.1)
+        (pulse,) = uniform.eps_pi
+        spectator = (S(2, 1), D(3, 1))
+        errs = ErrorParams(eps_pi={**uniform.eps_pi, spectator: 0.05},
+                           leak={pulse: (spectator, 0.2)})
+        run_experiment(enc, errs, 10, seed=1)
+        self.break_swap(monkeypatch)
+        with pytest.raises(ValueError, match="row-stochastic"):
+            run_experiment(enc, errs, 10, seed=1)
+
+    def test_repeated_matrices_search_each_path_once(self):
+        encs = [paper13_encoding(), twenty_five_level(), paper13_encoding()]
+        spam._shortest_path.cache_clear()
+        for enc in encs * 2:
+            errs = ErrorParams.uniform(enc, 0.01)
+            for mode in spam.MODES:
+                spam._outcome_matrix(enc, errs, mode, 0.0)
+        searched = {(enc.states[0], state) for enc in encs for state in enc.states}
+        assert spam._shortest_path.cache_info().misses == len(searched)
 
     def test_prepared_out_of_range(self):
         enc = two_level()
@@ -630,6 +663,37 @@ class TestForwardEvaluator:
         enc = two_level()
         with pytest.raises(MissingTransitionError):
             enumerate_outcomes(enc, ErrorParams(eps_pi={}), 1)
+
+
+class TestPrepPathSearch:
+    """The memoised shortest-path search against an exhaustive walk."""
+
+    @pytest.mark.parametrize("start", ALL_S_STATES, ids=str)
+    def test_paths_are_valid_minimal_and_cache_independent(self, start):
+        for target in ALL_S_STATES + ALL_D_STATES:
+            path = spam._shortest_path(start, target)
+            want = oracle_prep_path(start, target)
+            assert want is not None and len(path) == len(want), (start, target)
+            here = start
+            for pulse in path:
+                assert here in pulse.key, (start, target, path)
+                assert abs(pulse.s_state.m.twice - pulse.d_state.m.twice) <= 4
+                here = pulse.d_state if here == pulse.s_state else pulse.s_state
+            assert here == target
+            spam._shortest_path.cache_clear()
+            assert spam._shortest_path(start, target) == path
+
+    def test_plan_error_names_the_asking_encoding(self):
+        ground = paper13_encoding().states[0]
+        nowhere = D(5, 3)  # no 5D5/2 state has F~ = 5
+        assert oracle_prep_path(ground, nowhere) is None
+        first, second = (QuditEncoding(name, (ground, nowhere)) for name in ("first", "second"))
+        spam._shortest_path.cache_clear()
+        with pytest.raises(PlanError, match="^first: "):
+            build_measurement_sequence(first)
+        with pytest.raises(PlanError, match="^second: "):
+            build_measurement_sequence(second)
+        assert spam._shortest_path.cache_info().hits >= 1
 
 
 class TestDecayValidation:
