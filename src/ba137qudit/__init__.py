@@ -75,7 +75,6 @@ from .transitions import (
     StrengthTable,
     encodable_states,
     geometric_factor,
-    relative_strength,
     strength_table,
 )
 

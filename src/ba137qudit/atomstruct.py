@@ -24,8 +24,9 @@ from the stacked energies by ``_frequencies``, without building eigenstates.
 
 Three caches: ``_table`` and ``_check_zero_field`` keyed on the level, and
 ``_field_solve``, one field's energies, eigenvectors and Hellmann-Feynman
-slopes keyed on (level, field), which ``diagonalize``, ``field_sensitivity``
-and the field estimate's Gauss-Newton steps read.
+slopes keyed on (level, field), which ``diagonalize``, ``field_sensitivity``,
+the field estimate's Gauss-Newton steps and ``transitions.strength_table``
+read.
 """
 
 from __future__ import annotations

@@ -256,7 +256,11 @@ def estimate_field(
     on the Hellmann-Feynman slopes, clamped to its grid bracket.  The
     residual and the Jacobian of a step read the same cached per-(level,
     field) solve.  Two separated minima that refine to the same cost make
-    the data ambiguous and raise ``FitError``.
+    the data ambiguous and raise ``FitError``.  The grid starts at
+    max(prior[0], 1e-4 G); a best minimum pinned on its first or last point
+    means the field lies outside the grid, or the lines fit no field, and
+    raises ``FitError`` too.  A true field of 0 G lies below the 1e-4 G
+    floor, so it raises.
     """
     pairs = list(measured.keys())
     if len(pairs) < 2:
@@ -304,6 +308,13 @@ def estimate_field(
             f"{[round(b, 4) for b in deep]} G"
         )
     rms = math.sqrt(sq / max(len(meas), 1))
+    if not grid[0] < B < grid[-1]:
+        edge = "lower" if B <= grid[0] else "upper"
+        raise FitError(
+            f"field estimate is pinned at the {edge} edge of the grid, B = {B:.4f} G "
+            f"(residual rms {rms * 1e3:.3f} kHz): no field in [{grid[0]:.4f}, "
+            f"{grid[-1]:.4f}] G fits the lines"
+        )
     return FieldEstimate(B=B, residual_rms=rms, reference=ref)
 
 

@@ -30,7 +30,15 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import _lsq
-from .fixtures import _number, _read_csv, _write_json, load_transition_params
+from .fixtures import (
+    _NUMBER,
+    TableError,
+    _json,
+    _number,
+    _read_csv,
+    _write_json,
+    load_transition_params,
+)
 
 __all__ = [
     "NoiseModel",
@@ -107,8 +115,24 @@ class NoiseModel:
 
     @classmethod
     def from_json(cls, path) -> "NoiseModel":
-        with open(path) as fh:
-            return cls(**json.load(fh))
+        """Read what ``to_json`` writes; a key the file leaves out keeps its
+        default.  A file that is not such a document, an unknown key or a
+        value that is not a finite number raises TableError naming the file
+        and the key at fault."""
+        names = [f.name for f in fields(cls)]
+        where = "document"
+        try:
+            with open(path) as fh:
+                doc = _json(json.load(fh), dict)
+            values = {}
+            for where, x in doc.items():
+                if where not in names:
+                    raise ValueError(f"unknown key; expected one of {', '.join(names)}")
+                values[where] = _number(_json(x, _NUMBER))
+            where = "values"
+            return cls(**values)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise TableError(f"{path}: {where}: {exc}") from None
 
 
 @dataclass(frozen=True)

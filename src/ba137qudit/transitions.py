@@ -9,6 +9,11 @@ Only the magnitude is reported; relative phases between transitions are
 dropped.  The geometric factor g^(q) encodes the laser direction phi
 (wavevector vs quantization axis) and linear polarization angle gamma
 (relative to the k-B plane).
+
+``strength_table`` gives every 5D5/2 x 6S1/2 pair at one field in one
+array expression: the eigenvectors of both levels from the stacked solve
+(``atomstruct._field_solve``) on either side of one coupling matrix Q that
+holds the Clebsch-Gordan coefficients of all five q.
 """
 
 from __future__ import annotations
@@ -21,15 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .angmom import HalfInt, clebsch_gordan
-from .atomstruct import (
-    BA137_D52,
-    BA137_S12,
-    FieldMismatchError,
-    LabeledEigenstate,
-    LevelConstants,
-    _table,
-    diagonalize,
-)
+from .atomstruct import BA137_D52, BA137_S12, _field_solve, _table
 from .fixtures import _write_json
 
 __all__ = [
@@ -38,7 +35,6 @@ __all__ = [
     "PAPER13_GEOMETRY",
     "PAPER13_D_STATES",
     "geometric_factor",
-    "relative_strength",
     "strength_table",
     "encodable_states",
 ]
@@ -100,49 +96,25 @@ def geometric_factor(q: int, geometry: LaserGeometry) -> float:
     return math.hypot(re, im) / math.sqrt(6)
 
 
-@lru_cache(maxsize=64)
-def _coupling_matrix(
-    ground_level: LevelConstants, excited_level: LevelConstants, twice_q: int
-) -> np.ndarray:
-    """Q[excited index, ground index] = delta_{m_I} <J_S m_J; 2 q | J_D m_J+q>."""
-    gb = _table(ground_level).basis
-    eb = _table(excited_level).basis
-    out = np.zeros((len(eb), len(gb)))
-    for a, (tmi_g, tmj_g) in enumerate(gb):
-        for b, (tmi_e, tmj_e) in enumerate(eb):
-            if tmi_e != tmi_g:
-                continue
-            if tmj_e - tmj_g != twice_q:
-                continue
-            out[b, a] = clebsch_gordan(
-                ground_level.J,
-                HalfInt(tmj_g),
-                2,
-                HalfInt(twice_q),
-                excited_level.J,
-                HalfInt(tmj_e),
-            )
-    return out
+@lru_cache(maxsize=None)
+def _coupling() -> np.ndarray:
+    """Q[5D5/2 basis index, 6S1/2 basis index] = delta_{m_I} <J_S m_J; 2 q |
+    J_D m_J+q> over the two |m_I, m_J> product bases, q fixed by the two m_J:
+    one matrix for every |q| <= 2, zero elsewhere."""
+    return np.array([[
+        clebsch_gordan(BA137_S12.J, HalfInt(tj_s), 2, HalfInt(tj_d - tj_s),
+                       BA137_D52.J, HalfInt(tj_d))
+        if ti_d == ti_s and abs(tj_d - tj_s) <= 4 else 0.0
+        for ti_s, tj_s in _table(BA137_S12).basis
+    ] for ti_d, tj_d in _table(BA137_D52).basis])
 
 
-def relative_strength(
-    ground: LabeledEigenstate, excited: LabeledEigenstate, geometry: LaserGeometry
-) -> float:
-    """Magnitude of the relative transition strength between two eigenstates.
-
-    Both states must come from the same field.  |Delta m| > 2 returns 0.
-    """
-    if ground.B != excited.B:
-        raise FieldMismatchError(
-            f"ground at B = {ground.B} G but excited at B = {excited.B} G"
-        )
-    twice_q = excited.m_F_tilde.twice - ground.m_F_tilde.twice
-    if abs(twice_q) > 4 or twice_q % 2:
-        return 0.0
-    q = twice_q // 2
-    qmat = _coupling_matrix(ground.level, excited.level, twice_q)
-    amp = excited.amp_mImJ @ qmat @ ground.amp_mImJ
-    return geometric_factor(q, geometry) * abs(amp)
+def _index(labels, label, level) -> int:
+    """Position of the (F~, m) label among a level's labels in a table."""
+    key = (HalfInt.coerce(label[0]), HalfInt.coerce(label[1]))
+    if key not in labels:
+        raise KeyError(f"no state |F~={key[0]}, m={key[1]}> in {level.name} of the strength table")
+    return labels.index(key)
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,12 +135,11 @@ class StrengthTable:
     reduced_element: float = 1.0
 
     def value(self, d_label, s_label) -> float:
-        i = self.d_labels.index((HalfInt.coerce(d_label[0]), HalfInt.coerce(d_label[1])))
-        j = self.s_labels.index((HalfInt.coerce(s_label[0]), HalfInt.coerce(s_label[1])))
-        return float(self.values[i, j])
+        i = _index(self.d_labels, d_label, BA137_D52)
+        return float(self.values[i, _index(self.s_labels, s_label, BA137_S12)])
 
     def column(self, s_label) -> dict[tuple[HalfInt, HalfInt], float]:
-        j = self.s_labels.index((HalfInt.coerce(s_label[0]), HalfInt.coerce(s_label[1])))
+        j = _index(self.s_labels, s_label, BA137_S12)
         return {d: float(self.values[i, j]) for i, d in enumerate(self.d_labels)}
 
     def to_csv(self, path) -> None:
@@ -202,18 +173,21 @@ class StrengthTable:
 
 
 def strength_table(B: float, geometry: LaserGeometry) -> StrengthTable:
-    """Full 5D5/2 x 6S1/2 relative-strength table at one field."""
-    excited = diagonalize(BA137_D52, B).states
-    ground = sorted(diagonalize(BA137_S12, B), key=lambda g: (g.F_tilde, g.m_F_tilde))
-    values = np.array([[relative_strength(g, e, geometry) for g in ground] for e in excited])
+    """Full 5D5/2 x 6S1/2 relative-strength table at one field: every pair's
+    g^(q) |A_D Q A_S^T| from the two levels' eigenvectors at that field."""
+    b = float(B) + 0.0  # a field of -0.0 is the zero field
+    s_table, d_labels = _table(BA137_S12), _table(BA137_D52).labels
+    s_rows = sorted(range(BA137_S12.dim), key=lambda k: s_table.labels[k])
+    s_labels = tuple(s_table.labels[k] for k in s_rows)
+    amp_s = _field_solve(BA137_S12, b)[1][s_rows]
+    amp_d = _field_solve(BA137_D52, b)[1]
+    q = np.subtract.outer([m.twice for _, m in d_labels], [m.twice for _, m in s_labels]) // 2
+    g = np.array([geometric_factor(k, geometry) for k in range(-2, 3)])
+    amp = amp_d @ _coupling() @ amp_s.T
+    values = np.where(np.abs(q) <= 2, g[np.clip(q, -2, 2) + 2] * np.abs(amp), 0.0)
     values.setflags(write=False)
-    return StrengthTable(
-        geometry=geometry,
-        B=B,
-        d_labels=tuple((e.F_tilde, e.m_F_tilde) for e in excited),
-        s_labels=tuple((g.F_tilde, g.m_F_tilde) for g in ground),
-        values=values,
-    )
+    return StrengthTable(geometry=geometry, B=B, d_labels=d_labels, s_labels=s_labels,
+                         values=values)
 
 
 def encodable_states(

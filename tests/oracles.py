@@ -9,6 +9,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import integrate, optimize
@@ -16,6 +17,7 @@ from scipy import integrate, optimize
 from ba137qudit.angmom import HalfInt, clebsch_gordan
 from ba137qudit.atomstruct import LabelingError, build_hamiltonian, zero_field_energy
 from ba137qudit.spam import AtomicState, PulseStep, build_measurement_sequence
+from ba137qudit.transitions import geometric_factor
 
 
 def oracle_cg(j1, m1, j2, m2, J, M):
@@ -78,6 +80,36 @@ def oracle_pure_f_strength(I, J_s, J_d, F_s, m_s, F_d, m_d, gamma_deg, phi_deg):
             * oracle_cg(J_s, mjs, 2, q, J_d, mjd)
         )
     return oracle_geometric_factor(q, gamma_deg, phi_deg) * abs(total)
+
+
+@lru_cache(maxsize=None)
+def _oracle_coupling(ground_level, excited_level, twice_q):
+    """Q[excited basis index, ground basis index] = delta_{m_I}
+    <J_S m_J; 2 q | J_D m_J+q> for the one q, over the |m_I, m_J> product
+    bases (index = i_I * (2J+1) + i_J, both m ascending)."""
+    def basis(level):
+        return [(tmi, tmj) for tmi in range(-level.I.twice, level.I.twice + 1, 2)
+                for tmj in range(-level.J.twice, level.J.twice + 1, 2)]
+
+    out = np.zeros((excited_level.dim, ground_level.dim))
+    for a, (tmi_g, tmj_g) in enumerate(basis(ground_level)):
+        for b, (tmi_e, tmj_e) in enumerate(basis(excited_level)):
+            if tmi_e == tmi_g and tmj_e - tmj_g == twice_q:
+                out[b, a] = clebsch_gordan(ground_level.J, HalfInt(tmj_g), 2, HalfInt(twice_q),
+                                           excited_level.J, HalfInt(tmj_e))
+    return out
+
+
+def oracle_relative_strength(ground, excited, geometry):
+    """Strength between two eigenstates of one field, pair by pair: the
+    per-q coupling matrix between the two amplitude vectors, its magnitude
+    times g^(q).  |Delta m| > 2 gives 0."""
+    twice_q = excited.m_F_tilde.twice - ground.m_F_tilde.twice
+    if abs(twice_q) > 4 or twice_q % 2:
+        return 0.0
+    qmat = _oracle_coupling(ground.level, excited.level, twice_q)
+    amp = excited.amp_mImJ @ qmat @ ground.amp_mImJ
+    return geometric_factor(twice_q // 2, geometry) * abs(amp)
 
 
 def _oracle_spin(j):

@@ -187,6 +187,15 @@ class TestEstimateField:
         with pytest.raises(FitError, match="ambiguous"):
             estimate_field(measured)
 
+    @pytest.mark.parametrize("b_true, edge, B", [
+        (25.0, "upper", "20.0001"), (0.0, "lower", "0.0001"),
+    ], ids=["above-prior", "zero-field"])
+    def test_estimate_at_grid_edge_refused(self, b_true, edge, B):
+        measured = simulate_splittings(self.refs(), b_true)
+        with pytest.raises(FitError, match=rf"pinned at the {edge} edge of the grid, "
+                           rf"B = {B} G \(residual rms \d+\.\d+ kHz\)"):
+            estimate_field(measured)
+
     def test_single_transition_rejected(self):
         pairs = self.refs()[:1]
         measured = simulate_splittings(pairs, 8.35)
@@ -309,6 +318,11 @@ class TestRatioCalibration:
         measured = {2: (((2, 2), (4, 4)), 1e5)}
         with pytest.raises(KeyError):
             ratio_pi_calibration(measured, table, [((2, 2), (4, 1))])  # q = -1
+
+    def test_target_outside_table_named(self):
+        measured = {2: (((2, 2), (4, 4)), 1e5)}
+        with pytest.raises(KeyError, match=r"no state \|F~=5, m=4> in 5D5/2"):
+            ratio_pi_calibration(measured, self.table(), [((2, 2), (5, 4))])  # q = +2
 
     def test_linearity_in_anchor(self):
         table = self.table()

@@ -349,6 +349,17 @@ class TestEstimateB:
         assert rc != 0
 
 
+    def test_lines_no_field_fits_exit_nonzero(self, tmp_path, capsys):
+        (tmp_path / "edge.csv").write_text(
+            "transition,freq_MHz\nS:F2:m2->D:F4:m4,100.0\nS:F2:m2->D:F4:m3,102.0\n"
+        )
+        rc = main(["--out", str(tmp_path), "estimate-b", str(tmp_path / "edge.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert ("pinned at the lower edge of the grid, B = 0.0001 G "
+                "(residual rms 2000.105 kHz)") in err
+        assert not (tmp_path / "estimate_b.json").exists()
+
     def test_repeated_transition_exits_2(self, tmp_path, capsys):
         (tmp_path / "twice.csv").write_text(
             "transition,freq_MHz\n"

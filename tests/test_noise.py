@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from ba137qudit import _lsq
+from ba137qudit.fixtures import TableError
 from ba137qudit.noise import (
     ErrorBudget,
     NoiseModel,
@@ -66,6 +68,18 @@ class TestPsd:
     def test_json_roundtrip(self, tmp_path):
         self.MODEL.to_json(tmp_path / "m.json")
         assert NoiseModel.from_json(tmp_path / "m.json") == self.MODEL
+
+    @pytest.mark.parametrize("text, match", [
+        ('{"h_a": 1.0, "bogus": 2.0}', "bogus: unknown key; expected one of h_a, h_b"),
+        ('[1.0, 2.0]', "document: expected an object, got"),
+        ('{"h_a": "x"}', "h_a: expected a number, got 'x'"),
+        ('{"h_a": true}', "h_a: expected a number, got True"),
+    ], ids=["unknown-key", "array", "string", "bool"])
+    def test_from_json_rejects_bad_document(self, tmp_path, text, match):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        with pytest.raises(TableError, match=f"^{re.escape(str(path))}: {re.escape(match)}"):
+            NoiseModel.from_json(path)
 
 
 class TestFilterFunction:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ba137qudit.angmom import HalfInt
-from ba137qudit.atomstruct import BA137_D52, BA137_S12, FieldMismatchError, diagonalize
+from ba137qudit.atomstruct import BA137_D52, BA137_S12, diagonalize
 from ba137qudit.fixtures import load_strength_fixture
 from ba137qudit.transitions import (
     PAPER13_D_STATES,
@@ -10,11 +11,10 @@ from ba137qudit.transitions import (
     LaserGeometry,
     encodable_states,
     geometric_factor,
-    relative_strength,
     strength_table,
 )
 
-from oracles import oracle_geometric_factor, oracle_pure_f_strength
+from oracles import oracle_geometric_factor, oracle_pure_f_strength, oracle_relative_strength
 
 
 class TestGeometricFactor:
@@ -61,26 +61,44 @@ class TestGeometricFactor:
 
 
 @pytest.fixture(scope="module")
-def systems_835():
-    return diagonalize(BA137_S12, 8.35), diagonalize(BA137_D52, 8.35)
+def table_835():
+    return strength_table(8.35, PAPER13_GEOMETRY)
 
 
 class TestRelativeStrength:
-    def test_stretched_transition(self, systems_835):
-        s, d = systems_835
-        got = relative_strength(s.state(2, 2), d.state(4, 4), PAPER13_GEOMETRY)
-        assert got == pytest.approx(0.2676, abs=5e-5)
+    def test_stretched_transition(self, table_835):
+        assert table_835.value((4, 4), (2, 2)) == pytest.approx(0.2676, abs=5e-5)
 
-    def test_forbidden_delta_m(self, systems_835):
-        s, d = systems_835
-        assert relative_strength(s.state(2, 2), d.state(4, -4), PAPER13_GEOMETRY) == 0.0
-        assert relative_strength(s.state(1, -1), d.state(4, -4), PAPER13_GEOMETRY) == 0.0
+    def test_forbidden_delta_m(self, table_835):
+        assert table_835.value((4, -4), (2, 2)) == 0.0
+        assert table_835.value((4, -4), (1, -1)) == 0.0
 
-    def test_field_mismatch(self, systems_835):
-        s, _ = systems_835
-        d2 = diagonalize(BA137_D52, 4.0)
-        with pytest.raises(FieldMismatchError):
-            relative_strength(s.state(2, 2), d2.state(4, 4), PAPER13_GEOMETRY)
+
+def assert_table_matches_oracle(B, geometry):
+    """The whole table, bit for bit, against the per-pair formula over the
+    labeled eigenstates of both levels at B."""
+    table = strength_table(B, geometry)
+    excited = diagonalize(BA137_D52, B).states
+    ground = sorted(diagonalize(BA137_S12, B), key=lambda g: (g.F_tilde, g.m_F_tilde))
+    want = np.array([[oracle_relative_strength(g, e, geometry) for g in ground] for e in excited])
+    assert table.B is B
+    assert table.d_labels == tuple((e.F_tilde, e.m_F_tilde) for e in excited)
+    assert table.s_labels == tuple((g.F_tilde, g.m_F_tilde) for g in ground)
+    assert np.array_equal(table.values, want)
+    assert np.array_equal(np.signbit(table.values), np.signbit(want))
+    assert not table.values.flags.writeable
+
+
+@pytest.mark.parametrize("B", [0.0, -0.0, 1e-5, 1e-3, 8.35, 20.0])
+def test_table_matches_oracle_at_fields(B):
+    assert_table_matches_oracle(B, PAPER13_GEOMETRY)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(st.floats(0.0, 20.0), st.floats(0.0, 360.0, exclude_max=True),
+       st.floats(0.0, 360.0, exclude_max=True))
+def test_table_matches_oracle_property(B, phi, gamma):
+    assert_table_matches_oracle(B, LaserGeometry(phi, gamma))
 
 
 class TestStrengthTable:
@@ -97,10 +115,19 @@ class TestStrengthTable:
                     assert table.values[i, j] == 0.0
         assert np.all(table.values[fixture == 0.0] < 5e-5)
 
-    def test_spot_values(self, systems_835):
-        table = strength_table(8.35, PAPER13_GEOMETRY)
-        assert table.value((3, 3), (2, 2)) == pytest.approx(0.0036, abs=5e-5)
-        assert table.value((2, 1), (2, 2)) == pytest.approx(0.0724, abs=5e-5)
+    def test_spot_values(self, table_835):
+        assert table_835.value((3, 3), (2, 2)) == pytest.approx(0.0036, abs=5e-5)
+        assert table_835.value((2, 1), (2, 2)) == pytest.approx(0.0724, abs=5e-5)
+
+    def test_value_names_unknown_label(self, table_835):
+        with pytest.raises(KeyError, match=r"no state \|F~=5, m=5> in 5D5/2"):
+            table_835.value((5, 5), (2, 2))
+        with pytest.raises(KeyError, match=r"no state \|F~=2, m=3> in 6S1/2"):
+            table_835.value((4, 4), (2, 3))
+
+    def test_column_names_unknown_label(self, table_835):
+        with pytest.raises(KeyError, match=r"no state \|F~=3, m=2> in 6S1/2"):
+            table_835.column((3, 2))
 
     @pytest.mark.parametrize(
         "B,tol",
