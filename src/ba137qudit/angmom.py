@@ -41,6 +41,11 @@ class HalfInt:
             raise ValueError(f"{x!r} is not a half-integer")
         return cls(int(round(doubled)))
 
+    def __hash__(self) -> int:
+        # the generated dataclass hash builds a tuple per call; states are
+        # hashed by the hundred per exact SPAM evaluation
+        return hash(self.twice)
+
     def __float__(self) -> float:
         return self.twice / 2.0
 

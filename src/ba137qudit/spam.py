@@ -23,11 +23,22 @@ carried through the plan, and each check moves its bright mass into the
 outcome it decides.  ``enumerate_outcomes`` is one row of that matrix and
 ``run_experiment`` a seeded multinomial draw from it.
 
-One cache serves the evaluator: ``_shortest_path``, the breadth-first
-preparation-path search, keyed on the (|0>, target) pair of immutable
-atomic states.  The plan and the matrix are rebuilt on every call, as
-encodings and error models are mutable, and each pulse updates the
-probability array in place.
+Three caches serve the evaluator.  Each keys on immutable content, never
+on the mutable ``QuditEncoding`` or ``ErrorParams``:
+
+- ``_shortest_path``, the breadth-first preparation-path search, keyed on
+  the (|0>, target) pair of atomic states;
+- ``_compile``, the measurement plan in integer codes, keyed on the
+  encoding's name, states, parking items and de-shelve target items;
+- ``_forward``, the forward pass, keyed on the compiled plan, the mode,
+  the float64 bytes of the numbers a call gathers from its error model
+  and the leak layout.  Its matrices are read-only, and only a matrix
+  that passed the row-stochastic check is ever stored.
+
+So every call reads the error model afresh, and evaluating content seen
+before costs one lookup.  Each pulse updates the probability array in
+place.  Codes follow the encoding and the plan, never a set order, so no
+matrix depends on the hash seed.
 """
 
 from __future__ import annotations
@@ -600,13 +611,114 @@ def _swap(prob: np.ndarray, lo: int, hi: int, eps: float) -> None:
     prob[..., lo] = new_lo
 
 
+@dataclass(frozen=True, eq=False)
+class _Compiled:
+    """One encoding's measurement plan in integer codes.  It hashes by
+    identity, so the matrix memo keys on it at no cost."""
+
+    outcomes: tuple[int, ...]  # outcome of each check, in plan order
+    pulses: tuple[tuple[AtomicState, AtomicState], ...]  # distinct, plan steps first
+    steps: tuple[int | None, ...]  # a pulse index, or None for a check
+    prep: tuple[tuple[int, ...], ...]  # the pulses of each encoded state's prep path
+    code: Mapping[AtomicState, int]
+    pulse_codes: tuple[tuple[int, int], ...]  # (6S code, 5D code) of each pulse
+    is_d: tuple[bool, ...]  # by code
+    step_pulse: Mapping[tuple[AtomicState, AtomicState], int]  # pulses the steps apply
+
+
+# every encoding an evaluation session revisits: the full encodings plus the
+# sub-encodings a sweep draws
+@lru_cache(maxsize=64)
+def _compile(
+    name: str,
+    states: tuple[AtomicState, ...],
+    parking: tuple[tuple[AtomicState, AtomicState], ...],
+    deshelve_targets: tuple[tuple[AtomicState, AtomicState], ...],
+) -> _Compiled:
+    """The measurement plan of the encoding with this content, in integer
+    codes.  Raises what ``QuditEncoding`` and ``build_measurement_sequence``
+    raise."""
+    plan = build_measurement_sequence(
+        QuditEncoding(name, states, dict(parking), dict(deshelve_targets))
+    )
+    step_keys = [s.key for s in plan.steps if isinstance(s, PulseStep)]
+    pulses = tuple(dict.fromkeys(step_keys + [p.key for path in plan.prep_paths for p in path]))
+    index = {key: i for i, key in enumerate(pulses)}
+    # every atomic state a plan pulse can touch, encoded states first (so
+    # state n has code n), then the parking states
+    code = {s: i for i, s in enumerate(dict.fromkeys([
+        *states, *(park for _, park in parking), *(st for key in pulses for st in key),
+    ]))}
+    return _Compiled(
+        outcomes=plan.check_outcomes,
+        pulses=pulses,
+        steps=tuple(index[s.key] if isinstance(s, PulseStep) else None for s in plan.steps),
+        prep=tuple(tuple(index[p.key] for p in path) for path in plan.prep_paths),
+        code=code,
+        pulse_codes=tuple((code[s_state], code[d_state]) for s_state, d_state in pulses),
+        is_d=tuple(s.level == "D" for s in code),
+        step_pulse={key: index[key] for key in step_keys},
+    )
+
+
 def _outcome_matrix(
     encoding: QuditEncoding,
     errors: ErrorParams,
     mode: str,
     intervals: float | Sequence[float],
 ) -> np.ndarray:
-    """Exact (d, d + 1) outcome probabilities, Null last, by forward propagation.
+    """Exact (d, d + 1) outcome probabilities, Null last, by forward
+    propagation (``_forward``), as a read-only array.
+
+    A call compiles the encoding (cached on its content) and gathers the
+    error model's numbers for that plan afresh, so it sees every change
+    to either; an evaluation of content seen before is a memo hit.
+    """
+    if mode not in MODES:
+        raise ValueError(f"unknown interpretation mode {mode!r}")
+    plan = _compile(
+        encoding.name,
+        tuple(encoding.states),
+        tuple(encoding.parking.items()),
+        tuple(encoding.deshelve_targets.items()),
+    )
+    decay_p = _decay_probs(errors, intervals, len(plan.outcomes))
+    params = [errors.eps(key) for key in plan.pulses]
+    params += [errors.prep_error, errors.p_dark_given_s, errors.p_bright_given_d]
+    # leak spectators outside the plan get the next codes, and the inert
+    # ground the last one
+    spectators = (st for spectator, p in errors.leak.values() if p > 0 for st in spectator)
+    extra = tuple(st for st in dict.fromkeys([*spectators, _OTHER_GROUND]) if st not in plan.code)
+    leaks = []
+    if errors.leak:
+        code = {**plan.code, **{st: len(plan.code) + k for k, st in enumerate(extra)}}
+        for key, (spectator, p) in errors.leak.items():
+            i = plan.step_pulse.get(key)
+            if p > 0 and i is not None:
+                leaks.append((i, code[spectator[0]], code[spectator[1]]))
+                params += [p, errors.eps(spectator)]
+    params = np.array(params + decay_p.tolist(), dtype=np.float64).tobytes()
+    return _forward(plan, mode, params, extra, tuple(leaks))
+
+
+# a sweep reads one matrix row by row and then samples it; the memo only
+# has to outlive that, and holds at most 8 x 25 x 26 floats
+@lru_cache(maxsize=8)
+def _forward(
+    plan: _Compiled,
+    mode: str,
+    params: bytes,
+    extra: tuple[AtomicState, ...],
+    leaks: tuple[tuple[int, int, int], ...],
+) -> np.ndarray:
+    """The forward pass over the compiled plan.
+
+    ``params`` holds the float64 bytes (which keep -0.0 and 0.0 apart) of
+    the error of each pulse, prep_error, p_dark_given_s, p_bright_given_d,
+    the probability and spectator error of each leak, and the decay
+    probability of each check.  ``extra`` are the states coded after the
+    plan's, the inert ground among them; ``leaks`` holds (pulse, spectator
+    6S code, spectator 5D code) for each leaking plan pulse.
 
     ``prob[row, block, code]`` is the probability that the prepared state
     ``row`` is in atomic state ``code`` with no bright check so far
@@ -616,50 +728,40 @@ def _outcome_matrix(
     bright part of block 0 as that check's outcome, strict mode moves it
     into block 1 + j and books the bright part of the other blocks as Null.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown interpretation mode {mode!r}")
-    plan = build_measurement_sequence(encoding)
-    outcomes = plan.check_outcomes
-    decay_p = _decay_probs(errors, intervals, len(outcomes))
-    d = encoding.d
+    values = np.frombuffer(params)
+    n = len(plan.pulses) + 3
+    *eps, prep_error, p_dark_given_s, p_bright_given_d = values[:n].tolist()
+    numbers = values[n:n + 2 * len(leaks)].tolist()
+    leak_at = {i: (lo, hi, p, e) for (i, lo, hi), p, e in zip(leaks, numbers[::2], numbers[1::2])}
+    decay_p = values[n + 2 * len(leaks):]
+    outcomes = plan.outcomes
+    d = len(plan.prep)
     strict = mode == "strict-single-bright"
-    # every atomic state a plan pulse or a leak can touch, encoded states
-    # first (so state n has code n) and the inert ground last
-    code = {s: i for i, s in enumerate(dict.fromkeys([
-        *encoding.states,
-        *encoding.parking.values(),
-        *(st for key in plan.pulse_keys() for st in key),
-        *(st for spectator, p in errors.leak.values() if p > 0 for st in spectator),
-        _OTHER_GROUND,
-    ]))}
-    is_d_level = np.array([s.level == "D" for s in code])
-    other = code[_OTHER_GROUND]
+    is_d_level = np.array(plan.is_d + tuple(s.level == "D" for s in extra))
+    other = plan.code.get(_OTHER_GROUND, len(plan.code) + extra.index(_OTHER_GROUND))
 
-    prep_success = np.array([
-        math.prod(1.0 - errors.eps(pulse.key) for pulse in path) for path in plan.prep_paths
-    ])
+    prep_success = np.array([math.prod(1.0 - eps[i] for i in path) for path in plan.prep])
     n_blocks = 1 + (len(outcomes) if strict else 0)
-    prob = np.zeros((d, n_blocks, len(code)))
+    prob = np.zeros((d, n_blocks, len(is_d_level)))
     rows = np.arange(d)
-    stay = 1.0 - errors.prep_error
+    stay = 1.0 - prep_error
     prob[rows, 0, rows] += stay * prep_success
     prob[rows, 0, 0] += stay * (1.0 - prep_success)
-    prob[:, 0, other] += errors.prep_error
-    p_bright = np.where(is_d_level, errors.p_bright_given_d, 1.0 - errors.p_dark_given_s)
+    prob[:, 0, other] += prep_error
+    p_bright = np.where(is_d_level, p_bright_given_d, 1.0 - p_dark_given_s)
     p_dark = 1.0 - p_bright
     # per check, the factor decay leaves on each code: exactly 1.0 on S levels
     keep = np.where(is_d_level, 1.0 - decay_p[:, None], 1.0)
 
     out = np.zeros((d, d + 1))
     ci = 0
-    for step in plan.steps:
-        if isinstance(step, PulseStep):
-            key = step.key
-            spectator, leak_p = errors.leak.get(key, (None, 0.0))
+    for i in plan.steps:
+        if i is not None:
+            lo, hi, leak_p, leak_eps = leak_at.get(i, (0, 0, 0.0, 0.0))
             if leak_p > 0:
                 leaked = prob.copy()
-                _swap(leaked, code[spectator[0]], code[spectator[1]], errors.eps(spectator))
-            _swap(prob, code[step.s_state], code[step.d_state], errors.eps(key))
+                _swap(leaked, lo, hi, leak_eps)
+            _swap(prob, *plan.pulse_codes[i], eps[i])
             if leak_p > 0:
                 prob = (1.0 - leak_p) * prob + leak_p * leaked
             continue
@@ -686,6 +788,7 @@ def _outcome_matrix(
             f"outcome matrix is not row-stochastic (min entry {out.min():.3g}, "
             f"row-sum deviation {dev:.3g})"
         )
+    out.setflags(write=False)
     return out
 
 

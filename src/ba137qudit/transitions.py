@@ -186,7 +186,7 @@ def strength_table(B: float, geometry: LaserGeometry) -> StrengthTable:
     amp = amp_d @ _coupling() @ amp_s.T
     values = np.where(np.abs(q) <= 2, g[np.clip(q, -2, 2) + 2] * np.abs(amp), 0.0)
     values.setflags(write=False)
-    return StrengthTable(geometry=geometry, B=B, d_labels=d_labels, s_labels=s_labels,
+    return StrengthTable(geometry=geometry, B=b, d_labels=d_labels, s_labels=s_labels,
                          values=values)
 
 

@@ -188,6 +188,37 @@ def oracle_walk_energies(I, J, A, B_Q, g_J, g_I, mu_B_over_h, b_values, step=0.0
     return [out[float(b)] for b in b_values]
 
 
+def oracle_breit_rabi(I, A, g_J, g_I, mu_B_over_h, F, m, B):
+    """(energy in MHz, dE/dB in MHz/G) of the state |F, m> of a J = 1/2
+    level, H = A I.J + B mu_B/h (g_J J_z + g_I I_z), in closed form by the
+    Breit-Rabi formula (Breit & Rabi, Phys. Rev. 38, 2082 (1931)).
+
+    With dE = A (I + 1/2) and x = (g_J - g_I) mu_B/h B / dE,
+
+        E(F = I +- 1/2, m) = -dE / (2 (2I + 1)) + g_I mu_B/h B m
+                             +- (dE / 2) sqrt(1 + 4 m x / (2I + 1) + x^2).
+
+    F names the branch by its zero-field end: the radicand stays positive
+    for |m| < I + 1/2, so the two states of one m never cross.  The
+    stretched states |m| = I + 1/2 are the product states |m_I = +-I,
+    m_J = +-1/2> and linear in B.  Energies are relative to the centroid.
+    """
+    mu = mu_B_over_h
+    if abs(m) == I + 0.5:
+        sign = math.copysign(1.0, m)
+        slope = sign * mu * (g_J / 2 + g_I * I)
+        return A * I / 2 + slope * B, slope
+    if abs(F - I) != 0.5 or abs(m) > F:
+        raise ValueError(f"no state |F={F}, m={m}> for I = {I}, J = 1/2")
+    sign = 1.0 if F > I else -1.0
+    d_e = A * (I + 0.5)
+    x = (g_J - g_I) * mu * B / d_e
+    root = math.sqrt(1 + 4 * m * x / (2 * I + 1) + x * x)
+    energy = -d_e / (2 * (2 * I + 1)) + g_I * mu * B * m + sign * d_e / 2 * root
+    slope = g_I * mu * m + sign * (g_J - g_I) * mu / 2 * (2 * m / (2 * I + 1) + x) / root
+    return energy, slope
+
+
 def oracle_solve_field(level, B):
     """(energies, amp_mImJ, amp_FmF) of one level at one field, one field at
     a time, as rows by label: F ascending, m_F descending.

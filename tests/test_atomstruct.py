@@ -23,7 +23,7 @@ from ba137qudit.atomstruct import (
 )
 from ba137qudit.calib import paper13_transition_refs, reference_trio, simulate_splittings
 
-from oracles import oracle_label_row, oracle_solve_field, oracle_walk_energies
+from oracles import oracle_breit_rabi, oracle_label_row, oracle_solve_field, oracle_walk_energies
 
 
 def _f_squared(level):
@@ -410,3 +410,52 @@ def test_degenerate_level_fails_at_every_field(level, b_values):
     for b in b_values:
         with pytest.raises(LabelingError):
             diagonalize_range(level, [b])
+
+
+# ulps of the level's energy scale (of its slope scale for dE/dB); 3000
+# seeded draws over the ranges below stayed within 4 (6)
+BREIT_RABI_ULPS = 16
+
+
+def assert_matches_breit_rabi(level, B, pair):
+    """Every state's energy and Hellmann-Feynman slope from ``_field_solve``,
+    and ``field_sensitivity`` of one (ground, excited) label pair, against
+    the closed-form Breit-Rabi energies of a J = 1/2 level."""
+    I, mu = float(level.I), MU_B_OVER_H
+    energy_scale = abs(level.A_D) * (I + 0.5) + mu * B * (abs(level.g_J) / 2 + abs(level.g_I) * I)
+    slope_tol = BREIT_RABI_ULPS * np.spacing(mu * (abs(level.g_J) / 2 + abs(level.g_I) * I))
+    energies, _, _, slopes = atomstruct._field_solve(level, B)
+    want = {}
+    for k, (F, m) in enumerate(atomstruct._table(level).labels):
+        e, slope = want[F, m] = oracle_breit_rabi(
+            I, level.A_D, level.g_J, level.g_I, mu, float(F), float(m), B
+        )
+        assert abs(energies[k] - e) <= BREIT_RABI_ULPS * np.spacing(energy_scale), (F, m)
+        assert abs(slopes[k] - slope) <= slope_tol, (F, m)
+    ground, excited = (atomstruct._table(level).labels[k] for k in pair)
+    got = field_sensitivity(StateRef.of(level, *ground), StateRef.of(level, *excited), B)
+    assert abs(got - (want[excited][1] - want[ground][1])) <= 2 * slope_tol
+
+
+@pytest.mark.parametrize("B", [0.0, 1e-3, 0.5, 8.35, 20.0, 200.0, 2000.0])
+def test_s12_preset_matches_breit_rabi(B):
+    assert_matches_breit_rabi(BA137_S12, B, (atomstruct._row(BA137_S12, 2, 2), 0))
+
+
+@st.composite
+def breit_rabi_cases(draw):
+    """A J = 1/2 level with I up to 9/2, |A| of 1 to 5000 MHz of either
+    sign, any g_J and g_I != 0 of either sign; a field; a pair of rows."""
+    I = draw(st.integers(0, 9))
+    a = draw(st.floats(1.0, 5000.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    g_j = draw(st.floats(-3.0, 3.0))
+    g_i = draw(st.floats(1e-4, 0.5)) * draw(st.sampled_from([-1.0, 1.0]))
+    level = LevelConstants("drawn", HalfInt(I), HalfInt(1), a, 0.0, g_j, g_i)
+    rows = st.integers(0, level.dim - 1)
+    return level, draw(st.floats(0.0, 2000.0)), (draw(rows), draw(rows))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(breit_rabi_cases())
+def test_j_half_levels_match_breit_rabi_property(case):
+    assert_matches_breit_rabi(*case)

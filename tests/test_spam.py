@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -617,8 +621,10 @@ class TestForwardEvaluator:
     @staticmethod
     def break_swap(monkeypatch):
         """Make every pi pulse gain 1% probability: the real in-place swap,
-        then an in-place scale."""
+        then an in-place scale.  The matrix memo is emptied, so no matrix
+        computed before the break is served."""
         swap = spam._swap
+        spam._forward.cache_clear()
 
         def broken(prob, *args):
             swap(prob, *args)
@@ -647,12 +653,15 @@ class TestForwardEvaluator:
     def test_repeated_matrices_search_each_path_once(self):
         encs = [paper13_encoding(), twenty_five_level(), paper13_encoding()]
         spam._shortest_path.cache_clear()
+        spam._compile.cache_clear()
         for enc in encs * 2:
             errs = ErrorParams.uniform(enc, 0.01)
             for mode in spam.MODES:
                 spam._outcome_matrix(enc, errs, mode, 0.0)
         searched = {(enc.states[0], state) for enc in encs for state in enc.states}
         assert spam._shortest_path.cache_info().misses == len(searched)
+        # paper13 twice over is one content, so two compiles in all
+        assert spam._compile.cache_info().misses == len({enc.name for enc in encs}) == 2
 
     def test_prepared_out_of_range(self):
         enc = two_level()
@@ -663,6 +672,184 @@ class TestForwardEvaluator:
         enc = two_level()
         with pytest.raises(MissingTransitionError):
             enumerate_outcomes(enc, ErrorParams(eps_pi={}), 1)
+
+
+def fresh_matrix(enc, errs, mode, intervals):
+    """The outcome matrix with every evaluator cache emptied first."""
+    for cache in (spam._shortest_path, spam._compile, spam._forward):
+        cache.cache_clear()
+    return spam._outcome_matrix(enc, errs, mode, intervals)
+
+
+class TestEvaluatorCaches:
+    """The compiled plan and the matrix memo key on content: a call sees every
+    change to the encoding or the error model, and equal content gives the
+    matrix a fresh evaluation gives."""
+
+    def evaluate(self, enc, errs, intervals):
+        """Both modes through the caches, each equal to a fresh evaluation and
+        within 1e-12 of the branch enumerator."""
+        got = [spam._outcome_matrix(enc, errs, mode, intervals) for mode in spam.MODES]
+        for mode, m in zip(spam.MODES, got):
+            assert np.array_equal(m, fresh_matrix(enc, errs, mode, intervals)), mode
+        assert_rows_match_oracle(enc, errs, intervals)
+        return got
+
+    def assert_sees_change(self, enc, errs, intervals, change):
+        before = self.evaluate(enc, errs, intervals)
+        change()
+        after = self.evaluate(enc, errs, intervals)
+        for old, new in zip(before, after):
+            assert not np.array_equal(old, new)
+
+    def case(self, seed, shelving=False):
+        rng = np.random.default_rng(seed)
+        enc = random_sub_encoding(rng, 5, shelving)
+        return (enc, *random_errors(rng, enc))
+
+    def test_sees_mutated_pulse_error(self):
+        enc, errs, intervals = self.case(1)
+        key = min(errs.eps_pi)
+        self.assert_sees_change(enc, errs, intervals,
+                                lambda: errs.eps_pi.update({key: errs.eps_pi[key] + 0.1}))
+
+    def test_sees_mutated_leak(self):
+        enc, errs, intervals = self.case(2)
+        ((source, (spectator, p)),) = errs.leak.items()
+        self.assert_sees_change(enc, errs, intervals,
+                                lambda: errs.leak.update({source: (spectator, p + 0.3)}))
+
+    def test_sees_mutated_decay_rate(self):
+        enc, errs, intervals = self.case(3)
+        self.assert_sees_change(enc, errs, intervals,
+                                lambda: setattr(errs, "decay_rate", errs.decay_rate + 20.0))
+
+    def test_sees_mutated_parking(self):
+        ground = S(2, 2)
+        enc = QuditEncoding("parked", (ground, S(2, 1), D(4, 4)), parking={S(2, 1): D(4, 3)})
+        moved = D(3, 2)  # unencoded, |Delta m| = 1 from S(2, 1)
+        eps = {(ground, D(4, 4)): 0.02, (S(2, 1), D(4, 3)): 0.1, (S(2, 1), moved): 0.3}
+        for path in build_measurement_sequence(enc).prep_paths:
+            eps.update({pulse.key: 0.05 for pulse in path})
+        errs = ErrorParams(eps_pi=eps, p_dark_given_s=0.01, p_bright_given_d=0.02)
+        self.assert_sees_change(enc, errs, 0.0, lambda: enc.parking.update({S(2, 1): moved}))
+
+    def test_sees_mutated_deshelve_target(self):
+        ground = S(2, 2)
+        enc = QuditEncoding("targets", (ground, S(2, 1), D(2, 1)), parking={S(2, 1): D(4, 3)},
+                            deshelve_targets={D(2, 1): ground})
+        eps = {(ground, D(2, 1)): 0.02, (S(2, 1), D(4, 3)): 0.1, (S(2, 1), D(2, 1)): 0.3}
+        for path in build_measurement_sequence(enc).prep_paths:
+            eps.update({pulse.key: 0.05 for pulse in path})
+        errs = ErrorParams(eps_pi=eps, p_dark_given_s=0.01, p_bright_given_d=0.02)
+        self.assert_sees_change(enc, errs, 0.0,
+                                lambda: enc.deshelve_targets.update({D(2, 1): S(2, 1)}))
+
+    # the parent implementation's matrices, entry by entry, for either sign of
+    # a zero pulse error
+    SIGNED_ZERO_REPRS = {
+        "first-bright": [
+            ["0.9899999999999999", "0.002982983012142557", "0.0004113657134731767",
+             "0.0066056512743842746"],
+            ["0.284325", "0.5373220795505281", "0.01038660067029885", "0.1679663197791729"],
+            ["0.0491", "0.03756744691996046", "0.904199227549239", "0.009133325530800401"],
+        ],
+        "strict-single-bright": [
+            ["0.6539594761640424", "0.0024001625562324325", "0.0004113657134731767",
+             "0.34322899556625175"],
+            ["0.1668862778565326", "0.5025726463448165", "0.01038660067029885",
+             "0.3201544751283518"],
+            ["0.00018936378634286537", "0.00037567446919960495", "0.904199227549239",
+             "0.09523573419521839"],
+        ],
+    }
+
+    @pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_signed_zero_errors_are_distinct_keys(self, first, second):
+        enc = QuditEncoding("three", paper13_encoding().states[:3])
+        keys = sorted(build_measurement_sequence(enc).pulse_keys())
+
+        def errors(zero):
+            return ErrorParams(eps_pi={keys[0]: zero, keys[1]: 0.25}, prep_error=0.03,
+                               p_dark_given_s=0.01, p_bright_given_d=0.02, decay_rate=2.0)
+
+        intervals = [0.0, 0.01, 0.02]
+        for mode, want in self.SIGNED_ZERO_REPRS.items():
+            fresh_matrix(enc, errors(first), mode, intervals)
+            misses = spam._forward.cache_info().misses
+            got = spam._outcome_matrix(enc, errors(second), mode, intervals)
+            assert spam._forward.cache_info().misses == misses + 1
+            assert [[repr(x) for x in row] for row in got.tolist()] == want
+
+    def test_matrix_is_read_only(self):
+        enc, errs, intervals = self.case(4, shelving=True)
+        for mode in spam.MODES:
+            m = spam._outcome_matrix(enc, errs, mode, intervals)
+            assert not m.flags.writeable
+            with pytest.raises(ValueError):
+                m[0, 0] = 0.5
+            assert spam._outcome_matrix(enc, errs, mode, intervals) is m
+
+    def test_missing_transition_raises_on_every_call(self):
+        enc, errs, intervals = self.case(5)
+        spam._outcome_matrix(enc, errs, "first-bright", intervals)
+        del errs.eps_pi[max(errs.eps_pi)]
+        for _ in range(2):
+            with pytest.raises(MissingTransitionError):
+                spam._outcome_matrix(enc, errs, "first-bright", intervals)
+
+    def test_plan_error_raises_on_every_call_naming_the_encoding(self):
+        ground = paper13_encoding().states[0]
+        first, second = (QuditEncoding(name, (ground, D(5, 3))) for name in ("first", "second"))
+        for enc in (first, first, second, second):
+            with pytest.raises(PlanError, match=f"^{enc.name}: "):
+                spam._outcome_matrix(enc, ErrorParams(), "first-bright", 0.0)
+
+
+# hashes seeded exact matrices: paper13, full25 and full25 sub-encodings, both
+# modes, with decay, read flips and a leak in or outside the plan
+HASH_SEED_PROBE = """
+import hashlib
+import numpy as np
+from ba137qudit import spam
+from test_spam import random_errors, random_sub_encoding
+
+rng = np.random.default_rng(16)
+encs = [spam.paper13_encoding(), spam.twenty_five_level_encoding()] * 3
+encs += [random_sub_encoding(rng, d, True) for d in range(3, 9)]
+digest = hashlib.sha256()
+for enc in encs:
+    for outside in (False, True):
+        errs, intervals = random_errors(rng, enc)
+        if outside:
+            ((source, (_, p)),) = errs.leak.items()
+            pair = (spam.ALL_S_STATES[rng.integers(8)], spam.ALL_D_STATES[rng.integers(24)])
+            errs.eps_pi.setdefault(pair, 0.1)
+            errs.leak[source] = (pair, p)
+        for mode in spam.MODES:
+            digest.update(spam._outcome_matrix(enc, errs, mode, intervals).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_matrices_do_not_depend_on_the_hash_seed():
+    """String hashes change from process to process; no matrix may follow
+    them through a set or dict order."""
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here),
+                                         os.environ.get("PYTHONPATH")]))
+    procs = [
+        subprocess.Popen([sys.executable, "-c", HASH_SEED_PROBE], stdout=subprocess.PIPE,
+                         stderr=subprocess.PIPE, text=True,
+                         env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": str(seed)})
+        for seed in range(4)
+    ]
+    digests = set()
+    for proc in procs:
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        digests.add(out.strip())
+    assert len(digests) == 1, digests
 
 
 class TestPrepPathSearch:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -81,7 +83,7 @@ def assert_table_matches_oracle(B, geometry):
     excited = diagonalize(BA137_D52, B).states
     ground = sorted(diagonalize(BA137_S12, B), key=lambda g: (g.F_tilde, g.m_F_tilde))
     want = np.array([[oracle_relative_strength(g, e, geometry) for g in ground] for e in excited])
-    assert table.B is B
+    assert type(table.B) is float and repr(table.B) == repr(float(B) + 0.0)
     assert table.d_labels == tuple((e.F_tilde, e.m_F_tilde) for e in excited)
     assert table.s_labels == tuple((g.F_tilde, g.m_F_tilde) for g in ground)
     assert np.array_equal(table.values, want)
@@ -174,6 +176,17 @@ class TestStrengthTable:
         doc = _json.load(open(tmp_path / "t.json"))
         assert doc["B_gauss"] == 8.35
         assert len(doc["entries"]) == 192
+
+
+@pytest.mark.parametrize("B, want", [(np.float32(8.35), float(np.float32(8.35))), (-0.0, 0.0),
+                                     (np.float64(8.35), 8.35), (3, 3.0)])
+def test_table_keeps_the_field_it_was_computed_at(tmp_path, B, want):
+    table = strength_table(B, LaserGeometry(phi=0.7, gamma=0.3))
+    assert type(table.B) is float and repr(table.B) == repr(want)
+    table.to_json(tmp_path / "t.json")
+    written = json.loads((tmp_path / "t.json").read_text())["B_gauss"]
+    assert repr(written) == repr(want)
+    assert np.array_equal(table.values, strength_table(want, table.geometry).values)
 
 
 class TestEncodableStates:
