@@ -10,6 +10,7 @@ at most three quadrupole pulses.
 
 import numpy as np
 
+from ba137qudit.atomstruct import BA137_D52, BA137_S12
 from ba137qudit.spam import (
     ErrorParams,
     PulseStep,
@@ -24,8 +25,8 @@ enc = twenty_five_level_encoding()
 plan = build_measurement_sequence(enc)
 
 print(f"== encoding '{enc.name}': d = {enc.d} ==")
-print("ground states encoded:", sum(1 for s in enc.states if s.level == "S"))
-print("metastable states encoded:", sum(1 for s in enc.states if s.level == "D"))
+print("ground states encoded:", sum(1 for s in enc.states if s.level == BA137_S12))
+print("metastable states encoded:", sum(1 for s in enc.states if s.level == BA137_D52))
 print("parking assignments (shelved before the |0> check):")
 for s_state, park in enc.parking.items():
     print(f"  {s_state}  ->  {park}")
@@ -41,7 +42,7 @@ if three_hop:
     n = three_hop[0]
     route = " -> ".join(
         [str(enc.states[0])]
-        + [str(p.d_state if enc.states[0].level == "S" and i % 2 == 0 else p.s_state)
+        + [str(p.d_state if enc.states[0].level == BA137_S12 and i % 2 == 0 else p.s_state)
            for i, p in enumerate(plan.prep_paths[n])]
     )
     print(f"  example three-pulse route to {enc.states[n]}: {route}")

@@ -56,7 +56,6 @@ from .noise import (
     spam_error_from_pi,
 )
 from .spam import (
-    AtomicState,
     ConfusionMatrix,
     ErrorParams,
     QuditEncoding,

@@ -26,7 +26,8 @@ Three caches: ``_table`` and ``_check_zero_field`` keyed on the level, and
 ``_field_solve``, one field's energies, eigenvectors and Hellmann-Feynman
 slopes keyed on (level, field), which ``diagonalize``, ``field_sensitivity``,
 the field estimate's Gauss-Newton steps and ``transitions.strength_table``
-read.
+read.  ``StateRef`` is the package's one state type; a level hashes by its
+name, so a ref hashes cheaply, and ``parse_atomic_state`` reads its key.
 """
 
 from __future__ import annotations
@@ -115,13 +116,24 @@ class LevelConstants:
         tmax = self.I.twice + self.J.twice
         return tuple(HalfInt(t) for t in range(tmin, tmax + 1, 2))
 
+    def __hash__(self) -> int:  # equal levels have equal names
+        return hash(self.name)
+
 
 BA137_S12 = LevelConstants("6S1/2", HalfInt(3), HalfInt(1), 4018.871, 0.0, 2.0)
 BA137_D52 = LevelConstants("5D5/2", HalfInt(3), HalfInt(5), -12.028, 59.533, 1.2)
 
+# the side letter that names a preset level in a state's text key
+_SIDES = {BA137_S12: "S", BA137_D52: "D"}
+_LEVEL_OF_SIDE = {side: level for level, side in _SIDES.items()}
+
 
 class StateRef(NamedTuple):
-    """A (level, F~, m_F~) handle that survives re-diagonalization."""
+    """A (level, F~, m_F~) state; rank labels survive re-diagonalization.
+
+    ``key`` (also ``str``) is its text, ``S:F2:m2`` or ``D:F4:m-3`` on the
+    two presets; on any other level the level's name replaces the letter.
+    """
 
     level: LevelConstants
     F: HalfInt
@@ -130,6 +142,32 @@ class StateRef(NamedTuple):
     @classmethod
     def of(cls, level: LevelConstants, F, m) -> "StateRef":
         return cls(level, HalfInt.coerce(F), HalfInt.coerce(m))
+
+    @property
+    def key(self) -> str:
+        return f"{_SIDES.get(self.level, self.level.name)}:F{self.F}:m{self.m}"
+
+    def __str__(self) -> str:
+        return self.key
+
+
+def parse_atomic_state(key: str) -> StateRef:
+    """Parse 'S:F2:m2' / 'D:F4:m-3' style keys (fractions like 3/2 allowed)
+    into a ref on ``BA137_S12`` or ``BA137_D52``."""
+
+    def half(txt: str) -> HalfInt:
+        num, *den = txt.split("/")
+        if den not in ([], ["2"]):
+            raise ValueError(f"bad half-integer {txt!r}")
+        return HalfInt(int(num) * (2 - len(den)))
+
+    try:
+        side, ftxt, mtxt = key.split(":")
+        if side not in _LEVEL_OF_SIDE or not ftxt.startswith("F") or not mtxt.startswith("m"):
+            raise ValueError
+        return StateRef(_LEVEL_OF_SIDE[side], half(ftxt[1:]), half(mtxt[1:]))
+    except ValueError as exc:
+        raise ValueError(f"cannot parse atomic state key {key!r}") from exc
 
 
 def _spin_matrices(twice_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

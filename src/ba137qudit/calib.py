@@ -32,6 +32,7 @@ from .atomstruct import (
     _lines_at,
 )
 from .fixtures import _NUMBER, TableError, _json, _number, _write_json
+from .spam import paper13_encoding
 from .transitions import StrengthTable
 
 __all__ = [
@@ -204,9 +205,15 @@ class CalibrationModel:
 
 def fit_calibration(history: Sequence[CalSnapshot]) -> CalibrationModel:
     """Ordinary least squares of f_n - f_offset against Delta f = f_up - f_low,
-    one regression per transition.  Needs >= 2 snapshots with distinct Delta f."""
+    one regression per transition.  Needs >= 2 snapshots with distinct Delta f;
+    a frequency that is not finite raises ValueError naming its session."""
     if len(history) < 2:
         raise FitError("need at least 2 calibration snapshots")
+    for i, s in enumerate(history):
+        named = [("f_offset", s.f_offset), ("f_low", s.f_low), ("f_up", s.f_up)]
+        for name, f in named + [(f"transition {n}", f) for n, f in s.freqs.items()]:
+            if not math.isfinite(f):
+                raise ValueError(f"session {i}: {name} frequency must be finite, got {f!r}")
     dfs = np.array([s.f_up - s.f_low for s in history])
     if np.ptp(dfs) < 1e-12:
         raise FitError("rank-deficient history: all snapshots have equal Delta f")
@@ -249,22 +256,25 @@ def estimate_field(
 ) -> FieldEstimate:
     """Least-squares field estimate from measured transition frequencies.
 
-    Frequencies are compared relative to the first transition in the map
-    (any common optical offset drops out), so at least two transitions
-    with distinct field sensitivity are required.  A coarse grid over the
-    prior interval finds the local minima; each is refined by Gauss-Newton
-    on the Hellmann-Feynman slopes, clamped to its grid bracket.  The
-    residual and the Jacobian of a step read the same cached per-(level,
-    field) solve.  Two separated minima that refine to the same cost make
-    the data ambiguous and raise ``FitError``.  The grid starts at
-    max(prior[0], 1e-4 G); a best minimum pinned on its first or last point
+    Frequencies are compared relative to the first transition in the map (any
+    common optical offset drops out), so at least two transitions with
+    distinct field sensitivity are required, and every frequency must be
+    finite.  A coarse grid over the prior interval finds the local minima;
+    each is refined by Gauss-Newton on the Hellmann-Feynman slopes, clamped to
+    its grid bracket.  The residual and the Jacobian of a step read the same
+    cached per-(level, field) solve.  Two separated minima that refine to the
+    same cost make the data ambiguous and raise ``FitError``.  The grid starts
+    at max(prior[0], 1e-4 G); a best minimum pinned on its first or last point
     means the field lies outside the grid, or the lines fit no field, and
-    raises ``FitError`` too.  A true field of 0 G lies below the 1e-4 G
-    floor, so it raises.
+    raises ``FitError`` too.  A true field of 0 G lies below the 1e-4 G floor,
+    so it raises.
     """
     pairs = list(measured.keys())
     if len(pairs) < 2:
         raise ValueError("need at least two measured transitions")
+    for (g, e), f in measured.items():
+        if not math.isfinite(f):
+            raise ValueError(f"measured frequency of {g.key}->{e.key} must be finite, got {f!r}")
     if not (math.isfinite(prior[0]) and math.isfinite(prior[1]) and prior[0] < prior[1]):
         raise ValueError(f"prior must be a finite interval (lo, hi) with lo < hi, got {prior}")
     ref = pairs[0]
@@ -525,14 +535,10 @@ def scan_plan() -> ScanPlan:
 
 
 def paper13_transition_refs() -> dict[int, tuple[StateRef, StateRef]]:
-    """Encoded transitions |0> <-> |n> of the 13-level scheme as state refs."""
-    from .transitions import PAPER13_D_STATES
-
-    ground = StateRef.of(BA137_S12, 2, 2)
-    return {
-        n + 1: (ground, StateRef(BA137_D52, f, m))
-        for n, (f, m) in enumerate(PAPER13_D_STATES)
-    }
+    """Encoded transitions |0> <-> |n> of the 13-level scheme, n = 1..12,
+    as pairs of the states of ``spam.paper13_encoding``."""
+    states = paper13_encoding().states
+    return {n: (states[0], states[n]) for n in range(1, len(states))}
 
 
 def reference_trio() -> dict[str, tuple[StateRef, StateRef]]:

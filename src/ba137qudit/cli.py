@@ -200,11 +200,11 @@ def cmd_strengths(args, cfg):
         "max_abs_deviation_vs_reference": dev,
     }
     if args.list_encodable:
-        picked = transitions.encodable_states(table, threshold=threshold)
-        report["encodable_states"] = [f"D:F{f}:m{m}" for f, m in picked]
+        picked = [StateRef(BA137_D52, *p) for p in transitions.encodable_states(table, threshold)]
+        report["encodable_states"] = [state.key for state in picked]
         print(f"strengths: {len(picked)} states above {threshold}:")
-        for i, (f, m) in enumerate(picked, start=1):
-            print(f"  |{i}> = D:F{f}:m{m}")
+        for i, state in enumerate(picked, start=1):
+            print(f"  |{i}> = {state}")
     rep_path = outdir / "strengths_report.json"
     _write_json(rep_path, report)
     written.append(rep_path)
@@ -395,8 +395,7 @@ def cmd_fit(args, cfg):
 def _splitting(row):
     """((ground, excited), frequency) of a measured-splittings row: columns
     transition (e.g. S:F2:m2->D:F4:m4) and freq_MHz."""
-    states = [spam.parse_atomic_state(key) for key in row["transition"].split("->")]
-    g, e = (StateRef(BA137_S12 if s.level == "S" else BA137_D52, s.F, s.m) for s in states)
+    g, e = (spam.parse_atomic_state(key) for key in row["transition"].split("->"))
     return (g, e), _number(row["freq_MHz"])
 
 
@@ -404,8 +403,7 @@ def cmd_estimate_b(args, cfg):
     measured = {}
     for (g, e), freq in _read_csv(args.input, _splitting)[1]:
         if (g, e) in measured:
-            raise TableError(f"{args.input}: transition S:F{g.F}:m{g.m}->D:F{e.F}:m{e.m} "
-                             "is listed twice")
+            raise TableError(f"{args.input}: transition {g.key}->{e.key} is listed twice")
         measured[g, e] = freq
     try:
         est = calib.estimate_field(measured)

@@ -7,7 +7,8 @@ One measurement is a fluorescence check for |0>, then alternating
 de-shelve pulse / fluorescence check for each encoded state in ascending
 index order.  A de-shelve pulse is simultaneously a re-shelve pulse for
 population already read out, which is what makes first-bright
-interpretation single-shot.
+interpretation single-shot.  A state is an ``atomstruct.StateRef`` on
+``BA137_S12`` or ``BA137_D52``, named in files by its key, e.g. ``S:F2:m2``.
 
 The stochastic model is classical: every pi pulse is a Bernoulli swap
 between its two endpoint states with failure probability eps_pi, every
@@ -46,13 +47,15 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from functools import lru_cache, partial
+from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
 from .angmom import HalfInt
+from .atomstruct import BA137_D52, BA137_S12, StateRef, parse_atomic_state
 from .fixtures import (
     _NUMBER,
     TableError,
@@ -60,13 +63,12 @@ from .fixtures import (
     _labeled_numbers,
     _read_csv,
     _write_json,
-    load_confusion_fixture,
+    fixture_path,
     load_transition_params,
 )
 from .transitions import PAPER13_D_STATES
 
 __all__ = [
-    "AtomicState",
     "QuditEncoding",
     "ErrorParams",
     "ConfusionMatrix",
@@ -116,60 +118,20 @@ class MissingTransitionError(KeyError):
     """ErrorParams carries no pi-pulse error for a required transition."""
 
 
-class AtomicState(NamedTuple):
-    """One stable or metastable state: level side 'S' or 'D' plus (F~, m)."""
+_S = partial(StateRef.of, BA137_S12)
+_D = partial(StateRef.of, BA137_D52)
 
-    level: str
-    F: HalfInt
-    m: HalfInt
-
-    @property
-    def key(self) -> str:
-        return f"{self.level}:F{self.F}:m{self.m}"
-
-    def __str__(self) -> str:
-        return self.key
-
-
-def _S(f, m) -> AtomicState:
-    return AtomicState("S", HalfInt.coerce(f), HalfInt.coerce(m))
-
-
-def _D(f, m) -> AtomicState:
-    return AtomicState("D", HalfInt.coerce(f), HalfInt.coerce(m))
-
-
-def parse_atomic_state(key: str) -> AtomicState:
-    """Parse 'S:F2:m2' / 'D:F4:m-3' style keys (fractions like 3/2 allowed)."""
-
-    def half(txt: str) -> HalfInt:
-        if "/" in txt:
-            num, den = txt.split("/")
-            if int(den) != 2:
-                raise ValueError(f"bad half-integer {txt!r}")
-            return HalfInt(int(num))
-        return HalfInt(2 * int(txt))
-
-    try:
-        level, ftxt, mtxt = key.split(":")
-        if level not in ("S", "D") or not ftxt.startswith("F") or not mtxt.startswith("m"):
-            raise ValueError
-        return AtomicState(level, half(ftxt[1:]), half(mtxt[1:]))
-    except ValueError as exc:
-        raise ValueError(f"cannot parse atomic state key {key!r}") from exc
-
-
-ALL_S_STATES: tuple[AtomicState, ...] = tuple(
-    _S(f, m) for f in (1, 2) for m in range(f, -f - 1, -1)
-)
-ALL_D_STATES: tuple[AtomicState, ...] = tuple(
-    _D(f, m) for f in (1, 2, 3, 4) for m in range(f, -f - 1, -1)
+# F~ up, m down: the order the path search tries partners in, so it picks the paths
+ALL_S_STATES, ALL_D_STATES = (
+    tuple(StateRef(level, F, HalfInt(tm)) for F in level.f_values()
+          for tm in range(F.twice, -F.twice - 1, -2))
+    for level in (BA137_S12, BA137_D52)
 )
 
 MAX_LEVELS = 25  # 32 stable/metastable states minus 7 reserved parking slots
 
 
-def _quadrupole_allowed(s_state: AtomicState, d_state: AtomicState) -> bool:
+def _quadrupole_allowed(s_state: StateRef, d_state: StateRef) -> bool:
     return abs(s_state.m.twice - d_state.m.twice) <= 4
 
 
@@ -184,9 +146,9 @@ class QuditEncoding:
     """
 
     name: str
-    states: tuple[AtomicState, ...]
-    parking: Mapping[AtomicState, AtomicState] = field(default_factory=dict)
-    deshelve_targets: Mapping[AtomicState, AtomicState] = field(default_factory=dict)
+    states: tuple[StateRef, ...]
+    parking: Mapping[StateRef, StateRef] = field(default_factory=dict)
+    deshelve_targets: Mapping[StateRef, StateRef] = field(default_factory=dict)
 
     def __post_init__(self):
         self.states = tuple(self.states)
@@ -196,16 +158,16 @@ class QuditEncoding:
             raise EncodingError("encoded states must be distinct")
         if len(self.states) > MAX_LEVELS:
             raise EncodingError(f"at most {MAX_LEVELS} levels are distinguishable")
-        if self.states[0].level != "S":
+        if self.states[0].level != BA137_S12:
             raise EncodingError("state |0> must be a 6S1/2 state")
         encoded = set(self.states)
         for s_state in self.states[1:]:
-            if s_state.level != "S":
+            if s_state.level != BA137_S12:
                 continue
             park = self.parking.get(s_state)
             if park is None:
                 raise EncodingError(f"6S-encoded state {s_state} has no parking state")
-            if park.level != "D":
+            if park.level != BA137_D52:
                 raise EncodingError(f"parking state {park} must be a 5D5/2 state")
             if park in encoded:
                 raise EncodingError(f"parking state {park} is itself encoded")
@@ -216,19 +178,17 @@ class QuditEncoding:
     def d(self) -> int:
         return len(self.states)
 
-    def index_of(self, state: AtomicState) -> int:
+    def index_of(self, state: StateRef) -> int:
         return self.states.index(state)
 
-    def deshelve_target(self, d_state: AtomicState) -> AtomicState:
+    def deshelve_target(self, d_state: StateRef) -> StateRef:
         return self.deshelve_targets.get(d_state, self.states[0])
 
 
 def paper13_encoding() -> QuditEncoding:
     """The 13-level encoding: |0> = 6S1/2(F~=2, m=2) plus the twelve 5D5/2
     states reachable from it with relative strength above 0.03."""
-    states = (_S(2, 2),) + tuple(
-        AtomicState("D", f, m) for f, m in PAPER13_D_STATES
-    )
+    states = (_S(2, 2),) + tuple(StateRef(BA137_D52, f, m) for f, m in PAPER13_D_STATES)
     return QuditEncoding(name="paper13", states=states)
 
 
@@ -272,11 +232,11 @@ def twenty_five_level_encoding() -> QuditEncoding:
 class PulseStep:
     """A pi pulse connecting one 6S1/2 and one 5D5/2 state."""
 
-    s_state: AtomicState
-    d_state: AtomicState
+    s_state: StateRef
+    d_state: StateRef
 
     @property
-    def key(self) -> tuple[AtomicState, AtomicState]:
+    def key(self) -> tuple[StateRef, StateRef]:
         return (self.s_state, self.d_state)
 
 
@@ -301,7 +261,7 @@ class MeasurementPlan:
     def n_checks(self) -> int:
         return len(self.check_outcomes)
 
-    def pulse_keys(self) -> set[tuple[AtomicState, AtomicState]]:
+    def pulse_keys(self) -> set[tuple[StateRef, StateRef]]:
         keys = {s.key for s in self.steps if isinstance(s, PulseStep)}
         for path in self.prep_paths:
             keys.update(p.key for p in path)
@@ -310,7 +270,7 @@ class MeasurementPlan:
 
 # every (|0>, target) pair of a valid encoding is one of 8 x 32
 @lru_cache(maxsize=256)
-def _shortest_path(start: AtomicState, target: AtomicState) -> tuple[PulseStep, ...] | None:
+def _shortest_path(start: StateRef, target: StateRef) -> tuple[PulseStep, ...] | None:
     """Shortest pulse path from start to target over quadrupole-allowed
     S<->D hops (breadth-first over all 32 states), or None when no path of
     at most three hops exists."""
@@ -323,11 +283,11 @@ def _shortest_path(start: AtomicState, target: AtomicState) -> tuple[PulseStep, 
         for state, path in frontier:
             if len(path) >= 3:
                 continue
-            partners = ALL_D_STATES if state.level == "S" else ALL_S_STATES
-            for other in partners:
+            ground = state.level == BA137_S12
+            for other in ALL_D_STATES if ground else ALL_S_STATES:
                 if other in seen:
                     continue
-                s_state, d_state = (state, other) if state.level == "S" else (other, state)
+                s_state, d_state = (state, other) if ground else (other, state)
                 if not _quadrupole_allowed(s_state, d_state):
                     continue
                 new_path = path + (PulseStep(s_state, d_state),)
@@ -339,7 +299,7 @@ def _shortest_path(start: AtomicState, target: AtomicState) -> tuple[PulseStep, 
     return None
 
 
-def _prep_path(encoding: QuditEncoding, target: AtomicState) -> tuple[PulseStep, ...]:
+def _prep_path(encoding: QuditEncoding, target: StateRef) -> tuple[PulseStep, ...]:
     """Shortest pulse path from the encoding's |0> to the target."""
     path = _shortest_path(encoding.states[0], target)
     if path is None:
@@ -356,7 +316,7 @@ def build_measurement_sequence(encoding: QuditEncoding) -> MeasurementPlan:
     steps: list[Union[PulseStep, CheckStep]] = []
     for n in range(1, encoding.d):
         state = encoding.states[n]
-        if state.level == "S":
+        if state.level == BA137_S12:
             pulse = PulseStep(state, encoding.parking[state])
             if not _quadrupole_allowed(*pulse.key):
                 raise PlanError(
@@ -367,7 +327,7 @@ def build_measurement_sequence(encoding: QuditEncoding) -> MeasurementPlan:
     steps.append(CheckStep(0))
     for n in range(1, encoding.d):
         state = encoding.states[n]
-        if state.level == "S":
+        if state.level == BA137_S12:
             pulse = PulseStep(state, encoding.parking[state])
         else:
             target = encoding.deshelve_target(state)
@@ -392,13 +352,13 @@ class ErrorParams:
     transition); it defaults to off.
     """
 
-    eps_pi: Mapping[tuple[AtomicState, AtomicState], float] = field(default_factory=dict)
+    eps_pi: Mapping[tuple[StateRef, StateRef], float] = field(default_factory=dict)
     prep_error: float = 0.0
     p_dark_given_s: float = 0.0  # bright ion read as dark
     p_bright_given_d: float = 0.0  # dark ion read as bright
     decay_rate: float = 0.0  # 1/s out of the 5D5/2 level
     leak: Mapping[
-        tuple[AtomicState, AtomicState], tuple[tuple[AtomicState, AtomicState], float]
+        tuple[StateRef, StateRef], tuple[tuple[StateRef, StateRef], float]
     ] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -411,7 +371,7 @@ class ErrorParams:
         if not (math.isfinite(self.decay_rate) and self.decay_rate >= 0):
             raise ValueError(f"decay_rate must be finite and nonnegative, got {self.decay_rate!r}")
 
-    def eps(self, key: tuple[AtomicState, AtomicState]) -> float:
+    def eps(self, key: tuple[StateRef, StateRef]) -> float:
         try:
             return self.eps_pi[key]
         except KeyError:
@@ -434,7 +394,7 @@ _PROBABILITIES = ("prep_error", "p_dark_given_s", "p_bright_given_d")
 _RATES = _PROBABILITIES + ("decay_rate",)
 
 
-def _pair_key(pair: tuple[AtomicState, AtomicState]) -> str:
+def _pair_key(pair: tuple[StateRef, StateRef]) -> str:
     return f"{pair[0].key}->{pair[1].key}"
 
 
@@ -450,7 +410,7 @@ def error_params_to_json(path, errors: ErrorParams) -> None:
     _write_json(path, doc)
 
 
-def _parse_pair(key: str) -> tuple[AtomicState, AtomicState]:
+def _parse_pair(key: str) -> tuple[StateRef, StateRef]:
     a, _, b = key.partition("->")
     return parse_atomic_state(a), parse_atomic_state(b)
 
@@ -500,7 +460,7 @@ def error_params_from_reference(fixtures_dir=None, **kwargs) -> ErrorParams:
     return ErrorParams(eps_pi=eps, **kwargs)
 
 
-_OTHER_GROUND = AtomicState("S", HalfInt(-2), HalfInt(0))  # inert bright sentinel
+_OTHER_GROUND = StateRef(BA137_S12, HalfInt(-2), HalfInt(0))  # inert bright sentinel, F~ = -1
 
 MODES = ("first-bright", "strict-single-bright")
 
@@ -575,8 +535,8 @@ def run_experiment(
     draw of ``shots_per_state`` from its row of the exact outcome matrix;
     the rows are drawn in order from ``default_rng(seed)``.
     """
-    if shots_per_state < 1:
-        raise ValueError("shots_per_state must be >= 1")
+    if not isinstance(shots_per_state, numbers.Integral) or shots_per_state < 1:
+        raise ValueError(f"shots_per_state must be an integer >= 1, got {shots_per_state!r}")
     probs = _outcome_matrix(encoding, errors, mode, intervals)
     counts = np.random.default_rng(seed).multinomial(shots_per_state, probs)
     return ConfusionMatrix.from_counts(counts, has_null=True)
@@ -617,13 +577,13 @@ class _Compiled:
     identity, so the matrix memo keys on it at no cost."""
 
     outcomes: tuple[int, ...]  # outcome of each check, in plan order
-    pulses: tuple[tuple[AtomicState, AtomicState], ...]  # distinct, plan steps first
+    pulses: tuple[tuple[StateRef, StateRef], ...]  # distinct, plan steps first
     steps: tuple[int | None, ...]  # a pulse index, or None for a check
     prep: tuple[tuple[int, ...], ...]  # the pulses of each encoded state's prep path
-    code: Mapping[AtomicState, int]
+    code: Mapping[StateRef, int]
     pulse_codes: tuple[tuple[int, int], ...]  # (6S code, 5D code) of each pulse
     is_d: tuple[bool, ...]  # by code
-    step_pulse: Mapping[tuple[AtomicState, AtomicState], int]  # pulses the steps apply
+    step_pulse: Mapping[tuple[StateRef, StateRef], int]  # pulses the steps apply
 
 
 # every encoding an evaluation session revisits: the full encodings plus the
@@ -631,9 +591,9 @@ class _Compiled:
 @lru_cache(maxsize=64)
 def _compile(
     name: str,
-    states: tuple[AtomicState, ...],
-    parking: tuple[tuple[AtomicState, AtomicState], ...],
-    deshelve_targets: tuple[tuple[AtomicState, AtomicState], ...],
+    states: tuple[StateRef, ...],
+    parking: tuple[tuple[StateRef, StateRef], ...],
+    deshelve_targets: tuple[tuple[StateRef, StateRef], ...],
 ) -> _Compiled:
     """The measurement plan of the encoding with this content, in integer
     codes.  Raises what ``QuditEncoding`` and ``build_measurement_sequence``
@@ -656,7 +616,7 @@ def _compile(
         prep=tuple(tuple(index[p.key] for p in path) for path in plan.prep_paths),
         code=code,
         pulse_codes=tuple((code[s_state], code[d_state]) for s_state, d_state in pulses),
-        is_d=tuple(s.level == "D" for s in code),
+        is_d=tuple(s.level == BA137_D52 for s in code),
         step_pulse={key: index[key] for key in step_keys},
     )
 
@@ -708,7 +668,7 @@ def _forward(
     plan: _Compiled,
     mode: str,
     params: bytes,
-    extra: tuple[AtomicState, ...],
+    extra: tuple[StateRef, ...],
     leaks: tuple[tuple[int, int, int], ...],
 ) -> np.ndarray:
     """The forward pass over the compiled plan.
@@ -737,7 +697,7 @@ def _forward(
     outcomes = plan.outcomes
     d = len(plan.prep)
     strict = mode == "strict-single-bright"
-    is_d_level = np.array(plan.is_d + tuple(s.level == "D" for s in extra))
+    is_d_level = np.array(plan.is_d + tuple(s.level == BA137_D52 for s in extra))
     other = plan.code.get(_OTHER_GROUND, len(plan.code) + extra.index(_OTHER_GROUND))
 
     prep_success = np.array([math.prod(1.0 - eps[i] for i in path) for path in plan.prep])
@@ -891,7 +851,7 @@ def timing_budget(encoding: QuditEncoding, timings: Timings, prepared: int = 0) 
     """
     d = encoding.d
     fluor = d * timings.fluorescence_check
-    n_shelve = sum(1 for s in encoding.states[1:] if s.level == "S")
+    n_shelve = sum(1 for s in encoding.states[1:] if s.level == BA137_S12)
     # one trigger per pulse plus the switch into the readout loop; a d = 1
     # measurement never touches the AWG at all
     triggers = (1 + n_shelve + (d - 1)) * timings.awg_trigger if d > 1 else 0.0
@@ -899,7 +859,7 @@ def timing_budget(encoding: QuditEncoding, timings: Timings, prepared: int = 0) 
     shelve = sum(
         timings.pi_pulse.get(encoding.index_of(s), 0.0)
         for s in encoding.states[1:]
-        if s.level == "S"
+        if s.level == BA137_S12
     )
     inloop_pump = (d - 1) * timings.optical_pump
     measurement = fluor + triggers + deshelve + shelve + inloop_pump
@@ -981,8 +941,5 @@ def read_confusion_csv(path) -> ConfusionMatrix:
 
 def load_reference_confusion(name: str, fixtures_dir=None) -> ConfusionMatrix:
     """Bundled confusion fixture ('e2', 'e3', 's1', 's2') as a matrix of
-    1000 shots per row."""
-    _, outcomes, probs, has_null = load_confusion_fixture(name, fixtures_dir)
-    return ConfusionMatrix(
-        probs=probs, shots=np.full(probs.shape[0], _TABLE_SHOTS), has_null=has_null
-    )
+    1000 shots per row, read and checked by ``read_confusion_csv``."""
+    return read_confusion_csv(fixture_path(f"table_{name}.csv", fixtures_dir))

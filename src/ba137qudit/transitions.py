@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .angmom import HalfInt, clebsch_gordan
-from .atomstruct import BA137_D52, BA137_S12, _field_solve, _table
+from .atomstruct import BA137_D52, BA137_S12, StateRef, _field_solve, _table
 from .fixtures import _write_json
 
 __all__ = [
@@ -53,8 +53,11 @@ class LaserGeometry:
     gamma: float
 
     def __post_init__(self):
-        object.__setattr__(self, "phi", float(self.phi) % 180.0)
-        object.__setattr__(self, "gamma", float(self.gamma) % 180.0)
+        for name in ("phi", "gamma"):
+            angle = float(getattr(self, name))
+            if not math.isfinite(angle):
+                raise ValueError(f"{name} must be a finite angle in degrees, got {angle!r}")
+            object.__setattr__(self, name, angle % 180.0)
 
 
 # 1762 nm beam at 45 deg to the field, polarization rotated 58 deg off the
@@ -145,11 +148,9 @@ class StrengthTable:
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(["d_state"] + [f"S:F{f}:m{m}" for f, m in self.s_labels])
-            for i, (f, m) in enumerate(self.d_labels):
-                w.writerow(
-                    [f"D:F{f}:m{m}"] + [repr(float(x)) for x in self.values[i]]
-                )
+            w.writerow(["d_state"] + [StateRef(BA137_S12, *s).key for s in self.s_labels])
+            for i, d in enumerate(self.d_labels):
+                w.writerow([StateRef(BA137_D52, *d).key] + [repr(float(x)) for x in self.values[i]])
 
     def to_json(self, path) -> None:
         entries = []

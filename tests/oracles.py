@@ -15,8 +15,15 @@ import numpy as np
 from scipy import integrate, optimize
 
 from ba137qudit.angmom import HalfInt, clebsch_gordan
-from ba137qudit.atomstruct import LabelingError, build_hamiltonian, zero_field_energy
-from ba137qudit.spam import AtomicState, PulseStep, build_measurement_sequence
+from ba137qudit.atomstruct import (
+    BA137_D52,
+    BA137_S12,
+    LabelingError,
+    StateRef,
+    build_hamiltonian,
+    zero_field_energy,
+)
+from ba137qudit.spam import PulseStep, build_measurement_sequence
 from ba137qudit.transitions import geometric_factor
 
 
@@ -287,8 +294,8 @@ def oracle_label_row(ref):
 # every 6S1/2 (F~ = 1, 2) and 5D5/2 (F~ = 1..4) state, built here rather than
 # read from the package
 _ORACLE_STATES = tuple(
-    AtomicState(level, HalfInt(2 * f), HalfInt(tm))
-    for level, fs in (("S", (1, 2)), ("D", (1, 2, 3, 4)))
+    StateRef(level, HalfInt(2 * f), HalfInt(tm))
+    for level, fs in ((BA137_S12, (1, 2)), (BA137_D52, (1, 2, 3, 4)))
     for f in fs
     for tm in range(-2 * f, 2 * f + 1, 2)
 )
@@ -309,7 +316,7 @@ def oracle_prep_path(start, target):
             if all(a.level != b.level and abs(a.m.twice - b.m.twice) <= 4
                    for a, b in zip(walk, walk[1:])):
                 return tuple(
-                    PulseStep(a, b) if a.level == "S" else PulseStep(b, a)
+                    PulseStep(a, b) if a.level == BA137_S12 else PulseStep(b, a)
                     for a, b in zip(walk, walk[1:])
                 )
     return None
@@ -320,7 +327,7 @@ def oracle_prep_path(start, target):
 # from the package's evaluator: decay, read flips, leak and interpretation
 # are written out here shot by shot or branch by branch.
 
-_INERT = AtomicState("S", "inert", "inert")  # decayed / unpumped: bright, never pulsed
+_INERT = StateRef(BA137_S12, "inert", "inert")  # decayed / unpumped: bright, never pulsed
 
 
 def _oracle_decay(errors, intervals, n_checks):
@@ -375,9 +382,9 @@ def simulate_shot(prepared, encoding, errors, rng, plan=None, intervals=0.0):
             if state in (step.s_state, step.d_state) and rng.random() >= errors.eps(key):
                 state = step.d_state if state == step.s_state else step.s_state
         else:
-            if state.level == "D" and rng.random() < decay_p[len(reads)]:
+            if state.level == BA137_D52 and rng.random() < decay_p[len(reads)]:
                 state = _INERT
-            bright = state.level == "S"
+            bright = state.level == BA137_S12
             flip = errors.p_dark_given_s if bright else errors.p_bright_given_d
             if flip > 0 and rng.random() < flip:
                 bright = not bright
@@ -435,10 +442,10 @@ def oracle_enumerate_outcomes(encoding, errors, prepared, mode="first-bright", i
             check_idx += 1
             for (state, reads), p in branches.items():
                 split = [(state, p)]
-                if state.level == "D":
+                if state.level == BA137_D52:
                     split = [(_INERT, p * p_decay), (state, p * (1.0 - p_decay))]
                 for st, q in split:
-                    bright = st.level == "S"
+                    bright = st.level == BA137_S12
                     flip = errors.p_dark_given_s if bright else errors.p_bright_given_d
                     add(new, (st, reads + (bright,)), q * (1.0 - flip))
                     add(new, (st, reads + (not bright,)), q * flip)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 # ceilings of the public API; growing it is a deliberate change that raises
 # these in the same commit and says so in CHANGES.md
-MAX_ALL_NAMES = 102
+MAX_ALL_NAMES = 101
 MAX_PUBLIC_PARAMS = 119
 
 SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "api_size.py"

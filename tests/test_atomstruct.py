@@ -54,6 +54,22 @@ class TestLevelConstants:
         assert [str(f) for f in BA137_S12.f_values()] == ["1", "2"]
         assert [str(f) for f in BA137_D52.f_values()] == ["1", "2", "3", "4"]
 
+    def test_hash_is_the_name_and_agrees_with_equality(self):
+        twin = LevelConstants("6S1/2", HalfInt(3), HalfInt(1), 4018.871, 0.0, 2.0)
+        assert twin == BA137_S12 and hash(twin) == hash(BA137_S12) == hash("6S1/2")
+        shifted = LevelConstants("6S1/2", HalfInt(3), HalfInt(1), 4000.0, 0.0, 2.0)
+        assert shifted != BA137_S12 and {BA137_S12: 0}.get(shifted) is None
+
+
+class TestStateRefKey:
+    def test_preset_keys(self):
+        assert StateRef.of(BA137_S12, 2, 2).key == "S:F2:m2"
+        assert str(StateRef.of(BA137_D52, 4, -3)) == "D:F4:m-3"
+
+    def test_other_level_is_named_by_its_name(self):
+        level = LevelConstants("X", HalfInt(3), HalfInt(3), 10.0, 1.0, 0.8)
+        assert str(StateRef.of(level, "1.5", -0.5)) == "X:F3/2:m-1/2"
+
 
 class TestHamiltonian:
     def test_zero_field_splitting_s12(self):
@@ -433,7 +449,9 @@ def assert_matches_breit_rabi(level, B, pair):
         assert abs(energies[k] - e) <= BREIT_RABI_ULPS * np.spacing(energy_scale), (F, m)
         assert abs(slopes[k] - slope) <= slope_tol, (F, m)
     ground, excited = (atomstruct._table(level).labels[k] for k in pair)
-    got = field_sensitivity(StateRef.of(level, *ground), StateRef.of(level, *excited), B)
+    refs = StateRef.of(level, *ground), StateRef.of(level, *excited)
+    assert all(str(ref).endswith(f":F{ref.F}:m{ref.m}") for ref in refs)
+    got = field_sensitivity(*refs, B)
     assert abs(got - (want[excited][1] - want[ground][1])) <= 2 * slope_tol
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -29,6 +30,7 @@ from ba137qudit.calib import (
     synthetic_snapshot,
 )
 from ba137qudit.fixtures import TableError, load_transition_params
+from ba137qudit.spam import paper13_encoding
 from ba137qudit.transitions import PAPER13_GEOMETRY, strength_table
 from oracles import (
     field_sum_of_squares,
@@ -123,6 +125,18 @@ class TestCalibrationModel:
         with pytest.raises(FitError):
             fit_calibration([snap, snap])
 
+    @pytest.mark.parametrize("session, field, name", [
+        (1, 5, "transition 5"), (0, "f_low", "f_low"), (2, "f_offset", "f_offset"),
+    ])
+    def test_non_finite_frequency_names_session(self, session, field, name):
+        history = self.snapshots([8.33, 8.35, 8.37])
+        snap = history[session]
+        change = {"freqs": {**snap.freqs, field: math.nan}} if field == 5 else {field: math.inf}
+        history[session] = dataclasses.replace(snap, **change)
+        with pytest.raises(ValueError, match=f"^session {session}: {name} frequency must be "
+                                             "finite, got (nan|inf)$"):
+            fit_calibration(history)
+
     def test_offset_like_transition_has_zero_slope(self):
         # |10> is the offset reference itself: its kappa equals the offset's,
         # so the fitted Delta-f slope vanishes
@@ -201,6 +215,19 @@ class TestEstimateField:
         measured = simulate_splittings(pairs, 8.35)
         with pytest.raises(ValueError):
             estimate_field(measured)
+
+    def test_non_finite_frequency_names_transition(self):
+        measured = simulate_splittings(self.refs(), 8.35)
+        measured[self.refs()[1]] = math.nan
+        with pytest.raises(ValueError, match=r"^measured frequency of S:F2:m2->D:F4:m2 must be "
+                                             "finite, got nan$"):
+            estimate_field(measured)
+
+    def test_paper13_refs_are_the_encoding_pairs(self):
+        states = paper13_encoding().states
+        refs = paper13_transition_refs()
+        assert list(refs) == list(range(1, 13))
+        assert all(refs[n] == (states[0], states[n]) for n in refs)
 
     def test_perturbed_within_10mg(self):
         rng = np.random.default_rng(5)

@@ -9,6 +9,11 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# lines a demo must print: a demo that tells the levels apart wrongly still runs
+EXPECTED_LINES = {
+    "07_25_level_encoding.py": ("ground states encoded: 8", "metastable states encoded: 17"),
+}
+
 
 @pytest.mark.parametrize("name", [
     "01_energy_levels.py", "02_eigenstate_mixing.py", "03_transition_strengths.py",
@@ -22,3 +27,5 @@ def test_demo_runs(name):
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    for line in EXPECTED_LINES.get(name, ()):
+        assert line in proc.stdout.splitlines(), line

@@ -18,7 +18,7 @@ from ba137qudit.fixtures import (
     load_strength_fixture,
     load_transition_params,
 )
-from ba137qudit.spam import read_confusion_csv
+from ba137qudit.spam import load_reference_confusion, read_confusion_csv
 
 LOADERS = {
     "table_e1.csv": load_strength_fixture,
@@ -60,6 +60,28 @@ def test_ragged_row_names_file_and_line(tmp_path, name, extra):
     with pytest.raises(ValueError, match=rf"{name}, line 4: {EDIT_MESSAGE[extra]}") as info:
         LOADERS[name](d)
     assert isinstance(info.value, TableError)
+
+
+@pytest.mark.parametrize("name", ["e2", "e3", "s1", "s2"])
+def test_reference_confusion_is_the_checked_table(name):
+    _, outcomes, probs, has_null = load_confusion_fixture(name)
+    m = load_reference_confusion(name)
+    assert np.array_equal(m.probs, probs) and m.has_null == has_null == (outcomes[-1] == "Null")
+    assert m.shots.tolist() == [1000] * len(probs)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines[:3] + [lines[3].replace(",0,", ",0.5,", 1)] + lines[4:],
+     "line 4: row deviates from unit sum"),
+    (lambda lines: [lines[0].replace(",1,", ",x,", 1)] + lines[1:], "outcome columns"),
+], ids=["row-sum", "header"])
+def test_reference_confusion_checks_bundled_table(tmp_path, edit, message):
+    d = tmp_path / "fixtures"
+    shutil.copytree(fixture_path("table_e2.csv").parent, d)
+    lines = (d / "table_e2.csv").read_text().splitlines()
+    (d / "table_e2.csv").write_text("\n".join(edit(lines)) + "\n")
+    with pytest.raises(TableError, match=f"table_e2.csv(, |: ){message}"):
+        load_reference_confusion("e2", d)
 
 
 def test_read_confusion_csv_ragged_row(tmp_path):

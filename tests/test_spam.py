@@ -9,6 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ba137qudit import atomstruct
+from ba137qudit.angmom import HalfInt
+from ba137qudit.atomstruct import BA137_D52, BA137_S12, StateRef
 from ba137qudit.spam import (
     CheckStep,
     ConfusionMatrix,
@@ -99,6 +102,18 @@ class TestEncoding:
         with pytest.raises(ValueError):
             parse_atomic_state("X:F2:m1")
 
+    def test_every_state_parses_back_from_its_key(self):
+        # the structure solve's labels, in its row order: F~ up, m down
+        want = tuple(StateRef(level, F, m) for level in (BA137_S12, BA137_D52)
+                     for F, m in atomstruct._table(level).labels)
+        assert ALL_S_STATES + ALL_D_STATES == want and len(want) == 32
+        for state in want:
+            assert parse_atomic_state(state.key) == state
+        assert parse_atomic_state("D:F5/2:m-3/2") == StateRef(BA137_D52, HalfInt(5), HalfInt(-3))
+        for key in ("D:F5/4:m0", "D:F2/:m0", "D:F1/2/2:m0", "6S1/2:F2:m2"):
+            with pytest.raises(ValueError, match="cannot parse atomic state key"):
+                parse_atomic_state(key)
+
 
 class TestMeasurementPlan:
     def test_paper13_shape(self):
@@ -124,7 +139,7 @@ class TestMeasurementPlan:
         plan = build_measurement_sequence(enc)
         assert plan.n_checks == 25
         shelves = [s for s in plan.steps if isinstance(s, PulseStep)][:7]
-        assert all(p.s_state.level == "S" and p.d_state.level == "D" for p in shelves)
+        assert all(p.s_state.level == BA137_S12 and p.d_state.level == BA137_D52 for p in shelves)
         # every state preparable within three pulses
         assert all(len(p) <= 3 for p in plan.prep_paths)
         # negative-m metastable states genuinely need the three-pulse route
@@ -475,6 +490,17 @@ class TestRunExperimentValidation:
         with pytest.raises(ValueError):
             run_experiment(enc, ErrorParams.zero(enc), 10, seed=1, mode="other")
 
+    @pytest.mark.parametrize("shots", [2.5, 3.0, "3", -1], ids=repr)
+    def test_rejects_shots_that_are_not_a_positive_integer(self, shots):
+        enc = two_level()
+        with pytest.raises(ValueError, match="shots_per_state must be an integer >= 1"):
+            run_experiment(enc, ErrorParams.zero(enc), shots, seed=1)
+
+    def test_accepts_numpy_integer_shots(self):
+        enc = two_level()
+        m = run_experiment(enc, ErrorParams.zero(enc), np.int64(3), seed=1)
+        assert m.shots.tolist() == [3, 3]
+
 
 class TestInLoopPumping:
     def test_charged_to_measurement_budget(self):
@@ -543,8 +569,8 @@ def random_sub_encoding(rng, d, shelving):
         picks = rng.choice(np.arange(1, 13), d - 1, replace=False)
         return QuditEncoding("sub13", (enc13.states[0],) + tuple(enc13.states[i] for i in picks))
     full = twenty_five_level_encoding()
-    grounds = [s for s in full.states[1:] if s.level == "S"]
-    metas = [s for s in full.states if s.level == "D"]
+    grounds = [s for s in full.states[1:] if s.level == BA137_S12]
+    metas = [s for s in full.states if s.level == BA137_D52]
     n_s = int(rng.integers(1, min(d - 1, len(grounds)) + 1))
     s_pick = [grounds[i] for i in rng.choice(len(grounds), n_s, replace=False)]
     d_pick = [metas[i] for i in rng.choice(len(metas), d - 1 - n_s, replace=False)]

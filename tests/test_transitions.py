@@ -61,6 +61,13 @@ class TestGeometricFactor:
     def test_angle_normalization(self):
         assert LaserGeometry(225.0, -122.0) == LaserGeometry(45.0, 58.0)
 
+    @pytest.mark.parametrize("phi, gamma, name", [
+        (float("nan"), 58.0, "phi"), (45.0, float("inf"), "gamma"), (float("-inf"), 0.0, "phi"),
+    ])
+    def test_non_finite_angle_named(self, phi, gamma, name):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite angle"):
+            LaserGeometry(phi, gamma)
+
 
 @pytest.fixture(scope="module")
 def table_835():
