@@ -65,6 +65,14 @@ class FitError(RuntimeError):
     """A least-squares fit failed to converge or is ill-posed."""
 
 
+def _require_finite_arrays(**arrays: np.ndarray) -> None:
+    """Raise ValueError naming the first array that holds a non-finite value."""
+    for name, values in arrays.items():
+        bad = values[~np.isfinite(values)]
+        if bad.size:
+            raise ValueError(f"{name} must be finite, got {float(bad[0])!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class FrequencyScan:
     """Dark-probability vs laser-frequency offset, from a fine scan."""
@@ -77,6 +85,7 @@ class FrequencyScan:
         object.__setattr__(self, "freq_khz", np.asarray(self.freq_khz, dtype=float))
         object.__setattr__(self, "p_dark", np.asarray(self.p_dark, dtype=float))
         object.__setattr__(self, "shots", np.asarray(self.shots))
+        _require_finite_arrays(freq_khz=self.freq_khz, p_dark=self.p_dark)
         if not np.all(np.diff(self.freq_khz) > 0):
             raise ValueError("scan frequencies must be strictly increasing")
         if np.any((self.p_dark < 0) | (self.p_dark > 1)):
@@ -236,6 +245,9 @@ def predict_frequency(
 ) -> float:
     if n not in model.a1:
         raise KeyError(f"transition {n} not in the calibration model")
+    for name, f in (("f_offset", f_offset), ("f_low", f_low), ("f_up", f_up)):
+        if not math.isfinite(f):
+            raise ValueError(f"{name} frequency must be finite, got {f!r}")
     return model.a1[n] * (f_up - f_low) + f_offset + model.a2[n]
 
 
@@ -348,6 +360,7 @@ class RabiTrace:
         object.__setattr__(self, "t_us", np.asarray(self.t_us, dtype=float))
         object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
         object.__setattr__(self, "shots", np.asarray(self.shots))
+        _require_finite_arrays(t_us=self.t_us, p=self.p)
         if np.any(self.t_us < 0) or not np.all(np.diff(self.t_us) > 0):
             raise ValueError("times must be nonnegative and increasing")
         if np.any((self.p < 0) | (self.p > 1)):

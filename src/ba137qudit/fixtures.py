@@ -17,9 +17,11 @@ be supplied to every loader, which the command line exposes as
 --fixtures-dir.  Every table the package reads goes through ``_read_csv``:
 no data rows, a row whose width differs from its header's, a missing
 column, or a cell that is not a finite number where one is expected
-raises TableError naming the file and the line or column.  Every JSON
-file the package writes goes through ``_write_json``, and every value it
-reads from a JSON file is checked by ``_json``.
+raises TableError naming the file and the line or column.  Every confusion
+table also goes through ``_read_confusion``, which checks its outcome
+columns and row sums.  Every JSON file the package writes goes through
+``_write_json``, and every value it reads from a JSON file is checked by
+``_json``.
 """
 
 from __future__ import annotations
@@ -133,16 +135,36 @@ def load_strength_fixture(fixtures_dir=None):
     return d_keys, header[1:], values
 
 
+def _confusion_row(row: _Row) -> tuple[str, list[float]]:
+    label, probs = _labeled_numbers(row)
+    dev = abs(sum(probs) - 1.0)
+    # printed precision can miss row-stochasticity by a couple of counts
+    if dev > 2.5e-3:
+        raise ValueError(f"row deviates from unit sum by {dev:g} (> 0.0025)")
+    return label, probs
+
+
+def _read_confusion(path) -> tuple[list[str], list[str], np.ndarray, bool]:
+    """(prepared labels, outcome labels, probability matrix, has_null) of a
+    confusion table: header prepared,0,1,...,d-1 and an optional Null
+    column, and every row summing to 1 within the printed precision."""
+    header, rows = _read_csv(path, _confusion_row)
+    outcomes = [str(i) for i in range(len(rows))]
+    if header[1:] not in (outcomes, outcomes + ["Null"]):
+        raise TableError(
+            f"{path}: outcome columns {','.join(header[1:])}; {len(rows)} rows need "
+            f"0..{len(rows) - 1} and an optional Null"
+        )
+    probs = np.array([p for _, p in rows])
+    return [label for label, _ in rows], header[1:], probs, header[-1] == "Null"
+
+
 def load_confusion_fixture(name: str, fixtures_dir=None):
-    """(prepared labels, outcome labels, probability matrix, has_null)."""
+    """(prepared labels, outcome labels, probability matrix, has_null) of a
+    bundled confusion table, read and checked by ``_read_confusion``."""
     if not name.endswith(".csv"):
         name = f"table_{name}.csv"
-    header, rows = _read_csv(fixture_path(name, fixtures_dir), _labeled_numbers)
-    outcomes = header[1:]
-    has_null = outcomes[-1] == "Null"
-    prepared = [label for label, _ in rows]
-    probs = np.array([v for _, v in rows])
-    return prepared, outcomes, probs, has_null
+    return _read_confusion(fixture_path(name, fixtures_dir))
 
 
 def _parse(cell: str):

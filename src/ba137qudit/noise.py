@@ -218,8 +218,8 @@ def chi_closed_form(model: NoiseModel, params: TransitionNoiseParams) -> float:
 
 def pi_pulse_error(chi: float) -> float:
     """eps_pi = (1 - exp(-chi)) / 2, in [0, 1/2)."""
-    if chi < 0:
-        raise ValueError("chi must be nonnegative")
+    if not (math.isfinite(chi) and chi >= 0):
+        raise ValueError(f"chi must be finite and nonnegative, got {chi!r}")
     return 0.5 * -math.expm1(-chi)
 
 
@@ -267,6 +267,9 @@ def fit_error_scaling(points) -> ErrorScalingFit:
     pts = [(float(k), float(t), float(e)) for k, t, e in points]
     if len(pts) < 3:
         raise ValueError("need at least 3 points")
+    for i, point in enumerate(pts):
+        if not all(map(math.isfinite, point)):
+            raise ValueError(f"point {i} must be finite, got {point!r}")
     x = np.array([(k * t) ** 2 for k, t, _ in pts])
     y = np.array([e for _, _, e in pts])
 
@@ -337,10 +340,18 @@ def error_budget(
     discrimination = P[Poisson(lambda_dark) > threshold]
                    + P[Poisson(lambda_bright) <= threshold]
     """
-    if shelf_time < 0 or lifetime <= 0:
-        raise ValueError("times must be positive")
-    if threshold < 0 or threshold != int(threshold):
-        raise ValueError("threshold must be a nonnegative integer")
+    args = {"shelf_time": shelf_time, "lifetime": lifetime, "omega_off": omega_off,
+            "delta": delta, "lambda_dark": lambda_dark, "lambda_bright": lambda_bright}
+    for name, x in args.items():
+        if not math.isfinite(x):
+            raise ValueError(f"{name} must be finite, got {x!r}")
+    for name in ("shelf_time", "lambda_dark", "lambda_bright"):
+        if args[name] < 0:
+            raise ValueError(f"{name} must be nonnegative, got {args[name]!r}")
+    if lifetime <= 0:
+        raise ValueError(f"lifetime must be positive, got {lifetime!r}")
+    if not (math.isfinite(threshold) and threshold >= 0 and threshold == int(threshold)):
+        raise ValueError(f"threshold must be a nonnegative integer, got {threshold!r}")
     decay = -math.expm1(-shelf_time / lifetime)
     off_res = omega_off**2 / (omega_off**2 + delta**2) if (omega_off or delta) else 0.0
     disc = (1.0 - _poisson_cdf(int(threshold), lambda_dark)) + _poisson_cdf(

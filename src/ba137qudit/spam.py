@@ -29,9 +29,11 @@ on the mutable ``QuditEncoding`` or ``ErrorParams``:
 
 - ``_shortest_path``, the breadth-first preparation-path search, keyed on
   the (|0>, target) pair of atomic states;
-- ``_compile``, the measurement plan in integer codes, keyed on the
-  encoding's name, states, parking items and de-shelve target items;
-- ``_forward``, the forward pass, keyed on the compiled plan, the mode,
+- ``_compile``, the one ``MeasurementPlan`` of each encoding content (name,
+  states, parking items and de-shelve target items), which
+  ``build_measurement_sequence`` returns.  It holds the plan's steps and
+  preparation paths, and the same plan in integer codes;
+- ``_forward``, the forward pass, keyed on the plan (by identity), the mode,
   the float64 bytes of the numbers a call gathers from its error model
   and the leak layout.  Its matrices are read-only, and only a matrix
   that passed the row-stochastic check is ever stored.
@@ -50,6 +52,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -60,8 +63,7 @@ from .fixtures import (
     _NUMBER,
     TableError,
     _json,
-    _labeled_numbers,
-    _read_csv,
+    _read_confusion,
     _write_json,
     fixture_path,
     load_transition_params,
@@ -247,25 +249,35 @@ class CheckStep:
     outcome: int
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class MeasurementPlan:
-    encoding: QuditEncoding
+    """One encoding's readout and preparation, built once per encoding
+    content by ``build_measurement_sequence`` and shared, so it is frozen
+    and hashes by identity.
+
+    ``steps`` shelve the 6S-encoded states, check |0>, then alternate
+    de-shelve pulse and check in ascending state order; ``prep_paths`` holds
+    each encoded state's pulses from |0>.  The underscored fields are the
+    same plan in the integer codes the exact evaluator walks.
+    """
+
     steps: tuple[Union[PulseStep, CheckStep], ...]
     prep_paths: tuple[tuple[PulseStep, ...], ...]  # per encoded index
-
-    @property
-    def check_outcomes(self) -> tuple[int, ...]:
-        return tuple(s.outcome for s in self.steps if isinstance(s, CheckStep))
+    check_outcomes: tuple[int, ...]  # outcome of each check, in plan order
+    _pulses: tuple[tuple[StateRef, StateRef], ...]  # distinct, plan steps first
+    _step_codes: tuple[int | None, ...]  # a pulse index, or None for a check
+    _prep_codes: tuple[tuple[int, ...], ...]  # the pulses of each prep path
+    _code: Mapping[StateRef, int]
+    _pulse_codes: tuple[tuple[int, int], ...]  # (6S code, 5D code) of each pulse
+    _is_d: tuple[bool, ...]  # by code
+    _step_pulse: Mapping[tuple[StateRef, StateRef], int]  # pulses the steps apply
 
     @property
     def n_checks(self) -> int:
         return len(self.check_outcomes)
 
     def pulse_keys(self) -> set[tuple[StateRef, StateRef]]:
-        keys = {s.key for s in self.steps if isinstance(s, PulseStep)}
-        for path in self.prep_paths:
-            keys.update(p.key for p in path)
-        return keys
+        return set(self._pulses)
 
 
 # every (|0>, target) pair of a valid encoding is one of 8 x 32
@@ -299,47 +311,74 @@ def _shortest_path(start: StateRef, target: StateRef) -> tuple[PulseStep, ...] |
     return None
 
 
-def _prep_path(encoding: QuditEncoding, target: StateRef) -> tuple[PulseStep, ...]:
-    """Shortest pulse path from the encoding's |0> to the target."""
-    path = _shortest_path(encoding.states[0], target)
-    if path is None:
-        raise PlanError(
-            f"{encoding.name}: state {target} is not reachable from {encoding.states[0]} "
-            "within three quadrupole pulses"
-        )
-    return path
-
-
 def build_measurement_sequence(encoding: QuditEncoding) -> MeasurementPlan:
-    """Pulse/readout plan: shelve 6S-encoded states, check |0>, then
-    alternate de-shelve pulse and check in ascending state order."""
-    steps: list[Union[PulseStep, CheckStep]] = []
-    for n in range(1, encoding.d):
-        state = encoding.states[n]
-        if state.level == BA137_S12:
-            pulse = PulseStep(state, encoding.parking[state])
-            if not _quadrupole_allowed(*pulse.key):
-                raise PlanError(
-                    f"{encoding.name}: shelving {state} -> {pulse.d_state} "
-                    "needs |Delta m| <= 2"
-                )
-            steps.append(pulse)
-    steps.append(CheckStep(0))
-    for n in range(1, encoding.d):
-        state = encoding.states[n]
-        if state.level == BA137_S12:
-            pulse = PulseStep(state, encoding.parking[state])
+    """The encoding's measurement plan, looked up by the encoding's content:
+    equal content gives the same shared plan, changed content a new one."""
+    return _compile(
+        encoding.name,
+        tuple(encoding.states),
+        tuple(encoding.parking.items()),
+        tuple(encoding.deshelve_targets.items()),
+    )
+
+
+# every encoding an evaluation session revisits: the full encodings plus the
+# sub-encodings a sweep draws
+@lru_cache(maxsize=64)
+def _compile(
+    name: str,
+    states: tuple[StateRef, ...],
+    parking: tuple[tuple[StateRef, StateRef], ...],
+    deshelve_targets: tuple[tuple[StateRef, StateRef], ...],
+) -> MeasurementPlan:
+    """The measurement plan of the encoding with this content.  Raises what
+    ``QuditEncoding`` raises, and PlanError, naming the encoding, for a
+    pulse with |Delta m| > 2 or a state more than three pulses from |0>."""
+    encoding = QuditEncoding(name, states, dict(parking), dict(deshelve_targets))
+
+    def pulse(s_state, d_state, what):
+        if not _quadrupole_allowed(s_state, d_state):
+            raise PlanError(f"{name}: {what} needs |Delta m| <= 2")
+        return PulseStep(s_state, d_state)
+
+    shelve = {s: pulse(s, encoding.parking[s], f"shelving {s} -> {encoding.parking[s]}")
+              for s in states[1:] if s.level == BA137_S12}
+    steps = [*shelve.values(), CheckStep(0)]
+    for n, state in enumerate(states[1:], start=1):
+        if state in shelve:
+            readout = shelve[state]
         else:
             target = encoding.deshelve_target(state)
-            pulse = PulseStep(target, state)
-            if not _quadrupole_allowed(*pulse.key):
-                raise PlanError(
-                    f"{encoding.name}: de-shelving {state} -> {target} needs |Delta m| <= 2"
-                )
-        steps.append(pulse)
-        steps.append(CheckStep(n))
-    prep_paths = tuple(_prep_path(encoding, s) for s in encoding.states)
-    return MeasurementPlan(encoding=encoding, steps=tuple(steps), prep_paths=prep_paths)
+            readout = pulse(target, state, f"de-shelving {state} -> {target}")
+        steps += [readout, CheckStep(n)]
+    prep_paths = tuple(_shortest_path(states[0], s) for s in states)
+    for s, path in zip(states, prep_paths):
+        if path is None:
+            raise PlanError(
+                f"{name}: state {s} is not reachable from {states[0]} "
+                "within three quadrupole pulses"
+            )
+
+    step_keys = [s.key for s in steps if isinstance(s, PulseStep)]
+    pulses = tuple(dict.fromkeys(step_keys + [p.key for path in prep_paths for p in path]))
+    index = {key: i for i, key in enumerate(pulses)}
+    # every atomic state a plan pulse can touch, encoded states first (so
+    # state n has code n), then the parking states
+    code = {s: i for i, s in enumerate(dict.fromkeys([
+        *states, *(park for _, park in parking), *(st for key in pulses for st in key),
+    ]))}
+    return MeasurementPlan(
+        steps=tuple(steps),
+        prep_paths=prep_paths,
+        check_outcomes=tuple(range(len(states))),
+        _pulses=pulses,
+        _step_codes=tuple(index[s.key] if isinstance(s, PulseStep) else None for s in steps),
+        _prep_codes=tuple(tuple(index[p.key] for p in path) for path in prep_paths),
+        _code=MappingProxyType(code),
+        _pulse_codes=tuple((code[s_state], code[d_state]) for s_state, d_state in pulses),
+        _is_d=tuple(s.level == BA137_D52 for s in code),
+        _step_pulse=MappingProxyType({key: index[key] for key in step_keys}),
+    )
 
 
 @dataclass(eq=False)
@@ -386,7 +425,7 @@ class ErrorParams:
     @classmethod
     def uniform(cls, encoding: QuditEncoding, eps: float, **kwargs) -> "ErrorParams":
         plan = build_measurement_sequence(encoding)
-        return cls(eps_pi={k: eps for k in plan.pulse_keys()}, **kwargs)
+        return cls(eps_pi=dict.fromkeys(plan._pulses, eps), **kwargs)
 
 
 # the scalar ErrorParams fields, as the JSON keys of the same names
@@ -499,6 +538,8 @@ class ConfusionMatrix:
     @classmethod
     def from_counts(cls, counts: np.ndarray, has_null: bool) -> "ConfusionMatrix":
         counts = np.asarray(counts)
+        if not np.all(counts >= 0):
+            raise ValueError("counts must be nonnegative")
         shots = counts.sum(axis=1)
         if np.any(shots == 0):
             raise ValueError("every prepared state needs at least one shot")
@@ -571,56 +612,6 @@ def _swap(prob: np.ndarray, lo: int, hi: int, eps: float) -> None:
     prob[..., lo] = new_lo
 
 
-@dataclass(frozen=True, eq=False)
-class _Compiled:
-    """One encoding's measurement plan in integer codes.  It hashes by
-    identity, so the matrix memo keys on it at no cost."""
-
-    outcomes: tuple[int, ...]  # outcome of each check, in plan order
-    pulses: tuple[tuple[StateRef, StateRef], ...]  # distinct, plan steps first
-    steps: tuple[int | None, ...]  # a pulse index, or None for a check
-    prep: tuple[tuple[int, ...], ...]  # the pulses of each encoded state's prep path
-    code: Mapping[StateRef, int]
-    pulse_codes: tuple[tuple[int, int], ...]  # (6S code, 5D code) of each pulse
-    is_d: tuple[bool, ...]  # by code
-    step_pulse: Mapping[tuple[StateRef, StateRef], int]  # pulses the steps apply
-
-
-# every encoding an evaluation session revisits: the full encodings plus the
-# sub-encodings a sweep draws
-@lru_cache(maxsize=64)
-def _compile(
-    name: str,
-    states: tuple[StateRef, ...],
-    parking: tuple[tuple[StateRef, StateRef], ...],
-    deshelve_targets: tuple[tuple[StateRef, StateRef], ...],
-) -> _Compiled:
-    """The measurement plan of the encoding with this content, in integer
-    codes.  Raises what ``QuditEncoding`` and ``build_measurement_sequence``
-    raise."""
-    plan = build_measurement_sequence(
-        QuditEncoding(name, states, dict(parking), dict(deshelve_targets))
-    )
-    step_keys = [s.key for s in plan.steps if isinstance(s, PulseStep)]
-    pulses = tuple(dict.fromkeys(step_keys + [p.key for path in plan.prep_paths for p in path]))
-    index = {key: i for i, key in enumerate(pulses)}
-    # every atomic state a plan pulse can touch, encoded states first (so
-    # state n has code n), then the parking states
-    code = {s: i for i, s in enumerate(dict.fromkeys([
-        *states, *(park for _, park in parking), *(st for key in pulses for st in key),
-    ]))}
-    return _Compiled(
-        outcomes=plan.check_outcomes,
-        pulses=pulses,
-        steps=tuple(index[s.key] if isinstance(s, PulseStep) else None for s in plan.steps),
-        prep=tuple(tuple(index[p.key] for p in path) for path in plan.prep_paths),
-        code=code,
-        pulse_codes=tuple((code[s_state], code[d_state]) for s_state, d_state in pulses),
-        is_d=tuple(s.level == BA137_D52 for s in code),
-        step_pulse={key: index[key] for key in step_keys},
-    )
-
-
 def _outcome_matrix(
     encoding: QuditEncoding,
     errors: ErrorParams,
@@ -630,30 +621,25 @@ def _outcome_matrix(
     """Exact (d, d + 1) outcome probabilities, Null last, by forward
     propagation (``_forward``), as a read-only array.
 
-    A call compiles the encoding (cached on its content) and gathers the
-    error model's numbers for that plan afresh, so it sees every change
+    A call looks up the encoding's plan (cached on its content) and gathers
+    the error model's numbers for that plan afresh, so it sees every change
     to either; an evaluation of content seen before is a memo hit.
     """
     if mode not in MODES:
         raise ValueError(f"unknown interpretation mode {mode!r}")
-    plan = _compile(
-        encoding.name,
-        tuple(encoding.states),
-        tuple(encoding.parking.items()),
-        tuple(encoding.deshelve_targets.items()),
-    )
-    decay_p = _decay_probs(errors, intervals, len(plan.outcomes))
-    params = [errors.eps(key) for key in plan.pulses]
+    plan = build_measurement_sequence(encoding)
+    decay_p = _decay_probs(errors, intervals, plan.n_checks)
+    params = [errors.eps(key) for key in plan._pulses]
     params += [errors.prep_error, errors.p_dark_given_s, errors.p_bright_given_d]
     # leak spectators outside the plan get the next codes, and the inert
     # ground the last one
     spectators = (st for spectator, p in errors.leak.values() if p > 0 for st in spectator)
-    extra = tuple(st for st in dict.fromkeys([*spectators, _OTHER_GROUND]) if st not in plan.code)
+    extra = tuple(st for st in dict.fromkeys([*spectators, _OTHER_GROUND]) if st not in plan._code)
     leaks = []
     if errors.leak:
-        code = {**plan.code, **{st: len(plan.code) + k for k, st in enumerate(extra)}}
+        code = {**plan._code, **{st: len(plan._code) + k for k, st in enumerate(extra)}}
         for key, (spectator, p) in errors.leak.items():
-            i = plan.step_pulse.get(key)
+            i = plan._step_pulse.get(key)
             if p > 0 and i is not None:
                 leaks.append((i, code[spectator[0]], code[spectator[1]]))
                 params += [p, errors.eps(spectator)]
@@ -665,13 +651,13 @@ def _outcome_matrix(
 # has to outlive that, and holds at most 8 x 25 x 26 floats
 @lru_cache(maxsize=8)
 def _forward(
-    plan: _Compiled,
+    plan: MeasurementPlan,
     mode: str,
     params: bytes,
     extra: tuple[StateRef, ...],
     leaks: tuple[tuple[int, int, int], ...],
 ) -> np.ndarray:
-    """The forward pass over the compiled plan.
+    """The forward pass over the plan's integer codes.
 
     ``params`` holds the float64 bytes (which keep -0.0 and 0.0 apart) of
     the error of each pulse, prep_error, p_dark_given_s, p_bright_given_d,
@@ -689,18 +675,18 @@ def _forward(
     into block 1 + j and books the bright part of the other blocks as Null.
     """
     values = np.frombuffer(params)
-    n = len(plan.pulses) + 3
+    n = len(plan._pulses) + 3
     *eps, prep_error, p_dark_given_s, p_bright_given_d = values[:n].tolist()
     numbers = values[n:n + 2 * len(leaks)].tolist()
     leak_at = {i: (lo, hi, p, e) for (i, lo, hi), p, e in zip(leaks, numbers[::2], numbers[1::2])}
     decay_p = values[n + 2 * len(leaks):]
-    outcomes = plan.outcomes
-    d = len(plan.prep)
+    outcomes = plan.check_outcomes
+    d = len(plan._prep_codes)
     strict = mode == "strict-single-bright"
-    is_d_level = np.array(plan.is_d + tuple(s.level == BA137_D52 for s in extra))
-    other = plan.code.get(_OTHER_GROUND, len(plan.code) + extra.index(_OTHER_GROUND))
+    is_d_level = np.array(plan._is_d + tuple(s.level == BA137_D52 for s in extra))
+    other = plan._code.get(_OTHER_GROUND, len(plan._code) + extra.index(_OTHER_GROUND))
 
-    prep_success = np.array([math.prod(1.0 - eps[i] for i in path) for path in plan.prep])
+    prep_success = np.array([math.prod(1.0 - eps[i] for i in path) for path in plan._prep_codes])
     n_blocks = 1 + (len(outcomes) if strict else 0)
     prob = np.zeros((d, n_blocks, len(is_d_level)))
     rows = np.arange(d)
@@ -715,13 +701,13 @@ def _forward(
 
     out = np.zeros((d, d + 1))
     ci = 0
-    for i in plan.steps:
+    for i in plan._step_codes:
         if i is not None:
             lo, hi, leak_p, leak_eps = leak_at.get(i, (0, 0, 0.0, 0.0))
             if leak_p > 0:
                 leaked = prob.copy()
                 _swap(leaked, lo, hi, leak_eps)
-            _swap(prob, *plan.pulse_codes[i], eps[i])
+            _swap(prob, *plan._pulse_codes[i], eps[i])
             if leak_p > 0:
                 prob = (1.0 - leak_p) * prob + leak_p * leaked
             continue
@@ -830,6 +816,14 @@ class Timings:
     optical_pump: float = 0.0
     pi_pulse: Mapping[int, float] = field(default_factory=dict)  # encoded index -> tau_pi
 
+    def __post_init__(self):
+        durations = [(name, getattr(self, name))
+                     for name in ("fluorescence_check", "awg_trigger", "optical_pump")]
+        durations += [(f"pi_pulse {n}", t) for n, t in self.pi_pulse.items()]
+        for name, t in durations:
+            if not (math.isfinite(t) and t >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {t!r}")
+
 
 @dataclass(frozen=True)
 class TimingBudget:
@@ -913,30 +907,13 @@ def write_confusion_csv(path, matrix: ConfusionMatrix) -> None:
 _TABLE_SHOTS = 1000
 
 
-def _confusion_row(row) -> list[float]:
-    _, probs = _labeled_numbers(row)
-    dev = abs(sum(probs) - 1.0)
-    # printed precision can miss row-stochasticity by a couple of counts
-    if dev > 2.5e-3:
-        raise ValueError(f"row deviates from unit sum by {dev:g} (> 0.0025)")
-    return probs
-
-
 def read_confusion_csv(path) -> ConfusionMatrix:
     """Read a confusion CSV (probability form) of 1000 shots per row.
 
-    Header: prepared,0,1,...,d-1 and an optional Null column."""
-    header, rows = _read_csv(path, _confusion_row)
-    outcomes = [str(i) for i in range(len(rows))]
-    if header[1:] not in (outcomes, outcomes + ["Null"]):
-        raise TableError(
-            f"{path}: outcome columns {','.join(header[1:])}; {len(rows)} rows need "
-            f"0..{len(rows) - 1} and an optional Null"
-        )
-    probs = np.array(rows)
-    return ConfusionMatrix(
-        probs=probs, shots=np.full(probs.shape[0], _TABLE_SHOTS), has_null=header[-1] == "Null"
-    )
+    Header: prepared,0,1,...,d-1 and an optional Null column; each row
+    sums to 1 within the printed precision."""
+    _, _, probs, has_null = _read_confusion(path)
+    return ConfusionMatrix(probs=probs, shots=np.full(len(probs), _TABLE_SHOTS), has_null=has_null)
 
 
 def load_reference_confusion(name: str, fixtures_dir=None) -> ConfusionMatrix:

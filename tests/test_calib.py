@@ -30,6 +30,7 @@ from ba137qudit.calib import (
     synthetic_snapshot,
 )
 from ba137qudit.fixtures import TableError, load_transition_params
+from ba137qudit.noise import fit_error_scaling
 from ba137qudit.spam import paper13_encoding
 from ba137qudit.transitions import PAPER13_GEOMETRY, strength_table
 from oracles import (
@@ -136,6 +137,15 @@ class TestCalibrationModel:
         with pytest.raises(ValueError, match=f"^session {session}: {name} frequency must be "
                                              "finite, got (nan|inf)$"):
             fit_calibration(history)
+
+    @pytest.mark.parametrize("arg", ["f_offset", "f_low", "f_up"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_reference_is_named(self, arg, value):
+        model = fit_calibration(self.snapshots([8.33, 8.35, 8.37]))
+        snap = synthetic_snapshot(8.36)
+        refs = {"f_offset": snap.f_offset, "f_low": snap.f_low, "f_up": snap.f_up, arg: value}
+        with pytest.raises(ValueError, match=f"^{arg} frequency must be finite, got {value!r}$"):
+            predict_frequency(model, n=1, **refs)
 
     def test_offset_like_transition_has_zero_slope(self):
         # |10> is the offset reference itself: its kappa equals the offset's,
@@ -461,6 +471,41 @@ class TestRabiWindowTooThin:
         p = 0.9 * np.sin(np.pi * t / (2 * 4.0)) ** 2 + 0.02
         with pytest.raises(FitError):
             fit_rabi_flop(RabiTrace(t, p, np.full(len(t), 100)))
+
+
+_F, _T = np.arange(-10.0, 11.0), np.linspace(0.0, 200.0, 201)
+SCAN = {"freq_khz": _F, "p_dark": lorentzian(_F, 1.0, 5.0, 0.5, 0.02), "shots": np.full(21, 400)}
+TRACE = {"t_us": _T, "p": 0.95 * np.sin(np.pi * _T / 80.0) ** 2 + 0.02, "shots": np.full(201, 100)}
+
+
+def with_nan(fields, name):
+    """`fields` with entry 3 of `name` set to nan."""
+    values = np.array(fields[name], dtype=float)
+    values[3] = math.nan
+    return {**fields, name: values}
+
+
+# fit inputs holding a nan: the fit to run on them, and the whole error message
+NAN_INPUTS = {
+    "scan freq_khz": (lambda: fit_lorentzian(FrequencyScan(**with_nan(SCAN, "freq_khz"))),
+                      "freq_khz must be finite, got nan"),
+    "scan p_dark": (lambda: fit_lorentzian(FrequencyScan(**with_nan(SCAN, "p_dark"))),
+                    "p_dark must be finite, got nan"),
+    "rabi t_us": (lambda: fit_rabi_flop(RabiTrace(**with_nan(TRACE, "t_us"))),
+                  "t_us must be finite, got nan"),
+    "rabi p": (lambda: fit_rabi_flop(RabiTrace(**with_nan(TRACE, "p"))),
+               "p must be finite, got nan"),
+    "error-scaling point": (
+        lambda: fit_error_scaling([(1.0, 20e-6, 0.05), (2.0, 20e-6, 0.06), (1.0, math.nan, 0.05)]),
+        r"point 2 must be finite, got \(1.0, nan, 0.05\)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAN_INPUTS))
+def test_nan_fit_input_is_named_up_front(case):
+    fit, message = NAN_INPUTS[case]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        fit()
 
 
 def noisy_scan(rng):

@@ -70,18 +70,23 @@ def test_reference_confusion_is_the_checked_table(name):
     assert m.shots.tolist() == [1000] * len(probs)
 
 
-@pytest.mark.parametrize("edit, message", [
-    (lambda lines: lines[:3] + [lines[3].replace(",0,", ",0.5,", 1)] + lines[4:],
-     "line 4: row deviates from unit sum"),
-    (lambda lines: [lines[0].replace(",1,", ",x,", 1)] + lines[1:], "outcome columns"),
-], ids=["row-sum", "header"])
-def test_reference_confusion_checks_bundled_table(tmp_path, edit, message):
+# malformed edits of table_e2.csv and what their error names besides the file
+ROW_SUM = (lambda lines: lines[:3] + [lines[3].replace(",0,", ",0.5,", 1)] + lines[4:],
+           "line 4: row deviates from unit sum")
+HEADER = (lambda lines: [lines[0].replace(",1,", ",x,", 1)] + lines[1:], "outcome columns")
+
+
+@pytest.mark.parametrize("edit, message, reader", [
+    (*ROW_SUM, load_reference_confusion), (*HEADER, load_reference_confusion),
+    (*ROW_SUM, load_confusion_fixture), (*HEADER, load_confusion_fixture),
+], ids=["row-sum", "header", "fixture-row-sum", "fixture-header"])
+def test_reference_confusion_checks_bundled_table(tmp_path, edit, message, reader):
     d = tmp_path / "fixtures"
     shutil.copytree(fixture_path("table_e2.csv").parent, d)
     lines = (d / "table_e2.csv").read_text().splitlines()
     (d / "table_e2.csv").write_text("\n".join(edit(lines)) + "\n")
     with pytest.raises(TableError, match=f"table_e2.csv(, |: ){message}"):
-        load_reference_confusion("e2", d)
+        reader("e2", d)
 
 
 def test_read_confusion_csv_ragged_row(tmp_path):

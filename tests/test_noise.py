@@ -196,6 +196,11 @@ class TestErrorMaps:
         assert spam_error_from_pi(0.5) == pytest.approx(2.0 / 3.0, abs=1e-15)
         assert spam_error_from_pi(0.075) == pytest.approx(0.0806, abs=5e-5)
 
+    @pytest.mark.parametrize("chi", [math.nan, math.inf, -0.1])
+    def test_bad_chi_is_named(self, chi):
+        with pytest.raises(ValueError, match=f"^chi must be finite and nonnegative, got {chi!r}$"):
+            pi_pulse_error(chi)
+
     def test_spam_error_dominates_pi_error(self):
         for eps in np.linspace(0.001, 0.999, 97):
             assert spam_error_from_pi(eps) >= eps
@@ -307,6 +312,23 @@ class TestErrorBudget:
     def test_total_is_sum(self):
         budget = ErrorBudget(decay=0.1, off_resonant=0.2, discrimination=0.3)
         assert budget.total == pytest.approx(0.6)
+
+    ARGS = {"shelf_time": 0.12, "lifetime": 35.0, "omega_off": 10e3, "delta": 475e3,
+            "lambda_dark": 0.651, "lambda_bright": 27.87, "threshold": 11}
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("shelf_time", math.nan, "must be finite"),
+        ("lambda_dark", math.nan, "must be finite"),
+        ("lambda_bright", math.inf, "must be finite"),
+        ("delta", math.nan, "must be finite"),
+        ("lambda_dark", -0.5, "must be nonnegative"),
+        ("shelf_time", -1.0, "must be nonnegative"),
+        ("lifetime", 0.0, "must be positive"),
+        ("threshold", math.inf, "must be a nonnegative integer"),
+    ])
+    def test_bad_argument_is_named(self, name, value, message):
+        with pytest.raises(ValueError, match=f"^{name} {message}, got {value!r}$"):
+            error_budget(**{**self.ARGS, name: value})
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -152,6 +153,45 @@ class TestMeasurementPlan:
         )
         with pytest.raises(PlanError):
             build_measurement_sequence(enc)
+
+
+    def test_equal_content_shares_one_plan(self):
+        first, second = paper13_encoding(), paper13_encoding()
+        assert first is not second
+        assert build_measurement_sequence(first) is build_measurement_sequence(second)
+
+    def test_plan_is_frozen(self):
+        plan = build_measurement_sequence(twenty_five_level())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.steps = ()
+        with pytest.raises(TypeError):
+            plan._code[S(2, 2)] = 1
+        with pytest.raises(TypeError):
+            plan._step_pulse[plan.steps[0].key] = 0
+
+    def test_mutated_parking_or_target_gives_a_new_plan(self):
+        ground = S(2, 2)
+        enc = QuditEncoding("parked", (ground, S(2, 1), D(2, 1)), parking={S(2, 1): D(4, 3)},
+                            deshelve_targets={D(2, 1): ground})
+        plans = [build_measurement_sequence(enc)]
+        enc.parking[S(2, 1)] = D(3, 2)
+        plans.append(build_measurement_sequence(enc))
+        enc.deshelve_targets[D(2, 1)] = S(2, 1)
+        plans.append(build_measurement_sequence(enc))
+        shelve = [PulseStep(S(2, 1), D(4, 3))] + [PulseStep(S(2, 1), D(3, 2))] * 2
+        deshelve = [PulseStep(ground, D(2, 1))] * 2 + [PulseStep(S(2, 1), D(2, 1))]
+        for plan, shelf, target in zip(plans, shelve, deshelve):
+            assert plan.steps == (shelf, CheckStep(0), shelf, CheckStep(1), target, CheckStep(2))
+        assert len({id(plan) for plan in plans}) == 3
+
+    @pytest.mark.parametrize("make", [paper13_encoding, twenty_five_level],
+                             ids=["paper13", "full25"])
+    def test_uniform_errors_follow_plan_order(self, make):
+        enc = make()
+        plan = build_measurement_sequence(enc)
+        pulses = [s.key for s in plan.steps if isinstance(s, PulseStep)]
+        pulses += [p.key for path in plan.prep_paths for p in path]
+        assert list(ErrorParams.uniform(enc, 0.01).eps_pi) == list(dict.fromkeys(pulses))
 
 
 class TestSimulateShot:
@@ -433,6 +473,20 @@ class TestTimingBudget:
         budget = timing_budget(enc, t)
         assert 0.004 < budget.measurement_total < 0.010
 
+    @pytest.mark.parametrize("name, value", [
+        ("fluorescence_check", -1.0), ("awg_trigger", math.nan), ("optical_pump", math.inf),
+        ("pi_pulse 3", -37e-6),
+    ])
+    def test_bad_duration_is_named(self, name, value):
+        args = {"fluorescence_check": 5e-3, "awg_trigger": 4e-3, "pi_pulse": {1: 37e-6}}
+        if name == "pi_pulse 3":
+            args["pi_pulse"] = {1: 37e-6, 3: value}
+        else:
+            args[name] = value
+        message = f"^{name} must be finite and nonnegative, got {value!r}$"
+        with pytest.raises(ValueError, match=message):
+            Timings(**args)
+
     def test_prep_reported_separately(self):
         enc = paper13_encoding()
         budget = timing_budget(enc, reference_timings(), prepared=3)
@@ -460,6 +514,10 @@ class TestConfusionIO:
         (tmp_path / "bad.csv").write_text("prepared,0,1,Null\n0,0.5,0.1,0.1\n")
         with pytest.raises(ValueError):
             read_confusion_csv(tmp_path / "bad.csv")
+
+    def test_from_counts_rejects_negative_counts(self):
+        with pytest.raises(ValueError, match="counts must be nonnegative"):
+            ConfusionMatrix.from_counts(np.array([[3, 1, 0], [-1, 4, 1]]), has_null=True)
 
 
 class TestTwentyFiveLevels:
@@ -833,7 +891,8 @@ class TestEvaluatorCaches:
 
 
 # hashes seeded exact matrices: paper13, full25 and full25 sub-encodings, both
-# modes, with decay, read flips and a leak in or outside the plan
+# modes, with decay, read flips and a leak in or outside the plan; then the
+# key order of ErrorParams.uniform for paper13 and full25
 HASH_SEED_PROBE = """
 import hashlib
 import numpy as np
@@ -854,6 +913,9 @@ for enc in encs:
             errs.leak[source] = (pair, p)
         for mode in spam.MODES:
             digest.update(spam._outcome_matrix(enc, errs, mode, intervals).tobytes())
+for enc in (spam.paper13_encoding(), spam.twenty_five_level_encoding()):
+    keys = spam.ErrorParams.uniform(enc, 0.01).eps_pi
+    digest.update(" ".join(map(spam._pair_key, keys)).encode())
 print(digest.hexdigest())
 """
 
