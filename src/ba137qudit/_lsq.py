@@ -24,6 +24,10 @@ _XTOL = 1e-12
 _FTOL = 1e-15
 
 
+class FitError(RuntimeError):
+    """A least-squares fit failed to converge or is ill-posed."""
+
+
 @dataclass(frozen=True, eq=False)
 class Solution:
     x: np.ndarray
@@ -55,7 +59,7 @@ def least_squares(
     """Minimize |fun(x)|^2 / 2 from x0 within lower <= x <= upper.
 
     Returns unconverged after ``_MAX_ITER`` trial steps; each caller turns
-    that into its own error.
+    that into a FitError naming its fit.
     """
     x = np.asarray(x0, dtype=float)
     lo = np.full(x.size, -np.inf) if lower is None else np.asarray(lower, dtype=float)

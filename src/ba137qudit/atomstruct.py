@@ -32,7 +32,6 @@ name, so a ref hashes cheaply, and ``parse_atomic_state`` reads its key.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -41,6 +40,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .angmom import HalfInt, clebsch_gordan
+from .fixtures import _write_csv
 
 __all__ = [
     "MU_B_OVER_H",
@@ -490,9 +490,8 @@ def field_sensitivity(ground: StateRef, excited: StateRef, B: float) -> float:
 
 def write_decomposition_scan(path, scan: DecompositionScan) -> None:
     """CSV rows: B_gauss, F, m_F, amplitude (zero components omitted)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["B_gauss", "F", "m_F", "amplitude"])
-        for i, b in enumerate(scan.b_values):
-            for k, (F, m) in enumerate(scan.components):
-                w.writerow([repr(float(b)), str(F), str(m), repr(float(scan.amplitudes[i, k]))])
+    _write_csv(path, ["B_gauss", "F", "m_F", "amplitude"], (
+        [repr(float(b)), str(F), str(m), repr(float(scan.amplitudes[i, k]))]
+        for i, b in enumerate(scan.b_values)
+        for k, (F, m) in enumerate(scan.components)
+    ))

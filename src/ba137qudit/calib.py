@@ -16,7 +16,6 @@ this module needs numpy alone.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -31,7 +30,8 @@ from .atomstruct import (
     _frequencies,
     _lines_at,
 )
-from .fixtures import _NUMBER, TableError, _json, _number, _write_json
+from ._lsq import FitError
+from .fixtures import _NUMBER, _json, _number, _read_json, _write_json
 from .spam import paper13_encoding
 from .transitions import StrengthTable
 
@@ -59,10 +59,6 @@ __all__ = [
     "reference_trio",
     "synthetic_snapshot",
 ]
-
-
-class FitError(RuntimeError):
-    """A least-squares fit failed to converge or is ill-posed."""
 
 
 def _require_finite_arrays(**arrays: np.ndarray) -> None:
@@ -191,25 +187,21 @@ class CalibrationModel:
         """Read what ``to_json`` writes.  A file that is not such a document,
         or a coefficient that is not a finite number, raises TableError
         naming the file and the key at fault."""
-        where = "document"
-        try:
-            with open(path) as fh:
-                doc = _json(json.load(fh), dict)
-            where = "references"
-            references = tuple(_json(r, str) for r in _json(doc[where], list))
+
+        def read(doc, where):
+            where.key = "references"
+            references = tuple(_json(r, str) for r in _json(doc[where.key], list))
             a1, a2, rms = {}, {}, {}
-            where = "transitions"
-            for key, entry in _json(doc[where], dict).items():
-                where = f"transitions {key}"
+            where.key = "transitions"
+            for key, entry in _json(doc[where.key], dict).items():
+                where.key = f"transitions {key}"
                 n, entry = int(key), _json(entry, dict)
                 for table, name in ((a1, "a1"), (a2, "a2_MHz"), (rms, "residual_rms_MHz")):
-                    where = f"transitions {key} {name}"
+                    where.key = f"transitions {key} {name}"
                     table[n] = _number(_json(entry[name], _NUMBER))
-        except KeyError as exc:
-            raise TableError(f"{path}: {where}: missing key {exc}") from None
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise TableError(f"{path}: {where}: {exc}") from None
-        return cls(a1=a1, a2=a2, residual_rms=rms, references=references)
+            return cls(a1=a1, a2=a2, residual_rms=rms, references=references)
+
+        return _read_json(path, read)
 
 
 def fit_calibration(history: Sequence[CalSnapshot]) -> CalibrationModel:

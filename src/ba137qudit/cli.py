@@ -12,8 +12,6 @@ defaults.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import sys
 from pathlib import Path
@@ -23,7 +21,9 @@ import numpy as np
 from . import atomstruct, calib, fixtures, noise, spam, transitions
 from .angmom import HalfInt
 from .atomstruct import BA137_D52, BA137_S12, StateRef
-from .fixtures import _NUMBER, TableError, _json, _number, _read_csv, _write_json
+from .fixtures import (
+    _NUMBER, TableError, _json, _number, _read_csv, _read_json, _write_csv, _write_json,
+)
 
 LEVELS = {"6S1/2": BA137_S12, "5D5/2": BA137_D52}
 
@@ -51,20 +51,16 @@ _CONFIG_KINDS = {
 def _load_config(path):
     if path is None:
         return {}
-    try:
-        with open(path) as fh:
-            cfg = _json(json.load(fh), dict)
-    except (OSError, json.JSONDecodeError, TypeError) as exc:
-        raise CliError(f"cannot read config {path}: {exc}")
-    unknown = set(cfg) - set(_CONFIG_KINDS)
-    if unknown:
-        raise CliError(f"unknown config keys: {sorted(unknown)}")
-    for key, value in cfg.items():
-        try:
-            _json(value, _CONFIG_KINDS[key])
-        except TypeError as exc:
-            raise CliError(f"config {path}: {key}: {exc}") from None
-    return cfg
+
+    def read(cfg, where):
+        unknown = set(cfg) - set(_CONFIG_KINDS)
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for where.key, value in cfg.items():
+            _json(value, _CONFIG_KINDS[where.key])
+        return cfg
+
+    return _read_json(path, read)
 
 
 def _resolve(args, cfg, key, default=None):
@@ -137,18 +133,14 @@ def cmd_levels(args, cfg):
     else:  # energies relative to the level centroid
         values = atomstruct._labeled_solve(level, bs)[0]
     names = [f"F{F}_m{m}" for F, m in labels]
-    with open(out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        header = ["B_gauss", "state_label", "frequency_MHz"]
-        if b_mark is not None:
-            header.append("b_mark_gauss")
-        w.writerow(header)
-        for b, row_values in zip(bs, values.tolist()):
-            for name, value in zip(names, row_values):
-                row = [repr(b + 0.0), name, repr(value)]  # + 0.0: -0.0 G is written 0.0
-                if b_mark is not None:
-                    row.append(repr(float(b_mark)))
-                w.writerow(row)
+    header, mark = ["B_gauss", "state_label", "frequency_MHz"], []
+    if b_mark is not None:
+        header, mark = header + ["b_mark_gauss"], [repr(float(b_mark))]
+    _write_csv(out, header, (
+        [repr(b + 0.0), name, repr(value)] + mark  # + 0.0: -0.0 G is written 0.0
+        for b, row_values in zip(bs, values.tolist())
+        for name, value in zip(names, row_values)
+    ))
     print(f"levels: wrote {out} ({len(bs)} field values)")
     return [out]
 
@@ -272,11 +264,10 @@ def cmd_spam(args, cfg):
         _confusion_to_json(outdir / "spam_raw.json", raw)
         _confusion_to_json(outdir / "spam_post.json", post)
         written += [outdir / "spam_raw.json", outdir / "spam_post.json"]
-    with open(outdir / "spam_scaling.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["d", "optimal_fidelity", "worst_fidelity"])
-        for d, o, wv in zip(curves.d_values, curves.optimal, curves.worst):
-            w.writerow([d, repr(float(o)), repr(float(wv))])
+    _write_csv(outdir / "spam_scaling.csv", ["d", "optimal_fidelity", "worst_fidelity"], (
+        [d, repr(float(o)), repr(float(wv))]
+        for d, o, wv in zip(curves.d_values, curves.optimal, curves.worst)
+    ))
     written.append(outdir / "spam_scaling.csv")
     _write_json(outdir / "spam_summary.json", {
         "shots_per_state": shots,
@@ -344,11 +335,10 @@ def cmd_fit(args, cfg):
         resid = fit.predict(np.array(x)) - np.array([e for _, _, e in points])
         out = outdir / "fit_error_scaling.json"
         _write_json(out, doc)
-        with open(outdir / "fit_error_scaling_residuals.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["x_kappa2_tau2", "eps_spam", "residual"])
-            for xi, (k, t, e), r in zip(x, points, resid):
-                w.writerow([repr(float(xi)), repr(float(e)), repr(float(r))])
+        _write_csv(outdir / "fit_error_scaling_residuals.csv",
+                   ["x_kappa2_tau2", "eps_spam", "residual"],
+                   ([repr(float(xi)), repr(float(e)), repr(float(r))]
+                    for xi, (_, _, e), r in zip(x, points, resid)))
         print(f"fit: intercept = {fit.intercept:.4f} +/- {fit.intercept_err:.4f}, "
               f"scale = {fit.scale:.4g} +/- {fit.scale_err:.4g}")
         return [out, outdir / "fit_error_scaling_residuals.csv"]
@@ -462,7 +452,6 @@ def cmd_calibrate_demo(args, cfg):
         return f_nominal + fit.center_khz * 1e-3
 
     history = []
-    rows = []
     for _ in range(sessions):
         b = b_center + rng.uniform(-drift, drift)
         truth = calib.synthetic_snapshot(b)
@@ -474,16 +463,13 @@ def cmd_calibrate_demo(args, cfg):
             f_offset=truth.f_offset, f_low=truth.f_low, f_up=truth.f_up, freqs=freqs
         )
         history.append(snap)
-        row = {"f_offset_MHz": snap.f_offset, "f_low_MHz": snap.f_low, "f_up_MHz": snap.f_up}
-        row.update({f"f{n}_MHz": f for n, f in freqs.items()})
-        rows.append(row)
 
     hist_path = outdir / "calibration_history.csv"
-    with open(hist_path, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        w.writeheader()
-        for row in rows:
-            w.writerow({k: repr(float(v)) for k, v in row.items()})
+    header = ["f_offset_MHz", "f_low_MHz", "f_up_MHz"] + [f"f{n}_MHz" for n in nominal.freqs]
+    _write_csv(hist_path, header, (  # every snapshot's freqs follow nominal's keys
+        [repr(float(x)) for x in (s.f_offset, s.f_low, s.f_up, *s.freqs.values())]
+        for s in history
+    ))
 
     model = calib.fit_calibration(history)
     model_path = outdir / "calibration_model.json"
@@ -618,7 +604,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         args.func(args, cfg)
-    except (CliError, TableError, FileNotFoundError) as exc:
+    except (CliError, TableError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError, RuntimeError) as exc:

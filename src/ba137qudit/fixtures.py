@@ -1,5 +1,5 @@
 """Bundled reference tables from the 13-level SPAM experiment, and the
-package's one CSV table reader and one JSON writer.
+package's file layer: one reader and one writer for each of CSV and JSON.
 
 The package ships six CSV fixtures used for regression comparisons:
 
@@ -19,9 +19,9 @@ no data rows, a row whose width differs from its header's, a missing
 column, or a cell that is not a finite number where one is expected
 raises TableError naming the file and the line or column.  Every confusion
 table also goes through ``_read_confusion``, which checks its outcome
-columns and row sums.  Every JSON file the package writes goes through
-``_write_json``, and every value it reads from a JSON file is checked by
-``_json``.
+columns, row sums and cells.  Every table the package writes goes through
+``_write_csv``, and every JSON file through ``_read_json`` (which names
+the key at fault; ``_json`` checks each value) and ``_write_json``.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -76,29 +77,40 @@ def _read_csv(path, parse) -> tuple[list[str], list]:
     """(header, parsed data rows) of a CSV table whose rows all have the
     header's width; ``parse`` turns one ``_Row`` into a value, and a
     ValueError it raises becomes a TableError naming the line."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header:
-            raise TableError(f"{path}: no header row")
-        if len(set(header)) != len(header):
-            raise TableError(f"{path}: repeated column names in the header")
-        rows = []
-        for row in reader:
-            if len(row) != len(header):
-                raise TableError(
-                    f"{path}, line {reader.line_num}: {len(row)} fields, "
-                    f"the header has {len(header)}"
-                )
-            try:
-                rows.append(parse(_Row(zip(header, row))))
-            except TableError as exc:  # a column the header lacks
-                raise TableError(f"{path}: {exc}") from None
-            except ValueError as exc:
-                raise TableError(f"{path}, line {reader.line_num}: {exc}") from None
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if not header:
+                raise TableError(f"{path}: no header row")
+            if len(set(header)) != len(header):
+                raise TableError(f"{path}: repeated column names in the header")
+            rows = []
+            for row in reader:
+                if len(row) != len(header):
+                    raise TableError(
+                        f"{path}, line {reader.line_num}: {len(row)} fields, "
+                        f"the header has {len(header)}"
+                    )
+                try:
+                    rows.append(parse(_Row(zip(header, row))))
+                except TableError as exc:  # a column the header lacks
+                    raise TableError(f"{path}: {exc}") from None
+                except ValueError as exc:
+                    raise TableError(f"{path}, line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise TableError(f"{path}: {exc}") from None
     if not rows:
         raise TableError(f"{path}: no data rows")
     return header, rows
+
+
+def _write_csv(path, header, rows) -> None:
+    """A header row, then the rows, of cells the caller has formatted."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 # what a message calls each kind of JSON value the package reads
@@ -112,6 +124,20 @@ def _json(x, kind):
     if isinstance(x, bool) or not isinstance(x, kind):
         raise TypeError(f"expected {_JSON_KINDS[kind]}, got {x!r}")
     return x
+
+
+def _read_json(path, read):
+    """``read(doc, where)`` of the JSON object in a file.  ``read`` keeps
+    ``where.key`` on the key it is reading, and a KeyError, TypeError,
+    ValueError or OverflowError it raises becomes a TableError naming the
+    file and that key; a file that does not parse as an object fails at
+    key ``document``."""
+    where = SimpleNamespace(key="document")
+    try:
+        return read(_json(json.loads(Path(path).read_text()), dict), where)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        why = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise TableError(f"{path}: {where.key}: {why}") from None
 
 
 def _write_json(path, doc) -> None:
@@ -137,6 +163,9 @@ def load_strength_fixture(fixtures_dir=None):
 
 def _confusion_row(row: _Row) -> tuple[str, list[float]]:
     label, probs = _labeled_numbers(row)
+    for column, p in zip(list(row)[1:], probs):
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"column {column}: {p!r} is not a probability in [0, 1]")
     dev = abs(sum(probs) - 1.0)
     # printed precision can miss row-stochasticity by a couple of counts
     if dev > 2.5e-3:

@@ -22,8 +22,6 @@ module needs numpy alone.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import asdict, dataclass, fields
 
@@ -31,13 +29,7 @@ import numpy as np
 
 from . import _lsq
 from .fixtures import (
-    _NUMBER,
-    TableError,
-    _json,
-    _number,
-    _read_csv,
-    _write_json,
-    load_transition_params,
+    _NUMBER, _json, _number, _read_csv, _read_json, _write_csv, _write_json, load_transition_params,
 )
 
 __all__ = [
@@ -120,19 +112,17 @@ class NoiseModel:
         value that is not a finite number raises TableError naming the file
         and the key at fault."""
         names = [f.name for f in fields(cls)]
-        where = "document"
-        try:
-            with open(path) as fh:
-                doc = _json(json.load(fh), dict)
+
+        def read(doc, where):
             values = {}
-            for where, x in doc.items():
-                if where not in names:
+            for where.key, x in doc.items():
+                if where.key not in names:
                     raise ValueError(f"unknown key; expected one of {', '.join(names)}")
-                values[where] = _number(_json(x, _NUMBER))
-            where = "values"
+                values[where.key] = _number(_json(x, _NUMBER))
+            where.key = "values"
             return cls(**values)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise TableError(f"{path}: {where}: {exc}") from None
+
+        return _read_json(path, read)
 
 
 @dataclass(frozen=True)
@@ -262,7 +252,8 @@ def fit_error_scaling(points) -> ErrorScalingFit:
 
     points: iterable of (kappa, tau_pi, eps_spam).  Damped Gauss-Newton
     (Levenberg-Marquardt) with an analytic Jacobian; initialized with
-    b = min eps and c from the two extreme-x points.
+    b = min eps and c from the two extreme-x points; raises FitError if
+    it does not converge.
     """
     pts = [(float(k), float(t), float(e)) for k, t, e in points]
     if len(pts) < 3:
@@ -294,7 +285,7 @@ def fit_error_scaling(points) -> ErrorScalingFit:
 
     res = _lsq.least_squares(resid, jac, [c0, b0])
     if not res.converged:
-        raise RuntimeError(f"error-scaling fit did not converge in {res.iterations} steps")
+        raise _lsq.FitError(f"error-scaling fit did not converge in {res.iterations} steps")
     return ErrorScalingFit(
         scale=float(res.x[0]), intercept=float(res.x[1]), covariance=res.covariance()
     )
@@ -385,8 +376,5 @@ def load_scaling_points(path) -> list[tuple[float, float, float]]:
 
 
 def write_scaling_points(path, points) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["kappa_MHz_per_G", "tau_pi_us", "eps_spam"])
-        for k, t, e in points:
-            w.writerow([f"{k:.10g}", f"{t * 1e6:.10g}", f"{e:.10g}"])
+    _write_csv(path, ["kappa_MHz_per_G", "tau_pi_us", "eps_spam"],
+               ([f"{k:.10g}", f"{t * 1e6:.10g}", f"{e:.10g}"] for k, t, e in points))

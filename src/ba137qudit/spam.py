@@ -46,8 +46,6 @@ matrix depends on the hash seed.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -60,12 +58,7 @@ import numpy as np
 from .angmom import HalfInt
 from .atomstruct import BA137_D52, BA137_S12, StateRef, parse_atomic_state
 from .fixtures import (
-    _NUMBER,
-    TableError,
-    _json,
-    _read_confusion,
-    _write_json,
-    fixture_path,
+    _NUMBER, _json, _read_confusion, _read_json, _write_csv, _write_json, fixture_path,
     load_transition_params,
 )
 from .transitions import PAPER13_D_STATES
@@ -457,32 +450,28 @@ def _parse_pair(key: str) -> tuple[StateRef, StateRef]:
 def error_params_from_json(path) -> ErrorParams:
     """Read what ``error_params_to_json`` writes.  A file that is not such a
     document raises TableError naming the file and the key at fault."""
-    where = "document"
-    try:
-        with open(path) as fh:
-            doc = _json(json.load(fh), dict)
-        for where in doc:
-            if where not in ("eps_pi", "leak") + _RATES:
+
+    def read(doc, where):
+        for where.key in doc:
+            if where.key not in ("eps_pi", "leak") + _RATES:
                 raise ValueError(f"unknown key; expected one of eps_pi, leak, {', '.join(_RATES)}")
         eps_pi, leak = {}, {}
-        where = "eps_pi"
-        for k, p in _json(doc.get(where, {}), dict).items():
-            where = f"eps_pi {k}"
+        where.key = "eps_pi"
+        for k, p in _json(doc.get(where.key, {}), dict).items():
+            where.key = f"eps_pi {k}"
             eps_pi[_parse_pair(k)] = _json(p, _NUMBER)
-        where = "leak"
-        for k, v in _json(doc.get(where, {}), dict).items():
-            where = f"leak {k}"
+        where.key = "leak"
+        for k, v in _json(doc.get(where.key, {}), dict).items():
+            where.key = f"leak {k}"
             spectator, p = _json(v, dict)["spectator"], v["probability"]
             leak[_parse_pair(k)] = (_parse_pair(_json(spectator, str)), _json(p, _NUMBER))
         rates = {}
-        for where in _RATES:
-            rates[where] = _json(doc.get(where, 0.0), _NUMBER)
-        where = "values"
+        for where.key in _RATES:
+            rates[where.key] = _json(doc.get(where.key, 0.0), _NUMBER)
+        where.key = "values"
         return ErrorParams(eps_pi=eps_pi, leak=leak, **rates)
-    except KeyError as exc:
-        raise TableError(f"{path}: {where}: missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise TableError(f"{path}: {where}: {exc}") from None
+
+    return _read_json(path, read)
 
 
 def error_params_from_reference(fixtures_dir=None, **kwargs) -> ErrorParams:
@@ -534,6 +523,10 @@ class ConfusionMatrix:
         self.shots = np.asarray(self.shots)
         if self.probs.ndim != 2 or len(self.shots) != self.probs.shape[0]:
             raise ValueError("probs must be 2-D with one shots entry per row")
+        ok = (self.probs >= 0.0) & (self.probs <= 1.0)  # nan fails both
+        if not ok.all():
+            i, j = np.argwhere(~ok)[0]
+            raise ValueError(f"probs[{i}, {j}] = {float(self.probs[i, j])!r} is not in [0, 1]")
 
     @classmethod
     def from_counts(cls, counts: np.ndarray, has_null: bool) -> "ConfusionMatrix":
@@ -893,14 +886,11 @@ def intervals_from_timings(plan: MeasurementPlan, timings: Timings) -> list[floa
 
 def write_confusion_csv(path, matrix: ConfusionMatrix) -> None:
     """Header: prepared,0,1,...,[Null]; one row per prepared state."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        header = ["prepared"] + [str(i) for i in range(matrix.n_outcomes)]
-        if matrix.has_null:
-            header.append("Null")
-        w.writerow(header)
-        for i in range(matrix.n_prepared):
-            w.writerow([str(i)] + [repr(float(x)) for x in matrix.probs[i]])
+    header = ["prepared"] + [str(i) for i in range(matrix.n_outcomes)]
+    if matrix.has_null:
+        header.append("Null")
+    _write_csv(path, header, ([str(i)] + [repr(float(x)) for x in row]
+                              for i, row in enumerate(matrix.probs)))
 
 
 # shots per prepared state behind the confusion tables the package reads

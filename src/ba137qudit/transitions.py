@@ -18,7 +18,6 @@ holds the Clebsch-Gordan coefficients of all five q.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -27,7 +26,7 @@ import numpy as np
 
 from .angmom import HalfInt, clebsch_gordan
 from .atomstruct import BA137_D52, BA137_S12, StateRef, _field_solve, _table
-from .fixtures import _write_json
+from .fixtures import _write_csv, _write_json
 
 __all__ = [
     "LaserGeometry",
@@ -146,11 +145,10 @@ class StrengthTable:
         return {d: float(self.values[i, j]) for i, d in enumerate(self.d_labels)}
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["d_state"] + [StateRef(BA137_S12, *s).key for s in self.s_labels])
-            for i, d in enumerate(self.d_labels):
-                w.writerow([StateRef(BA137_D52, *d).key] + [repr(float(x)) for x in self.values[i]])
+        _write_csv(path, ["d_state"] + [StateRef(BA137_S12, *s).key for s in self.s_labels], (
+            [StateRef(BA137_D52, *d).key] + [repr(float(x)) for x in row]
+            for d, row in zip(self.d_labels, self.values)
+        ))
 
     def to_json(self, path) -> None:
         entries = []

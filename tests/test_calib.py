@@ -30,7 +30,7 @@ from ba137qudit.calib import (
     synthetic_snapshot,
 )
 from ba137qudit.fixtures import TableError, load_transition_params
-from ba137qudit.noise import fit_error_scaling
+from ba137qudit.noise import fit_error_scaling, reference_scaling_points
 from ba137qudit.spam import paper13_encoding
 from ba137qudit.transitions import PAPER13_GEOMETRY, strength_table
 from oracles import (
@@ -588,7 +588,8 @@ class TestFitsAgainstScipy:
     lambda: estimate_field(simulate_splittings(
         [paper13_transition_refs()[n] for n in (1, 3, 5, 10)], 8.3
     )),
-], ids=["lorentzian", "rabi", "field"])
+    lambda: fit_error_scaling(reference_scaling_points()),
+], ids=["lorentzian", "rabi", "field", "error-scaling"])
 def test_iteration_cap_raises(monkeypatch, fit):
     monkeypatch.setattr(_lsq, "_MAX_ITER", 1)
     with pytest.raises(FitError, match="did not converge"):

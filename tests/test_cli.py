@@ -6,8 +6,11 @@ import pytest
 
 from ba137qudit.atomstruct import BA137_S12, diagonalize, transition_frequency
 from ba137qudit.cli import LEVELS, CliError, _parse_b_range, main
-from ba137qudit.fixtures import fixture_path
-from ba137qudit.noise import reference_scaling_points, write_scaling_points
+from ba137qudit.fixtures import _read_csv, fixture_path
+from ba137qudit.noise import (
+    fit_error_scaling, load_scaling_points, reference_scaling_points, write_scaling_points,
+)
+from ba137qudit.spam import read_confusion_csv, scaling_analysis
 
 
 def read_csv(path):
@@ -194,6 +197,16 @@ class TestSpam:
         # percentage points, so assert loosely
         assert abs(summary["post_selected_average_error"] - 0.083) < 0.04
 
+    def test_scaling_csv_is_the_scaling_analysis(self, tmp_path):
+        assert main(["--out", str(tmp_path), "spam", "--shots", "300", "--seed", "5"]) == 0
+        header, rows = _read_csv(tmp_path / "spam_scaling.csv", lambda r: (
+            int(r["d"]), float(r["optimal_fidelity"]), float(r["worst_fidelity"])))
+        assert header == ["d", "optimal_fidelity", "worst_fidelity"]
+        # spam_post.csv holds the post-selected matrix exactly (repr round-trips)
+        post = read_confusion_csv(tmp_path / "spam_post.csv")
+        curves = scaling_analysis(dict(enumerate(post.diagonal().tolist())), range(2, 14))
+        assert rows == list(zip(curves.d_values, curves.optimal, curves.worst))
+
     def test_reproducible_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -273,6 +286,18 @@ class TestFit:
         assert rc == 0
         doc = json.load(open(tmp_path / "fit_error_scaling.json"))
         assert 0.02 <= doc["intercept"] <= 0.06
+
+    def test_error_scaling_residuals_csv(self, tmp_path):
+        write_scaling_points(tmp_path / "pts.csv", reference_scaling_points())
+        assert main(["--out", str(tmp_path), "fit", "error-scaling", str(tmp_path / "pts.csv")]) == 0
+        header, rows = _read_csv(tmp_path / "fit_error_scaling_residuals.csv", lambda r: (
+            float(r["x_kappa2_tau2"]), float(r["eps_spam"]), float(r["residual"])))
+        assert header == ["x_kappa2_tau2", "eps_spam", "residual"]
+        points = load_scaling_points(tmp_path / "pts.csv")
+        x = np.array([(k * t) ** 2 for k, t, _ in points])
+        eps = np.array([e for _, _, e in points])
+        residual = fit_error_scaling(points).predict(x) - eps
+        assert rows == list(zip(x.tolist(), eps.tolist(), residual.tolist()))
 
     def test_rabi_noiseless_exact(self, tmp_path):
         t = np.linspace(0.0, 200.0, 201)
@@ -394,6 +419,27 @@ def test_bad_spam_errors_file_exits_2(tmp_path, capsys, text, key):
     err = capsys.readouterr().err
     assert f"{tmp_path / 'params.json'}: " in err and key in err
     assert not (tmp_path / "spam_raw.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--config", "{}", "budget"],
+    ["spam", "--errors", "{}"],
+    ["spam", "--analyze", "{}"],
+    ["fit", "lorentzian", "{}"],
+    ["fit", "error-scaling", "{}"],
+    ["estimate-b", "{}"],
+], ids=lambda argv: " ".join(a for a in argv if a != "{}"))
+@pytest.mark.parametrize("kind", ["directory", "undecodable"])
+def test_unreadable_input_exits_2_naming_it(tmp_path, capsys, argv, kind):
+    path = tmp_path / "input"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe,\x00\n1,2\n")
+    out = tmp_path / "out"
+    assert main(["--out", str(out)] + [a.format(path) for a in argv]) == 2
+    assert str(path) in capsys.readouterr().err
+    assert not any(out.glob("*"))
 
 
 @pytest.mark.parametrize("command, config, key", [

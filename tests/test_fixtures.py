@@ -74,12 +74,16 @@ def test_reference_confusion_is_the_checked_table(name):
 ROW_SUM = (lambda lines: lines[:3] + [lines[3].replace(",0,", ",0.5,", 1)] + lines[4:],
            "line 4: row deviates from unit sum")
 HEADER = (lambda lines: [lines[0].replace(",1,", ",x,", 1)] + lines[1:], "outcome columns")
+# a row that sums to 1 through a cell above 1 and one below 0
+CELL = (lambda lines: lines[:3] + ["2,1.5,-0.5" + ",0" * 11] + lines[4:],
+        r"line 4: column 0: 1.5 is not a probability in \[0, 1\]")
 
 
 @pytest.mark.parametrize("edit, message, reader", [
     (*ROW_SUM, load_reference_confusion), (*HEADER, load_reference_confusion),
     (*ROW_SUM, load_confusion_fixture), (*HEADER, load_confusion_fixture),
-], ids=["row-sum", "header", "fixture-row-sum", "fixture-header"])
+    (*CELL, load_reference_confusion), (*CELL, load_confusion_fixture),
+], ids=["row-sum", "header", "fixture-row-sum", "fixture-header", "cell", "fixture-cell"])
 def test_reference_confusion_checks_bundled_table(tmp_path, edit, message, reader):
     d = tmp_path / "fixtures"
     shutil.copytree(fixture_path("table_e2.csv").parent, d)

@@ -109,8 +109,8 @@ def test_chi_numeric_leaves_scipy_unloaded():
     assert scipy_modules_after(code) == []
 
 
-def test_package_source_imports_no_scipy():
-    found = []
+def package_imports():
+    """(file name, line, module) of every import in the package source."""
     for path in sorted((ROOT / "src" / "ba137qudit").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Import):
@@ -119,7 +119,18 @@ def test_package_source_imports_no_scipy():
                 names = [node.module or ""]
             else:
                 continue
-            found += [f"{path.name}:{node.lineno}" for n in names if n.split(".")[0] == "scipy"]
+            yield from ((path.name, node.lineno, name) for name in names)
+
+
+def test_package_source_imports_no_scipy():
+    found = [f"{f}:{line}" for f, line, name in package_imports() if name.split(".")[0] == "scipy"]
+    assert found == []
+
+
+def test_only_fixtures_imports_csv_or_json():
+    # fixtures is the package's one file layer
+    found = [f"{f}:{line}" for f, line, name in package_imports()
+             if name in ("csv", "json") and f != "fixtures.py"]
     assert found == []
 
 

@@ -515,6 +515,12 @@ class TestConfusionIO:
         with pytest.raises(ValueError):
             read_confusion_csv(tmp_path / "bad.csv")
 
+    @pytest.mark.parametrize("row", [[1.5, -0.5], [np.nan, 1.0], [np.inf, 0.0]],
+                             ids=["outside", "nan", "inf"])
+    def test_rejects_non_probabilities(self, row):
+        with pytest.raises(ValueError, match=r"^probs\[0, 0\] = .+ is not in \[0, 1\]$"):
+            ConfusionMatrix(probs=[row], shots=[10], has_null=False)
+
     def test_from_counts_rejects_negative_counts(self):
         with pytest.raises(ValueError, match="counts must be nonnegative"):
             ConfusionMatrix.from_counts(np.array([[3, 1, 0], [-1, 4, 1]]), has_null=True)
