@@ -5,11 +5,16 @@ section 10.3) with Marquardt's diagonal scaling kept nondecreasing as in
 More's MINPACK design, on a Jacobian the caller supplies.  Box bounds are
 handled by an active set: a parameter on a bound whose gradient points
 outward stays fixed for that step, and the step is projected back into the
-box.  Sized for the package's fits: a few parameters, tens of residuals.
+box.  Sized for the package's fits: a few parameters, tens of residuals,
+where each iteration's small numpy calls cost more than its arithmetic.  So
+the loop indexes a sub-matrix only while a bound is active, adds the damping
+to the diagonal in place, and skips the active set and the clipping when the
+caller gives no bounds; each of these keeps every result bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -61,33 +66,41 @@ def least_squares(
     Returns unconverged after ``_MAX_ITER`` trial steps; each caller turns
     that into a FitError naming its fit.
     """
-    x = np.asarray(x0, dtype=float)
-    lo = np.full(x.size, -np.inf) if lower is None else np.asarray(lower, dtype=float)
-    hi = np.full(x.size, np.inf) if upper is None else np.asarray(upper, dtype=float)
-    x = np.minimum(np.maximum(x, lo), hi)
+    x = np.array(x0, dtype=float)
+    n = x.size
+    bounded = lower is not None or upper is not None
+    if bounded:
+        lo = np.full(n, -np.inf) if lower is None else np.asarray(lower, dtype=float)
+        hi = np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=float)
+        x = np.minimum(np.maximum(x, lo), hi)
     r = fun(x)
     J = jac(x)
     cost = 0.5 * float(r @ r)
-    scale = np.zeros(x.size)
+    scale = np.zeros(n)
     lam, nu = 1e-3, 2.0
     for it in range(1, _MAX_ITER + 1):
         g = J.T @ r
         A = J.T @ J
-        scale = np.maximum(scale, np.sqrt(np.diag(A)))
+        scale = np.maximum(scale, np.sqrt(A.diagonal()))
         d = np.where(scale > 0, scale, 1.0)
-        free = ~(((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0)))
-        if cost == 0.0 or not np.any(g[free]):
+        # every parameter is free unless a bound is active: then index a slice
+        free = ~(((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0))) if bounded else None
+        idx = slice(None) if free is None or free.all() else np.flatnonzero(free)
+        gi, di = g[idx], d[idx]
+        if cost == 0.0 or not gi.any():
             return Solution(x, cost, J, it - 1, True)
-        idx = np.flatnonzero(free)
-        M = A[np.ix_(idx, idx)] / np.outer(d[idx], d[idx]) + lam * np.eye(idx.size)
-        step = np.zeros(x.size)
-        step[idx] = _solve(M, -g[idx] / d[idx]) / d[idx]
+        M = A[idx][:, idx] / (di[:, None] * di)
+        M.flat[:: di.size + 1] += lam
+        step = np.zeros(n)
+        step[idx] = _solve(M, -gi / di) / di
         trial = x + step
-        x_new = np.minimum(np.maximum(trial, lo), hi)
-        clipped = np.any(x_new != trial)
+        x_new = np.minimum(np.maximum(trial, lo), hi) if bounded else trial
+        clipped = bounded and bool((x_new != trial).any())
+        # not the solved step: (x + step) - x can differ from step in its last bit
         step = x_new - x
         predicted = -(g @ step + 0.5 * step @ A @ step)
-        if np.linalg.norm(d * step) <= _XTOL * (np.linalg.norm(d * x) + _XTOL) or (
+        ds, dx = d * step, d * x
+        if math.sqrt(ds @ ds) <= _XTOL * (math.sqrt(dx @ dx) + _XTOL) or (
             not clipped and predicted <= _FTOL * cost
         ):
             return Solution(x, cost, J, it, True)

@@ -22,8 +22,10 @@ splittings relative to the two level centroids.  Line frequencies at many
 fields (the field estimate's grid, the ``levels`` scan) are read straight
 from the stacked energies by ``_frequencies``, without building eigenstates.
 
-Three caches: ``_table`` and ``_check_zero_field`` keyed on the level, and
-``_field_solve``, one field's energies, eigenvectors and Hellmann-Feynman
+Four caches: ``_table`` and ``_check_zero_field`` keyed on the level;
+``_grid_energies``, the energies ``_frequencies`` reads, keyed on (level,
+the fields' bytes), so the field estimate's grid is solved once per prior;
+and ``_field_solve``, one field's energies, eigenvectors and Hellmann-Feynman
 slopes keyed on (level, field), which ``diagonalize``, ``field_sensitivity``,
 the field estimate's Gauss-Newton steps and ``transitions.strength_table``
 read.  ``StateRef`` is the package's one state type; a level hashes by its
@@ -388,14 +390,32 @@ def diagonalize_range(level: LevelConstants, b_values: Sequence[float]) -> list[
     return [systems[b] for b in bs]
 
 
+# keyed on (level, the fields as float64 bytes).  The field estimate asks
+# for the same grid over its prior on every call, and a miss on that grid
+# costs about 3 ms; a few entries hold it beside the odd one-field request
+@lru_cache(maxsize=8)
+def _grid_energies(level: LevelConstants, grid: bytes) -> np.ndarray:
+    """``_labeled_solve``'s energies at the fields packed in ``grid``,
+    read-only, as they are shared."""
+    energies = _labeled_solve(level, np.frombuffer(grid))[0]
+    energies.setflags(write=False)
+    return energies
+
+
+def _line_rows(pairs: Sequence[tuple[StateRef, StateRef]]) -> list[tuple[LevelConstants, int]]:
+    """(level, table row) of each state of the (ground, excited) pairs,
+    ground then excited, pair by pair."""
+    return [(r.level, _row(r.level, r.F, r.m)) for pair in pairs for r in pair]
+
+
 def _frequencies(pairs: Sequence[tuple[StateRef, StateRef]], b_values) -> np.ndarray:
     """E_excited - E_ground in MHz of every (ground, excited) pair at every
     field, shape (n_fields, n_pairs): each level is solved once for all the
     fields, and at B = 0 its energies are the closed-form E(F)."""
-    refs = [ref for pair in pairs for ref in pair]
-    levels = dict.fromkeys(ref.level for ref in refs)
-    energies = {level: _labeled_solve(level, b_values)[0] for level in levels}
-    cols = np.array([energies[r.level][:, _row(r.level, r.F, r.m)] for r in refs])
+    rows = _line_rows(pairs)
+    grid = np.array(b_values, dtype=float).tobytes()
+    energies = {level: _grid_energies(level, grid) for level in dict.fromkeys(l for l, _ in rows)}
+    cols = np.array([energies[level][:, k] for level, k in rows])
     cols = cols.reshape(len(pairs), 2, len(b_values))
     return (cols[:, 1] - cols[:, 0]).T
 
@@ -420,15 +440,13 @@ def _field_solve(level: LevelConstants, B: float) -> tuple[np.ndarray, ...]:
     return energies, amps, amp_f, slopes
 
 
-def _lines_at(pairs: Sequence[tuple[StateRef, StateRef]], B: float) -> tuple[np.ndarray, ...]:
-    """(E_excited - E_ground in MHz, its slope in MHz/G) of every (ground,
-    excited) pair at the one field B, from ``_field_solve``."""
-    refs = [ref for pair in pairs for ref in pair]
-    levels = dict.fromkeys(ref.level for ref in refs)
-    solved = {level: _field_solve(level, float(B)) for level in levels}
-    rows = [(solved[r.level], _row(r.level, r.F, r.m)) for r in refs]
-    energy = np.array([s[0][k] for s, k in rows]).reshape(len(pairs), 2)
-    slope = np.array([s[3][k] for s, k in rows]).reshape(len(pairs), 2)
+def _lines_at(rows: Sequence[tuple[LevelConstants, int]], B: float) -> tuple[np.ndarray, ...]:
+    """(E_excited - E_ground in MHz, its slope in MHz/G) at the one field B,
+    from ``_field_solve``, of every (ground, excited) pair whose states
+    ``_line_rows`` gives."""
+    solved = {level: _field_solve(level, float(B)) for level in dict.fromkeys(l for l, _ in rows)}
+    energy = np.array([solved[level][0][k] for level, k in rows]).reshape(-1, 2)
+    slope = np.array([solved[level][3][k] for level, k in rows]).reshape(-1, 2)
     return energy[:, 1] - energy[:, 0], slope[:, 1] - slope[:, 0]
 
 
@@ -485,7 +503,7 @@ def field_sensitivity(ground: StateRef, excited: StateRef, B: float) -> float:
     g_I m_I) |psi>, the expectation of dH/dB in its eigenstate.  At B = 0
     this is the slope into B > 0.
     """
-    return float(_lines_at([(ground, excited)], B)[1][0])
+    return float(_lines_at(_line_rows([(ground, excited)]), B)[1][0])
 
 
 def write_decomposition_scan(path, scan: DecompositionScan) -> None:

@@ -28,6 +28,7 @@ from .atomstruct import (
     BA137_S12,
     StateRef,
     _frequencies,
+    _line_rows,
     _lines_at,
 )
 from ._lsq import FitError
@@ -125,10 +126,15 @@ def fit_lorentzian(scan: FrequencyScan) -> LorentzianFit:
     def jac(p):
         f0, w, a, _ = p
         d = f - f0
-        q = d**2 + w**2
-        return np.column_stack(
-            [2 * a * w**2 * d / q**2, 2 * a * w * d**2 / q**2, w**2 / q, np.ones_like(f)]
-        )
+        w2 = w**2
+        q = d**2 + w2
+        q2 = q**2
+        J = np.empty((f.size, 4))
+        J[:, 0] = 2 * a * w2 * d / q2
+        J[:, 1] = 2 * a * w * d**2 / q2
+        J[:, 2] = w2 / q
+        J[:, 3] = 1.0
+        return J
 
     res = _lsq.least_squares(resid, jac, [f0, w0, a0, c0])
     if not res.converged:
@@ -265,9 +271,12 @@ def estimate_field(
     distinct field sensitivity are required, and every frequency must be
     finite.  A coarse grid over the prior interval finds the local minima;
     each is refined by Gauss-Newton on the Hellmann-Feynman slopes, clamped to
-    its grid bracket.  The residual and the Jacobian of a step read the same
-    cached per-(level, field) solve.  Two separated minima that refine to the
-    same cost make the data ambiguous and raise ``FitError``.  The grid starts
+    its grid bracket.  The grid's energies are cached on (level, grid), so
+    only the first estimate on a prior solves the grid, and a fresh field
+    pays only its Gauss-Newton solves.  The residual and the Jacobian of a
+    step read the same cached per-(level, field) solve.  Two separated
+    minima that refine to the same cost make the data ambiguous and raise
+    ``FitError``.  The grid starts
     at max(prior[0], 1e-4 G); a best minimum pinned on its first or last point
     means the field lies outside the grid, or the lines fit no field, and
     raises ``FitError`` too.  A true field of 0 G lies below the 1e-4 G floor,
@@ -283,13 +292,14 @@ def estimate_field(
         raise ValueError(f"prior must be a finite interval (lo, hi) with lo < hi, got {prior}")
     ref = pairs[0]
     meas = np.array([measured[p] - measured[ref] for p in pairs[1:]])
+    rows = _line_rows(pairs)
 
     def resid(x) -> np.ndarray:
-        sims = _lines_at(pairs, x[0])[0]
+        sims = _lines_at(rows, x[0])[0]
         return sims[1:] - sims[:1] - meas
 
     def jac(x) -> np.ndarray:
-        slopes = _lines_at(pairs, x[0])[1]
+        slopes = _lines_at(rows, x[0])[1]
         return (slopes[1:] - slopes[0])[:, None]
 
     lo = max(prior[0], 1e-4)
@@ -427,9 +437,12 @@ def fit_rabi_flop(trace: RabiTrace) -> RabiFit:
         a, _, tp, ts = params
         theta = np.pi * (tw - tp) / (2.0 * ts)
         sin2 = a * np.sin(2.0 * theta)
-        return np.column_stack(
-            [np.cos(theta) ** 2, np.ones_like(tw), sin2 * np.pi / (2.0 * ts), sin2 * theta / ts]
-        )
+        J = np.empty((tw.size, 4))
+        J[:, 0] = np.cos(theta) ** 2
+        J[:, 1] = 1.0
+        J[:, 2] = sin2 * np.pi / (2.0 * ts)
+        J[:, 3] = sin2 * theta / ts
+        return J
 
     res = _lsq.least_squares(lambda q: model(q) - pw, jac, x0, lower=lower, upper=upper)
     if not res.converged:

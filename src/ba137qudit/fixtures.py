@@ -14,14 +14,16 @@ table_e5.csv  per-transition parameters: SPAM error, field sensitivity
 Values are as printed (3-4 decimals), so confusion rows can be off
 row-stochasticity by up to ~0.002.  An alternative fixtures directory can
 be supplied to every loader, which the command line exposes as
---fixtures-dir.  Every table the package reads goes through ``_read_csv``:
-no data rows, a row whose width differs from its header's, a missing
-column, or a cell that is not a finite number where one is expected
-raises TableError naming the file and the line or column.  Every confusion
+--fixtures-dir.  Every table the package reads goes through ``_read_csv``,
+as UTF-8 with or without a byte-order mark: no data rows, a row whose width
+differs from its header's, a missing column, or a cell that is not a finite
+number where one is expected raises TableError naming the file and the line
+or column.  Every confusion
 table also goes through ``_read_confusion``, which checks its outcome
 columns, row sums and cells.  Every table the package writes goes through
 ``_write_csv``, and every JSON file through ``_read_json`` (which names
-the key at fault; ``_json`` checks each value) and ``_write_json``.
+the key at fault and rejects a key repeated within an object; ``_json``
+checks each value) and ``_write_json``.
 """
 
 from __future__ import annotations
@@ -78,7 +80,8 @@ def _read_csv(path, parse) -> tuple[list[str], list]:
     header's width; ``parse`` turns one ``_Row`` into a value, and a
     ValueError it raises becomes a TableError naming the line."""
     try:
-        with open(path, newline="") as fh:
+        # utf-8-sig: a spreadsheet export's byte-order mark is not header text
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if not header:
@@ -126,6 +129,17 @@ def _json(x, kind):
     return x
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object as a dict; a key given twice is an error, not a silent
+    choice of its last value."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"key {key!r} is given more than once")
+        doc[key] = value
+    return doc
+
+
 def _read_json(path, read):
     """``read(doc, where)`` of the JSON object in a file.  ``read`` keeps
     ``where.key`` on the key it is reading, and a KeyError, TypeError,
@@ -134,7 +148,8 @@ def _read_json(path, read):
     key ``document``."""
     where = SimpleNamespace(key="document")
     try:
-        return read(_json(json.loads(Path(path).read_text()), dict), where)
+        doc = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
+        return read(_json(doc, dict), where)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         why = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         raise TableError(f"{path}: {where.key}: {why}") from None

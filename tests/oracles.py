@@ -517,6 +517,65 @@ def oracle_chi_quad(model, params):
 # cost |r|^2 / 2 at them, so a fit can be checked against the optimum here.
 
 
+def oracle_lm_reference(fun, jac, x0, lower=None, upper=None):
+    """The package's Levenberg-Marquardt loop as it was before its
+    per-iteration numpy calls were cut: index sets, outer products and
+    identity matrices on every path, and clipping with infinite bounds.
+    Returns (x, cost, Jacobian, iterations, converged); the lean loop must
+    match every one of them bit for bit."""
+    max_iter, xtol, ftol = 200, 1e-12, 1e-15
+
+    def solve(M, b):
+        try:
+            return np.linalg.solve(M, b)
+        except np.linalg.LinAlgError:
+            return np.linalg.lstsq(M, b, rcond=None)[0]
+
+    x = np.asarray(x0, dtype=float)
+    lo = np.full(x.size, -np.inf) if lower is None else np.asarray(lower, dtype=float)
+    hi = np.full(x.size, np.inf) if upper is None else np.asarray(upper, dtype=float)
+    x = np.minimum(np.maximum(x, lo), hi)
+    r = fun(x)
+    J = jac(x)
+    cost = 0.5 * float(r @ r)
+    scale = np.zeros(x.size)
+    lam, nu = 1e-3, 2.0
+    for it in range(1, max_iter + 1):
+        g = J.T @ r
+        A = J.T @ J
+        scale = np.maximum(scale, np.sqrt(np.diag(A)))
+        d = np.where(scale > 0, scale, 1.0)
+        free = ~(((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0)))
+        if cost == 0.0 or not np.any(g[free]):
+            return x, cost, J, it - 1, True
+        idx = np.flatnonzero(free)
+        M = A[np.ix_(idx, idx)] / np.outer(d[idx], d[idx]) + lam * np.eye(idx.size)
+        step = np.zeros(x.size)
+        step[idx] = solve(M, -g[idx] / d[idx]) / d[idx]
+        trial = x + step
+        x_new = np.minimum(np.maximum(trial, lo), hi)
+        clipped = np.any(x_new != trial)
+        step = x_new - x
+        predicted = -(g @ step + 0.5 * step @ A @ step)
+        if np.linalg.norm(d * step) <= xtol * (np.linalg.norm(d * x) + xtol) or (
+            not clipped and predicted <= ftol * cost
+        ):
+            return x, cost, J, it, True
+        r_new = fun(x_new)
+        cost_new = 0.5 * float(r_new @ r_new)
+        if predicted > 0 and cost_new < cost:
+            rho = (cost - cost_new) / predicted
+            x, r, cost = x_new, r_new, cost_new
+            J = jac(x)
+            # Nielsen's damping update: shrink by at most 3 on a good step
+            lam *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+            nu = 2.0
+        else:
+            lam *= nu
+            nu *= 2.0
+    return x, cost, J, max_iter, False
+
+
 def oracle_covariance(residuals, params, rel_step=1e-4):
     """s^2 (J^T J)^-1 at ``params``, s^2 = |r|^2 / (m - n), with J from
     central differences of ``residuals`` and the inverse from a QR

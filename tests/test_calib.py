@@ -40,6 +40,7 @@ from oracles import (
     oracle_estimate_field,
     oracle_fit_lorentzian,
     oracle_fit_rabi,
+    oracle_lm_reference,
     rabi_residuals,
 )
 
@@ -265,6 +266,42 @@ class TestEstimateField:
         est = estimate_field(noisy)
         assert abs(est.B - 8.3) < 0.01
         assert len(single) >= 4 and max(single.values()) == 1, single
+
+    def test_grid_solve_is_cached_per_prior(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        pairs = list(paper13_transition_refs().values())
+        noisy = {k: v + rng.uniform(-1e-3, 1e-3)
+                 for k, v in simulate_splittings(pairs, 8.3).items()}
+        priors = [(0.0, 20.0), (5.0, 12.0)]
+        cached = atomstruct._grid_energies
+        monkeypatch.setattr(atomstruct, "_grid_energies", cached.__wrapped__)
+        uncached = [estimate_field(noisy, prior) for prior in priors]
+
+        solve, grids, served = atomstruct._solve, Counter(), []
+
+        def counting(level, bs):
+            if len(bs) > 1:
+                grids[level.name, len(bs)] += 1
+            return solve(level, bs)
+
+        def serving(level, grid):
+            served.append(cached(level, grid))
+            return served[-1]
+
+        monkeypatch.setattr(atomstruct, "_solve", counting)
+        monkeypatch.setattr(atomstruct, "_grid_energies", serving)
+        cached.cache_clear()
+        for prior, want in zip(priors, uncached):
+            before = sum(grids.values())
+            first = estimate_field(noisy, prior)
+            assert sum(grids.values()) == before + 2, grids  # a new prior: both levels' grids
+            assert estimate_field(noisy, prior) == first == want
+            assert sum(grids.values()) == before + 2, grids  # the second call solves none
+            assert served[-1] is served[-3] and served[-2] is served[-4]
+        assert cached.cache_info().currsize == 4
+        assert served and not any(e.flags.writeable for e in served)
+        with pytest.raises(ValueError, match="read-only"):
+            served[0][0, 0] = 0.0
 
 
 class TestRabiFit:
@@ -508,9 +545,10 @@ def test_nan_fit_input_is_named_up_front(case):
         fit()
 
 
-def noisy_scan(rng):
-    """21-point, 1 kHz fine scan of a 5 kHz line, uniform +-0.02 noise."""
-    line = rng.uniform(-5.0, 5.0)
+def noisy_scan(rng, span=5.0):
+    """21-point, 1 kHz fine scan of a 5 kHz line at most ``span`` kHz off
+    the scan's zero, uniform +-0.02 noise."""
+    line = rng.uniform(-span, span)
     f = 10.0 * round(line / 10.0) + np.arange(-10.0, 11.0)
     y = lorentzian(f, line, 5.0, 0.5, 0.02) + rng.uniform(-0.02, 0.02, len(f))
     return FrequencyScan(f, np.clip(y, 0.0, 1.0), np.full(len(f), 400))
@@ -580,6 +618,59 @@ class TestFitsAgainstScipy:
             assert sq <= sq_ref * (1 + 1e-9)
             assert est.residual_rms == pytest.approx(math.sqrt(sq / (len(ns) - 1)), rel=1e-6)
             assert est.B == pytest.approx(b_ref, abs=1e-4)
+
+
+def _lorentzian_fits():
+    # lines hundreds of kHz off zero, as a session's are; there (x + step) - x
+    # differs from step often enough that 3 of these fits would see it
+    rng = np.random.default_rng(31)
+    for _ in range(1000):
+        fit_lorentzian(noisy_scan(rng, 600.0))
+
+
+def _rabi_fits():
+    rng = np.random.default_rng(32)
+    for _ in range(30):
+        fit_rabi_flop(binomial_trace(rng))
+
+
+def _field_fits():
+    rng = np.random.default_rng(33)
+    trans = paper13_transition_refs()
+    for b_true, ns in [(8.1, (1, 3, 5, 10)), (8.6, tuple(range(1, 13))), (15.5, (1, 3, 5, 10))]:
+        estimate_field({k: v + rng.uniform(-1e-3, 1e-3)
+                        for k, v in simulate_splittings([trans[n] for n in ns], b_true).items()})
+
+
+@pytest.mark.parametrize("fits, bounded, on_bound", [
+    (_lorentzian_fits, False, 0),
+    (_rabi_fits, True, 1),  # the active set runs, not only the clipping
+    (lambda: fit_error_scaling(reference_scaling_points()), False, 0),
+    (_field_fits, True, 0),
+], ids=["lorentzian", "rabi", "error-scaling", "field"])
+def test_solver_matches_reference_loop_bit_for_bit(monkeypatch, fits, bounded, on_bound):
+    """Every solve of a fit returns what the reference loop returns on the
+    same problem: the same x, cost, Jacobian, iteration count and status,
+    so the same covariance."""
+    solve, calls = _lsq.least_squares, []
+
+    def both(fun, jac, x0, lower=None, upper=None):
+        got = solve(fun, jac, x0, lower, upper)
+        calls.append((got, oracle_lm_reference(fun, jac, x0, lower, upper), lower, upper))
+        return got
+
+    monkeypatch.setattr(_lsq, "least_squares", both)
+    fits()
+    assert calls
+    hits = 0
+    for got, (x, cost, jac, iterations, converged), lower, upper in calls:
+        assert (lower is not None) == bounded
+        assert np.array_equal(got.x, x) and got.cost == cost and np.array_equal(got.jac, jac)
+        assert (got.iterations, got.converged) == (iterations, converged)
+        want = _lsq.Solution(x, cost, jac, iterations, converged).covariance()
+        assert np.array_equal(got.covariance(), want)
+        hits += bounded and bool(np.any((x == np.asarray(lower)) | (x == np.asarray(upper))))
+    assert hits >= on_bound
 
 
 @pytest.mark.parametrize("fit", [

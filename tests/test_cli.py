@@ -366,6 +366,16 @@ class TestEstimateB:
         doc = json.load(open(tmp_path / "estimate_b.json"))
         assert doc["B_gauss"] == pytest.approx(8.35, abs=1e-3)
 
+    def test_byte_order_mark_is_not_header_text(self, tmp_path, capsys):
+        # spreadsheet exports start a UTF-8 CSV with a byte-order mark
+        self.write_splittings(tmp_path / "meas.csv", 8.35)
+        (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + (tmp_path / "meas.csv").read_bytes())
+        for name in ("meas", "bom"):
+            out = tmp_path / name
+            assert main(["--out", str(out), "estimate-b", str(tmp_path / f"{name}.csv")]) == 0
+        assert (tmp_path / "bom" / "estimate_b.json").read_bytes() == (
+            tmp_path / "meas" / "estimate_b.json").read_bytes()
+
     def test_single_transition_rejected(self, tmp_path):
         (tmp_path / "one.csv").write_text(
             "transition,freq_MHz\nS:F2:m2->D:F4:m4,100.0\n"
@@ -479,6 +489,14 @@ class TestConfigPrecedence:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"nonsense": 1}))
         assert main(["--config", str(cfg), "budget"]) == 2
+
+    def test_repeated_config_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"shots": 5, "shots": 7}')
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "--config", str(cfg), "spam"]) == 2
+        assert "key 'shots' is given more than once" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestBudget:
