@@ -5,8 +5,8 @@ calibrate-demo, budget.  Every command is reproducible: the same config
 and seed produce byte-identical primary output files.  Outputs are data
 only (CSV/JSON ready for external plotting).
 
-Parameter precedence: explicit flags > --config file entries > built-in
-defaults.
+Each parameter is one ``PARAMS`` row; before a command runs, ``main`` takes
+its flag, else its --config entry, else its default, and checks it.
 """
 
 from __future__ import annotations
@@ -14,7 +14,10 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,8 +30,7 @@ from .fixtures import (
 
 LEVELS = {"6S1/2": BA137_S12, "5D5/2": BA137_D52}
 
-# gauss: the field of the 13-level experiment, default of strengths --b and
-# calibrate-demo --b-center
+# gauss: the field of the 13-level experiment
 _B_EXPERIMENT = 8.35
 # most field values a --b range may hold
 _MAX_FIELDS = 100_001
@@ -38,42 +40,11 @@ class CliError(Exception):
     pass
 
 
-# every config key, with the kind of JSON value it takes
-_CONFIG_KINDS = {
-    **dict.fromkeys(("shots", "seed", "sessions"), int),
-    **dict.fromkeys(("b_range", "level", "mode", "errors"), str),
-    "f": _NUMBER + (str,), "m": _NUMBER + (str,),
-    **dict.fromkeys(("b_gauss", "phi_deg", "gamma_deg", "threshold", "b_mark", "b_center",
-                     "drift", "fluorescence_ms", "awg_ms", "optical_pump_ms"), _NUMBER),
-}
-
-
-def _load_config(path):
-    if path is None:
-        return {}
-
-    def read(cfg, where):
-        unknown = set(cfg) - set(_CONFIG_KINDS)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for where.key, value in cfg.items():
-            _json(value, _CONFIG_KINDS[where.key])
-        return cfg
-
-    return _read_json(path, read)
-
-
-def _resolve(args, cfg, key, default=None):
-    """flags > config file > default."""
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    return cfg.get(key, default)
-
-
 def _finite(value, flag, nonnegative=False):
-    """A flag or config value as a finite float, nonnegative if asked (a
-    field in gauss, a time in ms)."""
+    """A flag or config value as a finite float, nonnegative if asked; None
+    (an optional value left unset) stays None."""
+    if value is None:
+        return None
     x = float(value)
     if not math.isfinite(x) or (nonnegative and x < 0):
         kind = "finite, nonnegative" if nonnegative else "finite"
@@ -81,32 +52,122 @@ def _finite(value, flag, nonnegative=False):
     return x
 
 
+_nonnegative = partial(_finite, nonnegative=True)
+
+
+def _drift(value, flag):
+    x = _nonnegative(value, flag)
+    if x == 0.0:
+        raise CliError(f"{flag} must be positive: sessions at one field cannot calibrate")
+    return x
+
+
+def _at_least(n, why=""):
+    def check(value, flag):
+        if value < n:
+            raise CliError(f"{flag} must be at least {n}{why}, got {value}")
+        return value
+
+    return check
+
+
+def _one_of(options):
+    def check(value, flag):
+        if value not in options:
+            raise CliError(f"unknown {flag} {value!r}; pick from {sorted(options)}")
+        return value
+
+    return check
+
+
 def _half_int(value, flag):
-    """A state label, given by flag or config, as a half-integer."""
+    """A state label, given by flag or config, checked to be a half-integer
+    and kept as given: the output file is named from it."""
     try:
-        return HalfInt.coerce(float(value))
+        HalfInt.coerce(float(value))
     except (TypeError, ValueError):
         raise CliError(f"eigenstates needs {flag} as a half-integer, got {value!r}") from None
+    return value
 
 
-def _parse_b_range(text):
-    try:
-        parts = [float(x) for x in text.split(":")]
-    except ValueError:
-        raise CliError(f"bad B range {text!r}; expected start:stop[:step]")
+def _parse_b_range(text, flag):
+    """The field values of a start:stop[:step] range in gauss."""
+    parts = text.split(":")
     if len(parts) == 2:
-        parts.append(0.1)
-    if len(parts) != 3:
-        raise CliError(f"bad B range {text!r}; expected start:stop[:step]")
-    start, stop, step = parts
+        parts.append("0.1")
+    try:
+        start, stop, step = map(float, parts)
+    except ValueError:
+        raise CliError(f"bad {flag} range {text!r}; expected start:stop[:step]") from None
     if not (0.0 <= start <= stop < math.inf and 0.0 <= step < math.inf):
-        raise CliError(f"bad B range {text!r}; need finite 0 <= start <= stop, step >= 0")
+        raise CliError(f"bad {flag} range {text!r}; need finite 0 <= start <= stop, step >= 0")
     if stop == start or step == 0:
         return [start]
     steps = (stop - start) / step
     if steps > _MAX_FIELDS - 1:
-        raise CliError(f"B range {text!r} has more than {_MAX_FIELDS} points")
+        raise CliError(f"{flag} range {text!r} has more than {_MAX_FIELDS} points")
     return [start + i * step for i in range(int(round(steps)) + 1)]
+
+
+class _Param(NamedTuple):
+    """One parameter: its flag, the JSON kind of its config value, its default,
+    and the check that turns a given value into the one the command reads."""
+
+    flag: str
+    kind: type | tuple
+    default: object = None
+    check: Callable | None = None
+    choices: tuple | None = None
+    help: str | None = None
+
+
+# every parameter, by config key (also its name in the parsed arguments);
+# a value comes from its flag, else the --config file, else the default
+PARAMS = {
+    "level": _Param("--level", str, "5D5/2", _one_of(LEVELS)),
+    "b_range": _Param("--b", str, "0:10:0.05", _parse_b_range, help="start:stop:step in gauss"),
+    "b_mark": _Param("--b-mark", _NUMBER, None, _nonnegative),
+    "f": _Param("--f-tilde", _NUMBER + (str,), None, _half_int),
+    "m": _Param("--m-tilde", _NUMBER + (str,), None, _half_int),
+    "b_gauss": _Param("--b", _NUMBER, _B_EXPERIMENT, _nonnegative),
+    "phi_deg": _Param("--phi", _NUMBER, transitions.PAPER13_GEOMETRY.phi, _finite),
+    "gamma_deg": _Param("--gamma", _NUMBER, transitions.PAPER13_GEOMETRY.gamma, _finite),
+    "threshold": _Param("--threshold", _NUMBER, 0.03, _finite),
+    "errors": _Param("--errors", str, "table-e5", help="zero | table-e5 | params.json"),
+    "shots": _Param("--shots", int, 1000, _at_least(1)),
+    "mode": _Param("--mode", str, "first-bright", _one_of(spam.MODES), choices=spam.MODES),
+    "seed": _Param("--seed", int, 0, _at_least(0)),
+    "b_center": _Param("--b-center", _NUMBER, _B_EXPERIMENT, _nonnegative),
+    "drift": _Param("--drift", _NUMBER, 0.02, _drift),
+    "sessions": _Param("--sessions", int, 5, _at_least(2, " for the linear calibration")),
+    # budget times in ms; unset, each is the bundled reference timing
+    "fluorescence_ms": _Param("--fluorescence-ms", _NUMBER, None, _nonnegative),
+    "awg_ms": _Param("--awg-ms", _NUMBER, None, _nonnegative),
+    "optical_pump_ms": _Param("--optical-pump-ms", _NUMBER, None, _nonnegative),
+}
+
+
+def _read_config(cfg, where):
+    unknown = set(cfg) - set(PARAMS)
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    for where.key, value in cfg.items():
+        _json(value, PARAMS[where.key].kind)
+    return cfg
+
+
+def _resolve(args, keys):
+    """Set each parameter in ``keys`` on ``args``: its flag's value, else its
+    entry in the --config file, else its default, through its check."""
+    cfg = {} if args.config is None else _read_json(args.config, _read_config)
+    for key in keys:
+        param = PARAMS[key]
+        value = getattr(args, key)
+        if value is None:
+            value = cfg.get(key, param.default)
+        if param.check is not None:
+            value = param.check(value, param.flag)
+        setattr(args, key, value)
 
 
 def _outdir(args) -> Path:
@@ -115,17 +176,11 @@ def _outdir(args) -> Path:
     return out
 
 
-def cmd_levels(args, cfg):
-    level_name = _resolve(args, cfg, "level", "5D5/2")
-    if level_name not in LEVELS:
-        raise CliError(f"unknown level {level_name!r}; pick from {sorted(LEVELS)}")
-    bs = _parse_b_range(_resolve(args, cfg, "b_range", "0:10:0.05"))
-    b_mark = _resolve(args, cfg, "b_mark")
-    if b_mark is not None:
-        b_mark = _finite(b_mark, "--b-mark", nonnegative=True)
-    out = _outdir(args) / f"levels_{level_name.replace('/', '')}.csv"
+def cmd_levels(args):
+    bs = args.b_range
+    out = _outdir(args) / f"levels_{args.level.replace('/', '')}.csv"
 
-    level = LEVELS[level_name]
+    level = LEVELS[args.level]
     labels = atomstruct._table(level).labels
     if level is BA137_D52:  # lines from the encoding's ground state |F=2, m=2>
         ground = StateRef.of(BA137_S12, 2, 2)
@@ -134,8 +189,8 @@ def cmd_levels(args, cfg):
         values = atomstruct._labeled_solve(level, bs)[0]
     names = [f"F{F}_m{m}" for F, m in labels]
     header, mark = ["B_gauss", "state_label", "frequency_MHz"], []
-    if b_mark is not None:
-        header, mark = header + ["b_mark_gauss"], [repr(float(b_mark))]
+    if args.b_mark is not None:
+        header, mark = header + ["b_mark_gauss"], [repr(args.b_mark)]
     _write_csv(out, header, (
         [repr(b + 0.0), name, repr(value)] + mark  # + 0.0: -0.0 G is written 0.0
         for b, row_values in zip(bs, values.tolist())
@@ -145,34 +200,23 @@ def cmd_levels(args, cfg):
     return [out]
 
 
-def cmd_eigenstates(args, cfg):
-    level_name = _resolve(args, cfg, "level", "5D5/2")
-    if level_name not in LEVELS:
-        raise CliError(f"unknown level {level_name!r}")
-    f_val, m_val = _resolve(args, cfg, "f"), _resolve(args, cfg, "m")
-    f, m = _half_int(f_val, "--f-tilde"), _half_int(m_val, "--m-tilde")
-    bs = _parse_b_range(_resolve(args, cfg, "b_range", "0:10:0.05"))
+def cmd_eigenstates(args):
     try:
-        scan = atomstruct.decomposition_scan(LEVELS[level_name], f, m, bs)
+        scan = atomstruct.decomposition_scan(LEVELS[args.level], args.f, args.m, args.b_range)
     except KeyError as exc:
         raise CliError(str(exc))
-    out = _outdir(args) / f"eigenstate_{level_name.replace('/', '')}_F{f_val}_m{m_val}.csv"
+    out = _outdir(args) / f"eigenstate_{args.level.replace('/', '')}_F{args.f}_m{args.m}.csv"
     atomstruct.write_decomposition_scan(out, scan)
     print(f"eigenstates: wrote {out} ({len(scan.components)} components)")
     return [out]
 
 
-def cmd_strengths(args, cfg):
-    b = _finite(_resolve(args, cfg, "b_gauss", _B_EXPERIMENT), "--b", nonnegative=True)
-    phi = _finite(_resolve(args, cfg, "phi_deg", transitions.PAPER13_GEOMETRY.phi), "--phi")
-    gamma = _finite(
-        _resolve(args, cfg, "gamma_deg", transitions.PAPER13_GEOMETRY.gamma), "--gamma"
-    )
-    threshold = _finite(_resolve(args, cfg, "threshold", 0.03), "--threshold")
+def cmd_strengths(args):
     fmt = args.format or "csv"
     outdir = _outdir(args)
 
-    table = transitions.strength_table(b, transitions.LaserGeometry(phi, gamma))
+    geometry = transitions.LaserGeometry(args.phi_deg, args.gamma_deg)
+    table = transitions.strength_table(args.b_gauss, geometry)
     written = []
     if fmt in ("csv", "both"):
         path = outdir / "strengths.csv"
@@ -186,15 +230,16 @@ def cmd_strengths(args, cfg):
     d_keys, s_keys, ref = fixtures.load_strength_fixture(args.fixtures_dir)
     dev = float(np.max(np.abs(table.values - ref)))
     report = {
-        "B_gauss": b,
-        "phi_deg": phi,
-        "gamma_deg": gamma,
+        "B_gauss": args.b_gauss,
+        "phi_deg": args.phi_deg,
+        "gamma_deg": args.gamma_deg,
         "max_abs_deviation_vs_reference": dev,
     }
     if args.list_encodable:
-        picked = [StateRef(BA137_D52, *p) for p in transitions.encodable_states(table, threshold)]
+        picked = [StateRef(BA137_D52, *p)
+                  for p in transitions.encodable_states(table, args.threshold)]
         report["encodable_states"] = [state.key for state in picked]
-        print(f"strengths: {len(picked)} states above {threshold}:")
+        print(f"strengths: {len(picked)} states above {args.threshold}:")
         for i, state in enumerate(picked, start=1):
             print(f"  |{i}> = {state}")
     rep_path = outdir / "strengths_report.json"
@@ -215,7 +260,7 @@ def _confusion_to_json(path, matrix):
     _write_json(path, doc)
 
 
-def cmd_spam(args, cfg):
+def cmd_spam(args):
     outdir = _outdir(args)
     if args.analyze:
         m = spam.read_confusion_csv(args.analyze)
@@ -228,25 +273,17 @@ def cmd_spam(args, cfg):
         return [outdir / "spam_analysis.json"]
 
     encoding = spam.paper13_encoding()
-    shots = _resolve(args, cfg, "shots", 1000)
-    if shots < 1:
-        raise CliError(f"--shots must be at least 1, got {shots}")
-    seed = _resolve(args, cfg, "seed", 0)
-    mode = _resolve(args, cfg, "mode", "first-bright")
-    if mode not in spam.MODES:
-        raise CliError(f"unknown mode {mode!r}; pick from {list(spam.MODES)}")
-    errors_src = _resolve(args, cfg, "errors", "table-e5")
-    if errors_src == "zero":
+    if args.errors == "zero":
         errors = spam.ErrorParams.zero(encoding)
-    elif errors_src == "table-e5":
+    elif args.errors == "table-e5":
         errors = spam.error_params_from_reference(args.fixtures_dir)
     else:
-        errors = spam.error_params_from_json(errors_src)
+        errors = spam.error_params_from_json(args.errors)
 
     try:
-        raw = spam.run_experiment(encoding, errors, shots, seed=seed, mode=mode)
+        raw = spam.run_experiment(encoding, errors, args.shots, seed=args.seed, mode=args.mode)
     except spam.MissingTransitionError as exc:
-        raise CliError(f"{errors_src}: {exc.args[0]}") from None
+        raise CliError(f"{args.errors}: {exc.args[0]}") from None
     post = spam.post_select(raw)
     fid_raw, sig_raw = spam.average_fidelity(raw)
     fid_post, sig_post = spam.average_fidelity(post)
@@ -270,10 +307,10 @@ def cmd_spam(args, cfg):
     ))
     written.append(outdir / "spam_scaling.csv")
     _write_json(outdir / "spam_summary.json", {
-        "shots_per_state": shots,
-        "seed": seed,
-        "mode": mode,
-        "errors": str(errors_src),
+        "shots_per_state": args.shots,
+        "seed": args.seed,
+        "mode": args.mode,
+        "errors": args.errors,
         "raw_average_error": 1 - fid_raw,
         "raw_uncertainty": sig_raw,
         "post_selected_average_error": 1 - fid_post,
@@ -318,7 +355,7 @@ def _snapshot(row):
     )
 
 
-def cmd_fit(args, cfg):
+def cmd_fit(args):
     outdir = _outdir(args)
     kind = args.kind
     path = args.input
@@ -389,7 +426,7 @@ def _splitting(row):
     return (g, e), _number(row["freq_MHz"])
 
 
-def cmd_estimate_b(args, cfg):
+def cmd_estimate_b(args):
     measured = {}
     for (g, e), freq in _read_csv(args.input, _splitting)[1]:
         if (g, e) in measured:
@@ -417,21 +454,12 @@ def cmd_estimate_b(args, cfg):
     return [out]
 
 
-def cmd_calibrate_demo(args, cfg):
+def cmd_calibrate_demo(args):
     """Synthetic end-to-end run of the documented calibration procedure:
     coarse/fine scans at drifted fields, Lorentzian centers, linear model."""
     outdir = _outdir(args)
-    seed = _resolve(args, cfg, "seed", 0)
-    b_center = _finite(
-        _resolve(args, cfg, "b_center", _B_EXPERIMENT), "--b-center", nonnegative=True
-    )
-    drift = _finite(_resolve(args, cfg, "drift", 0.02), "--drift", nonnegative=True)
-    if drift == 0.0:
-        raise CliError("--drift must be positive: sessions at one field cannot calibrate")
-    sessions = _resolve(args, cfg, "sessions", 5)
-    if sessions < 2:
-        raise CliError(f"--sessions must be at least 2 for the linear calibration, got {sessions}")
-    rng = np.random.default_rng(seed)
+    b_center, drift, sessions = args.b_center, args.drift, args.sessions
+    rng = np.random.default_rng(args.seed)
 
     plan = calib.scan_plan()
     nominal = calib.synthetic_snapshot(b_center)
@@ -488,23 +516,12 @@ def cmd_calibrate_demo(args, cfg):
     return [hist_path, model_path]
 
 
-def cmd_budget(args, cfg):
+def cmd_budget(args):
     outdir = _outdir(args)
-    timings = spam.reference_timings(args.fixtures_dir)
-
-    def seconds(key, flag, default):
-        """A time given in ms (flag or config), finite and nonnegative."""
-        value = _resolve(args, cfg, key)
-        return default if value is None else _finite(value, flag, nonnegative=True) * 1e-3
-
-    timings = spam.Timings(
-        fluorescence_check=seconds(
-            "fluorescence_ms", "--fluorescence-ms", timings.fluorescence_check
-        ),
-        awg_trigger=seconds("awg_ms", "--awg-ms", timings.awg_trigger),
-        optical_pump=seconds("optical_pump_ms", "--optical-pump-ms", timings.optical_pump),
-        pi_pulse=timings.pi_pulse,
-    )
+    given_ms = {"fluorescence_check": args.fluorescence_ms, "awg_trigger": args.awg_ms,
+                "optical_pump": args.optical_pump_ms}
+    timings = replace(spam.reference_timings(args.fixtures_dir),
+                      **{k: ms * 1e-3 for k, ms in given_ms.items() if ms is not None})
     budget = spam.timing_budget(spam.paper13_encoding(), timings, prepared=1)
     doc = {
         "measurement_total_ms": budget.measurement_total * 1e3,
@@ -520,11 +537,36 @@ def cmd_budget(args, cfg):
     return [out]
 
 
+# every command: its function, its help text and the parameters it reads
+COMMANDS = {
+    "levels": (cmd_levels, "state/transition frequencies vs field",
+               ("level", "b_range", "b_mark")),
+    "eigenstates": (cmd_eigenstates, "decomposition of one eigenstate vs field",
+                    ("level", "f", "m", "b_range")),
+    "strengths": (cmd_strengths, "relative transition-strength table",
+                  ("b_gauss", "phi_deg", "gamma_deg", "threshold")),
+    "spam": (cmd_spam, "simulate or analyze SPAM confusion matrices",
+             ("errors", "shots", "mode", "seed")),
+    "fit": (cmd_fit, "least-squares fits", ()),
+    "estimate-b": (cmd_estimate_b, "field estimate from measured splittings", ()),
+    "calibrate-demo": (cmd_calibrate_demo, "synthetic calibration workflow",
+                       ("seed", "b_center", "drift", "sessions")),
+    "budget": (cmd_budget, "SPAM timing budget",
+               ("fluorescence_ms", "awg_ms", "optical_pump_ms")),
+}
+
+
+def _add_flag(p: argparse.ArgumentParser, key: str, default=None) -> None:
+    param = PARAMS[key]
+    p.add_argument(param.flag, dest=key, type={int: int, _NUMBER: float}.get(param.kind),
+                   choices=param.choices, default=default, help=param.help)
+
+
 def _add_global_args(p: argparse.ArgumentParser, suppress: bool) -> None:
     # the same flags are accepted before or after the subcommand; the
     # subparser copies use SUPPRESS so they only override when given
     d = argparse.SUPPRESS if suppress else None
-    p.add_argument("--seed", type=int, default=d)
+    _add_flag(p, "seed", default=d)
     p.add_argument("--out", default=d, help="output directory (default .)")
     p.add_argument("--format", choices=["csv", "json", "both"], default=d)
     p.add_argument("--fixtures-dir", default=d)
@@ -538,72 +580,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_global_args(parser, suppress=False)
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, keys) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        _add_global_args(p, suppress=True)
+        for key in keys:
+            if key != "seed":  # a global flag, added above
+                _add_flag(p, key)
 
-    p = sub.add_parser("levels", help="state/transition frequencies vs field")
-    _add_global_args(p, suppress=True)
-    p.add_argument("--level", default=None)
-    p.add_argument("--b", dest="b_range", default=None, help="start:stop:step in gauss")
-    p.add_argument("--b-mark", dest="b_mark", type=float, default=None)
-    p.set_defaults(func=cmd_levels)
-
-    p = sub.add_parser("eigenstates", help="decomposition of one eigenstate vs field")
-    _add_global_args(p, suppress=True)
-    p.add_argument("--level", default=None)
-    p.add_argument("--f-tilde", dest="f", default=None)
-    p.add_argument("--m-tilde", dest="m", default=None)
-    p.add_argument("--b", dest="b_range", default=None)
-    p.set_defaults(func=cmd_eigenstates)
-
-    p = sub.add_parser("strengths", help="relative transition-strength table")
-    _add_global_args(p, suppress=True)
-    p.add_argument("--b", dest="b_gauss", type=float, default=None)
-    p.add_argument("--phi", dest="phi_deg", type=float, default=None)
-    p.add_argument("--gamma", dest="gamma_deg", type=float, default=None)
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--list-encodable", action="store_true")
-    p.set_defaults(func=cmd_strengths)
-
-    p = sub.add_parser("spam", help="simulate or analyze SPAM confusion matrices")
-    _add_global_args(p, suppress=True)
-    p.add_argument("--errors", default=None, help="zero | table-e5 | params.json")
-    p.add_argument("--shots", type=int, default=None)
-    p.add_argument("--mode", choices=spam.MODES, default=None)
-    p.add_argument("--analyze", default=None, help="confusion CSV to analyze instead")
-    p.set_defaults(func=cmd_spam)
-
-    p = sub.add_parser("fit", help="least-squares fits")
-    _add_global_args(p, suppress=True)
-    p.add_argument("kind", choices=["error-scaling", "lorentzian", "rabi", "calibration"])
-    p.add_argument("input")
-    p.set_defaults(func=cmd_fit)
-
-    p = sub.add_parser("estimate-b", help="field estimate from measured splittings")
-    _add_global_args(p, suppress=True)
-    p.add_argument("input")
-    p.set_defaults(func=cmd_estimate_b)
-
-    p = sub.add_parser("calibrate-demo", help="synthetic calibration workflow")
-    _add_global_args(p, suppress=True)
-    p.add_argument("--b-center", dest="b_center", type=float, default=None)
-    p.add_argument("--drift", type=float, default=None)
-    p.add_argument("--sessions", type=int, default=None)
-    p.set_defaults(func=cmd_calibrate_demo)
-
-    p = sub.add_parser("budget", help="SPAM timing budget")
-    _add_global_args(p, suppress=True)
-    p.add_argument("--fluorescence-ms", dest="fluorescence_ms", type=float, default=None)
-    p.add_argument("--awg-ms", dest="awg_ms", type=float, default=None)
-    p.add_argument("--optical-pump-ms", dest="optical_pump_ms", type=float, default=None)
-    p.set_defaults(func=cmd_budget)
+    cmd = sub.choices  # the arguments that are not parameters
+    cmd["strengths"].add_argument("--list-encodable", action="store_true")
+    cmd["spam"].add_argument("--analyze", help="confusion CSV to analyze instead")
+    cmd["fit"].add_argument("kind", choices=["error-scaling", "lorentzian", "rabi", "calibration"])
+    cmd["fit"].add_argument("input")
+    cmd["estimate-b"].add_argument("input")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    func, _, keys = COMMANDS[args.command]
     try:
-        cfg = _load_config(args.config)
-        args.func(args, cfg)
+        _resolve(args, keys)
+        func(args)
     except (CliError, TableError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

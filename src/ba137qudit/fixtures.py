@@ -21,9 +21,9 @@ number where one is expected raises TableError naming the file and the line
 or column.  Every confusion
 table also goes through ``_read_confusion``, which checks its outcome
 columns, row sums and cells.  Every table the package writes goes through
-``_write_csv``, and every JSON file through ``_read_json`` (which names
-the key at fault and rejects a key repeated within an object; ``_json``
-checks each value) and ``_write_json``.
+``_write_csv``, and every JSON file through ``_read_json`` (UTF-8 with or
+without a byte-order mark; it names the key at fault and rejects a key
+repeated within an object; ``_json`` checks each value) and ``_write_json``.
 """
 
 from __future__ import annotations
@@ -148,7 +148,8 @@ def _read_json(path, read):
     key ``document``."""
     where = SimpleNamespace(key="document")
     try:
-        doc = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
+        text = Path(path).read_text(encoding="utf-8-sig")  # a byte-order mark is not JSON
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
         return read(_json(doc, dict), where)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         why = f"missing key {exc}" if isinstance(exc, KeyError) else exc

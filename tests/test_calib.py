@@ -178,6 +178,12 @@ class TestCalibrationModel:
         assert back.a1 == pytest.approx(model.a1)
         assert back.a2 == pytest.approx(model.a2)
 
+    def test_from_json_reads_a_byte_order_mark(self, tmp_path):
+        fit_calibration(self.snapshots([8.33, 8.35, 8.37])).to_json(tmp_path / "cal.json")
+        (tmp_path / "bom.json").write_bytes(b"\xef\xbb\xbf" + (tmp_path / "cal.json").read_bytes())
+        plain, bom = (CalibrationModel.from_json(tmp_path / name) for name in ("cal.json", "bom.json"))
+        assert vars(bom) == vars(plain)
+
     @pytest.mark.parametrize("key, entry, match", [
         ("1", {"a1": "x", "a2_MHz": 1.0}, "transitions 1 a1: expected a number"),
         ("1", {"a1": 0.5}, "transitions 1 a2_MHz: missing key 'a2_MHz'"),

@@ -1,11 +1,15 @@
 import csv
 import json
+import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ba137qudit import spam
 from ba137qudit.atomstruct import BA137_S12, diagonalize, transition_frequency
-from ba137qudit.cli import LEVELS, CliError, _parse_b_range, main
+from ba137qudit.cli import COMMANDS, LEVELS, PARAMS, CliError, _parse_b_range, main
 from ba137qudit.fixtures import _read_csv, fixture_path
 from ba137qudit.noise import (
     fit_error_scaling, load_scaling_points, reference_scaling_points, write_scaling_points,
@@ -91,10 +95,10 @@ def test_b_range_over_point_cap_exits_2(tmp_path, capsys, command):
 
 
 def test_b_range_point_cap_edge():
-    assert len(_parse_b_range("0:100000:1")) == 100_001
+    assert len(_parse_b_range("0:100000:1", "--b")) == 100_001
     for text in ("0:100001:1", "0:1:1e-320"):
         with pytest.raises(CliError, match="more than 100001 points"):
-            _parse_b_range(text)
+            _parse_b_range(text, "--b")
 
 
 class TestEigenstates:
@@ -261,6 +265,65 @@ def test_bad_numeric_flag_exits_2(tmp_path, capsys, argv, config, flag):
     assert main(prefix + argv) == 2
     assert flag in capsys.readouterr().err
     assert not (tmp_path / "budget.json").exists()
+
+
+# a bad value of each checked parameter: (flag text, config value)
+BAD = {
+    "level": ("7P1/2", "7P1/2"),
+    "b_range": ("0:nan:1", "1:0"),
+    "b_mark": ("nan", -1),
+    "f": ("4.3", "x"),
+    "m": ("x", 0.25),
+    "b_gauss": ("-1", math.inf),
+    "phi_deg": ("inf", math.nan),
+    "gamma_deg": ("nan", -math.inf),
+    "threshold": ("inf", math.nan),
+    "shots": ("0", -5),
+    "mode": ("majority", "majority"),
+    "seed": ("-1", -1),
+    "b_center": ("inf", -0.5),
+    "drift": ("0", -1),
+    "sessions": ("1", 0),
+    "fluorescence_ms": ("-5", math.nan),
+    "awg_ms": ("nan", -1),
+    "optical_pump_ms": ("inf", -2),
+}
+CHECKED = [(command, key) for command, (_, _, keys) in COMMANDS.items()
+           for key in keys if PARAMS[key].check is not None]
+
+
+def test_every_checked_parameter_has_a_bad_value():
+    assert sorted(BAD) == sorted({key for _, key in CHECKED})
+
+
+@pytest.mark.parametrize("given", ["flag", "config"])
+@pytest.mark.parametrize("command, key", CHECKED, ids=[f"{c}-{k}" for c, k in CHECKED])
+def test_bad_parameter_exits_2_naming_its_flag_before_any_output(
+    tmp_path, capsys, command, key, given
+):
+    flag_text, config_value = BAD[key]
+    # eigenstates needs both state labels; in the config, a flag overrides them
+    cfg = {"f": 4, "m": 1} if command == "eigenstates" else {}
+    argv = [command]
+    if given == "flag":
+        argv += [PARAMS[key].flag, flag_text]
+    else:
+        cfg[key] = config_value
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    try:
+        rc = main(["--out", str(out), "--config", str(tmp_path / "cfg.json"), *argv])
+    except SystemExit as exc:  # argparse refuses a flag value outside its choices
+        rc = exc.code
+    assert rc == 2
+    assert re.search(re.escape(PARAMS[key].flag) + r"(?![\w-])", capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_readme_names_every_config_key_and_flag():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    for key, param in PARAMS.items():
+        assert f"`{key}`" in readme and f"`{param.flag}`" in readme, key
 
 
 def test_spam_encoding_flag_and_key_are_gone(tmp_path, capsys):
@@ -431,6 +494,16 @@ def test_bad_spam_errors_file_exits_2(tmp_path, capsys, text, key):
     assert not (tmp_path / "spam_raw.csv").exists()
 
 
+def test_spam_errors_file_byte_order_mark_is_not_json(tmp_path):
+    spam.error_params_to_json(tmp_path / "plain.json", spam.error_params_from_reference())
+    (tmp_path / "bom.json").write_bytes(b"\xef\xbb\xbf" + (tmp_path / "plain.json").read_bytes())
+    for name in ("plain", "bom"):
+        assert main(["--out", str(tmp_path / name), "--seed", "2", "spam", "--shots", "50",
+                     "--errors", str(tmp_path / f"{name}.json")]) == 0
+    assert (tmp_path / "bom" / "spam_raw.csv").read_bytes() == (
+        tmp_path / "plain" / "spam_raw.csv").read_bytes()
+
+
 @pytest.mark.parametrize("argv", [
     ["--config", "{}", "budget"],
     ["spam", "--errors", "{}"],
@@ -489,6 +562,16 @@ class TestConfigPrecedence:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"nonsense": 1}))
         assert main(["--config", str(cfg), "budget"]) == 2
+
+    def test_config_byte_order_mark_is_not_json(self, tmp_path):
+        # an editor may save a UTF-8 config with a byte-order mark
+        text = json.dumps({"shots": 50, "seed": 3, "errors": "zero"}).encode()
+        for name, data in (("plain", text), ("bom", b"\xef\xbb\xbf" + text)):
+            (tmp_path / f"{name}.json").write_bytes(data)
+            assert main(["--out", str(tmp_path / name), "--config",
+                         str(tmp_path / f"{name}.json"), "spam"]) == 0
+        assert (tmp_path / "bom" / "spam_summary.json").read_bytes() == (
+            tmp_path / "plain" / "spam_summary.json").read_bytes()
 
     def test_repeated_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

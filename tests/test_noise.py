@@ -69,6 +69,11 @@ class TestPsd:
         self.MODEL.to_json(tmp_path / "m.json")
         assert NoiseModel.from_json(tmp_path / "m.json") == self.MODEL
 
+    def test_from_json_reads_a_byte_order_mark(self, tmp_path):
+        self.MODEL.to_json(tmp_path / "m.json")
+        (tmp_path / "bom.json").write_bytes(b"\xef\xbb\xbf" + (tmp_path / "m.json").read_bytes())
+        assert NoiseModel.from_json(tmp_path / "bom.json") == self.MODEL
+
     @pytest.mark.parametrize("text, match", [
         ('{"h_a": 1.0, "bogus": 2.0}', "bogus: unknown key; expected one of h_a, h_b"),
         ('[1.0, 2.0]', "document: expected an object, got"),
