@@ -11,6 +11,8 @@ spam         shelving protocol plans, exact forward outcome model,
 calib        line/Rabi fitting, linear frequency calibration, field estimate
 fixtures     bundled reference tables from the 13-level experiment
 cli          command-line front end (`ba137qudit`)
+
+Every public name here is re-exported from some module's ``__all__``.
 """
 
 from .angmom import HalfInt, clebsch_gordan, wigner3j
@@ -22,7 +24,6 @@ from .atomstruct import (
     LabeledEigenstate,
     LevelConstants,
     StateRef,
-    build_hamiltonian,
     decomposition_scan,
     diagonalize,
     diagonalize_range,
@@ -49,10 +50,8 @@ from .noise import (
     chi_closed_form,
     chi_numeric,
     error_budget,
-    filter_function_pi,
     fit_error_scaling,
     pi_pulse_error,
-    psd,
     spam_error_from_pi,
 )
 from .spam import (

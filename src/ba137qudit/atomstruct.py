@@ -54,7 +54,6 @@ __all__ = [
     "FieldMismatchError",
     "BA137_S12",
     "BA137_D52",
-    "build_hamiltonian",
     "zero_field_energy",
     "diagonalize",
     "diagonalize_range",
@@ -228,13 +227,6 @@ def _table(level: LevelConstants) -> _Table:
     return _Table(basis, h0, moment, labels, row, u, e_f, off_block, tuple(blocks))
 
 
-def build_hamiltonian(level: LevelConstants, B: float) -> np.ndarray:
-    """Hamiltonian matrix in MHz over the |m_I, m_J> basis at field B (gauss)."""
-    if not 0.0 <= B < math.inf:
-        raise ValueError(f"B must be finite and nonnegative, got {B}")
-    return _table(level).h0 + np.diag(B * MU_B_OVER_H * _table(level).moment)
-
-
 def zero_field_energy(level: LevelConstants, F) -> float:
     """Closed-form hyperfine energy E(F) in MHz, relative to the centroid."""
     F = float(HalfInt.coerce(F))
@@ -325,7 +317,7 @@ def _solve(level: LevelConstants, bs) -> tuple[np.ndarray, np.ndarray, np.ndarra
     energies = np.empty((n, level.dim))
     amps = np.zeros((n, level.dim, level.dim))
     for idx, rows, h0, moment in t.blocks:
-        # entry for entry build_hamiltonian's h0 + diag(B mu_B/h moment)
+        # entry for entry the block of _table(level).h0 + diag(B mu_B/h moment)
         w, v = np.linalg.eigh(h0 + zeeman * moment)
         gap = np.diff(w).min(axis=-1, initial=np.inf)  # per field
         if gap.min(initial=np.inf) < _GAP_MIN:

@@ -17,7 +17,9 @@ Under this PSD the chi integrand on each interval between the cutoff,
 the mains-peak edges and the Rabi frequency is a sum of c, a/w, c/w^2 and
 a/w^3, so ``chi_numeric`` is an exact sum of antiderivatives; the
 error-scaling fit runs on the package's numpy least-squares solver.  The
-module needs numpy alone.
+field-noise PSD is ``NoiseModel.base_psd``; the pi-pulse filter function
+and the kappa^2 factor enter only through chi.  The module needs numpy
+alone.
 """
 
 from __future__ import annotations
@@ -37,9 +39,6 @@ __all__ = [
     "TransitionNoiseParams",
     "ErrorScalingFit",
     "ErrorBudget",
-    "kappa_to_rad",
-    "psd",
-    "filter_function_pi",
     "chi_numeric",
     "chi_closed_form",
     "pi_pulse_error",
@@ -54,7 +53,7 @@ __all__ = [
 _KAPPA_TO_RAD = 2.0 * math.pi * 1e6  # MHz/G -> rad/s per gauss
 
 
-def kappa_to_rad(kappa_mhz_per_gauss: float) -> float:
+def _kappa_to_rad(kappa_mhz_per_gauss: float) -> float:
     return _KAPPA_TO_RAD * kappa_mhz_per_gauss
 
 
@@ -91,6 +90,10 @@ class NoiseModel:
             raise ValueError("PSD levels must be nonnegative")
 
     def base_psd(self, omega: float) -> float:
+        """S_B at omega (rad/s).  The transition-frequency PSD is this times
+        kappa^2, with kappa in rad/s per gauss."""
+        if not 0.0 <= omega < math.inf:
+            raise ValueError(f"omega must be finite and nonnegative, got {omega!r}")
         a, c = self._piece(omega)
         return a / omega + c if a else c
 
@@ -143,22 +146,6 @@ class TransitionNoiseParams:
         return math.pi / self.tau_pi
 
 
-def psd(omega: float, model: NoiseModel, kappa: float) -> float:
-    """Transition-frequency noise PSD at omega (rad/s), scaled by kappa^2."""
-    if omega < 0:
-        raise ValueError("omega must be nonnegative")
-    return kappa_to_rad(kappa) ** 2 * model.base_psd(omega)
-
-
-def filter_function_pi(omega: float, big_omega: float) -> float:
-    """Pi-pulse filter function: 4 w^2/Omega^2 below Omega, 4 above."""
-    if big_omega <= 0:
-        raise ValueError("Omega must be positive")
-    if omega < big_omega:
-        return 4.0 * omega**2 / big_omega**2
-    return 4.0
-
-
 def chi_numeric(model: NoiseModel, params: TransitionNoiseParams) -> float:
     """chi = (1/pi) int_0^inf S(w) F(w) / w^2 dw, exactly.
 
@@ -179,7 +166,7 @@ def chi_numeric(model: NoiseModel, params: TransitionNoiseParams) -> float:
             total += 4.0 * (c * (hi - lo) + log_term) / big_omega**2
         else:
             total += 4.0 * (c * (1.0 / lo - 1.0 / hi) + 0.5 * a * (1.0 / lo**2 - 1.0 / hi**2))
-    return kappa_to_rad(params.kappa) ** 2 * total / math.pi
+    return _kappa_to_rad(params.kappa) ** 2 * total / math.pi
 
 
 def chi_closed_form(model: NoiseModel, params: TransitionNoiseParams) -> float:
@@ -195,7 +182,7 @@ def chi_closed_form(model: NoiseModel, params: TransitionNoiseParams) -> float:
             f"closed form requires omega_ac < Omega "
             f"(got omega_ac = {model.omega_ac:g}, Omega = {big_omega:g} rad/s)"
         )
-    scale = kappa_to_rad(params.kappa) ** 2
+    scale = _kappa_to_rad(params.kappa) ** 2
     bracket = (
         1.5 * model.h_a
         + model.h_a * math.log(big_omega / model.omega_0)

@@ -834,9 +834,12 @@ def timing_budget(encoding: QuditEncoding, timings: Timings, prepared: int = 0) 
     in-loop optical-pumping slot after each check is charged to the budget
     even though the simulated physics omits it (it does not affect the
     first-bright statistics).  Preparation (initial optical pumping plus
-    the prep pulse) is reported separately.
+    the prep pulse) is reported separately; ``prepared`` must be one of
+    the encoding's d indices.
     """
     d = encoding.d
+    if not (isinstance(prepared, numbers.Integral) and 0 <= prepared < d):
+        raise ValueError(f"prepared must be an index in [0, d) for d = {d}, got {prepared!r}")
     fluor = d * timings.fluorescence_check
     n_shelve = sum(1 for s in encoding.states[1:] if s.level == BA137_S12)
     # one trigger per pulse plus the switch into the readout loop; a d = 1

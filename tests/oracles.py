@@ -3,6 +3,12 @@
 Everything here is deliberately written from scratch against textbook
 formulas (plain floats, no exact arithmetic, no reuse of package
 internals) so it can serve as an oracle for the package implementations.
+
+One exception: ``table_hamiltonian`` reads the package's field-free matrix
+``atomstruct._table(level).h0`` and Zeeman moments, and ``oracle_solve_field``
+diagonalizes it.  That oracle checks the stacked solve bit for bit, which
+needs the very same matrix entries.  The entries themselves are checked
+against ``oracle_hamiltonian``, the textbook operator built here.
 """
 
 import itertools
@@ -14,13 +20,14 @@ from functools import lru_cache
 import numpy as np
 from scipy import integrate, optimize
 
+from ba137qudit import atomstruct
 from ba137qudit.angmom import HalfInt, clebsch_gordan
 from ba137qudit.atomstruct import (
     BA137_D52,
     BA137_S12,
+    MU_B_OVER_H,
     LabelingError,
     StateRef,
-    build_hamiltonian,
     zero_field_energy,
 )
 from ba137qudit.spam import PulseStep, build_measurement_sequence
@@ -28,7 +35,8 @@ from ba137qudit.transitions import geometric_factor
 
 
 def oracle_cg(j1, m1, j2, m2, J, M):
-    """Clebsch-Gordan coefficient via the brute-force Racah sum."""
+    """Clebsch-Gordan coefficient via the brute-force Racah sum, in plain
+    floats: within 5e-16 of the exact value for j1, j2 up to 8."""
     if m1 + m2 != M:
         return 0.0
     if J < abs(j1 - j2) or J > j1 + j2:
@@ -129,29 +137,87 @@ def _oracle_spin(j):
     return ms, jz, jp, jp.T
 
 
-def oracle_walk_energies(I, J, A, B_Q, g_J, g_I, mu_B_over_h, b_values, step=0.02):
-    """Adiabatic labels by walking up from B = 0 in fixed small steps.
-
-    H = A I.J + B_Q [3(I.J)^2 + (3/2) I.J - I(I+1)J(J+1)] / [2I(2I-1)J(2J-1)]
-        + B mu_B/h (g_J m_J + g_I m_I), built in the |m_I, m_J> basis.
-    Each m block is diagonalized at every step.  At B = 0 a state's label
-    F comes from <F^2> = F(F+1); after that each label follows the new
-    eigenvector of largest overlap, greedily, largest overlaps first.
-
-    Returns one {(F, m_F): energy in MHz} dict per requested field (floats).
-    """
+@lru_cache(maxsize=None)
+def _oracle_operators(level):
+    """(m_I values, m_J values, I.J, field-free H, g_J m_J + g_I m_I) over
+    the |m_I, m_J> product basis (index = i_I * (2J+1) + i_J, both m
+    ascending); the arrays are read-only, as they are shared."""
+    I, J = float(level.I), float(level.J)
     mis, iz, ip, im = _oracle_spin(I)
     mjs, jz, jp, jm = _oracle_spin(J)
     idot = np.kron(iz, jz) + 0.5 * (np.kron(ip, jm) + np.kron(im, jp))
-    dim = len(mis) * len(mjs)
-    h0 = A * idot
-    if B_Q:
-        h0 = h0 + B_Q * (
-            3 * idot @ idot + 1.5 * idot - I * (I + 1) * J * (J + 1) * np.eye(dim)
+    h0 = level.A_D * idot
+    if level.B_Q:
+        h0 = h0 + level.B_Q * (
+            3 * idot @ idot + 1.5 * idot - I * (I + 1) * J * (J + 1) * np.eye(len(idot))
         ) / (2 * I * (2 * I - 1) * J * (2 * J - 1))
-    f2 = (I * (I + 1) + J * (J + 1)) * np.eye(dim) + 2 * idot
+    moment = np.array([level.g_J * mj + level.g_I * mi for mi in mis for mj in mjs])
+    for x in (idot, h0, moment):
+        x.setflags(write=False)
+    return mis, mjs, idot, h0, moment
+
+
+def oracle_hamiltonian(level, B):
+    """The textbook hyperfine + Zeeman Hamiltonian in MHz at field B (G),
+
+    H = A I.J + B_Q [3(I.J)^2 + (3/2) I.J - I(I+1)J(J+1)] / [2I(2I-1)J(2J-1)]
+        + B mu_B/h (g_J m_J + g_I m_I),
+
+    over the |m_I, m_J> basis, from the spin ladder operators."""
+    _, _, _, h0, moment = _oracle_operators(level)
+    return h0 + np.diag(B * MU_B_OVER_H * moment)
+
+
+def oracle_zero_field_energy(level, F):
+    """Hyperfine energy of the F manifold in MHz, relative to the centroid,
+    from the Casimir K = F(F+1) - I(I+1) - J(J+1):
+
+    E(F) = A K/2 + B_Q [(3/2) K(K+1) - 2 I(I+1) J(J+1)] / [4 I(2I-1) J(2J-1)].
+    """
+    I, J = float(level.I), float(level.J)
+    K = F * (F + 1) - I * (I + 1) - J * (J + 1)
+    e = level.A_D * K / 2
+    if level.B_Q:
+        e += level.B_Q * (1.5 * K * (K + 1) - 2 * I * (I + 1) * J * (J + 1)) / (
+            4 * I * (2 * I - 1) * J * (2 * J - 1)
+        )
+    return e
+
+
+def oracle_lande_g(level, F):
+    """g_F = g_J [F(F+1) - I(I+1) + J(J+1)] / 2F(F+1)
+           + g_I [F(F+1) + I(I+1) - J(J+1)] / 2F(F+1),
+    the first-order Zeeman factor of the F manifold (0 for F = 0)."""
+    I, J = float(level.I), float(level.J)
+    f2 = F * (F + 1)
+    if f2 == 0:
+        return 0.0
+    return (level.g_J * (f2 - I * (I + 1) + J * (J + 1))
+            + level.g_I * (f2 + I * (I + 1) - J * (J + 1))) / (2 * f2)
+
+
+def table_hamiltonian(level, B):
+    """The package's Hamiltonian at field B: its field-free table entries
+    ``_table(level).h0`` plus diag(B mu_B/h moment), entry for entry what
+    its stacked solve diagonalizes block by block."""
+    table = atomstruct._table(level)
+    return table.h0 + np.diag(B * MU_B_OVER_H * table.moment)
+
+
+def oracle_walk_energies(level, b_values, step=0.02):
+    """Adiabatic labels by walking up from B = 0 in fixed small steps.
+
+    H is ``oracle_hamiltonian``.  Each m block is diagonalized at every
+    step.  At B = 0 a state's label F comes from <F^2> = F(F+1); after that
+    each label follows the new eigenvector of largest overlap, greedily,
+    largest overlaps first.
+
+    Returns one {(F, m_F): energy in MHz} dict per requested field (floats).
+    """
+    I, J = float(level.I), float(level.J)
+    mis, mjs, idot, h0, _ = _oracle_operators(level)
+    f2 = (I * (I + 1) + J * (J + 1)) * np.eye(len(idot)) + 2 * idot
     m_tot = [mi + mj for mi in mis for mj in mjs]
-    moment = np.array([g_J * mj + g_I * mi for mi in mis for mj in mjs])
     blocks = {}
     for k, m in enumerate(m_tot):
         blocks.setdefault(m, []).append(k)
@@ -167,7 +233,7 @@ def oracle_walk_energies(I, J, A, B_Q, g_J, g_I, mu_B_over_h, b_values, step=0.0
             labels[m].append((F, v[:, c], w[c]))
 
     def advance(b):
-        h = h0 + b * mu_B_over_h * np.diag(moment)
+        h = oracle_hamiltonian(level, b)
         for m, idx in blocks.items():
             w, v = np.linalg.eigh(h[np.ix_(idx, idx)])
             old = labels[m]
@@ -230,16 +296,18 @@ def oracle_solve_field(level, B):
     """(energies, amp_mImJ, amp_FmF) of one level at one field, one field at
     a time, as rows by label: F ascending, m_F descending.
 
-    Per m block: one eigh of the block of ``build_hamiltonian``, a gap
+    Per m block: one eigh of the block of ``table_hamiltonian``, a gap
     guard, and rank labels by ascending closed-form E(F); at B = 0 the
     closed-form E(F) replace the eigenvalues once they match.  Then, per
     vector, the F-basis amplitudes U.T @ vec, the sign rule (largest |F, m_F>
     amplitude positive) and the m-conservation check.  Raises
     ``LabelingError`` where the package must.  This is the per-field solve
-    the stacked solve replaced; it must agree with it bit for bit.
+    the stacked solve replaced; it must agree with it bit for bit, so it
+    reads the package's matrix entries rather than ``oracle_hamiltonian``'s,
+    which agree with them only to a few ulps.
     """
     gap_min = 1e-6
-    h = build_hamiltonian(level, B)
+    h = table_hamiltonian(level, B)
     basis = [
         (tmi, tmj)
         for tmi in range(-level.I.twice, level.I.twice + 1, 2)
@@ -458,6 +526,15 @@ def oracle_enumerate_outcomes(encoding, errors, prepared, mode="first-bright", i
     return out
 
 
+def filter_function_pi(omega, big_omega):
+    """Pi-pulse filter function: 4 w^2/Omega^2 below Omega, 4 above."""
+    if big_omega <= 0:
+        raise ValueError("Omega must be positive")
+    if omega < big_omega:
+        return 4.0 * omega**2 / big_omega**2
+    return 4.0
+
+
 def oracle_chi_quad(model, params):
     """chi = (1/pi) int_0^inf S(w) F(w) / w^2 dw by adaptive quadrature.
 
@@ -480,7 +557,7 @@ def oracle_chi_quad(model, params):
             s = model.h_peak
         else:
             s = model.h_a / w + model.h_b
-        return s * 4.0 / big_omega**2 if w < big_omega else s * 4.0 / w**2
+        return s * filter_function_pi(w, big_omega) / w**2
 
     cut = 1e3 * max(big_omega, peak_hi, model.omega_0)
     edges = {model.omega_0, peak_lo, peak_hi, big_omega}

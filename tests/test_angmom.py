@@ -2,31 +2,10 @@ import math
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ba137qudit.angmom import HalfInt, clebsch_gordan, wigner3j
-
-
-def _oracle_cg(j1, m1, j2, m2, J, M):
-    """Brute-force Racah sum in plain floats, written independently of the
-    package implementation.  Good to ~1e-13 for the small j used here."""
-    if m1 + m2 != M:
-        return 0.0
-    if J < abs(j1 - j2) or J > j1 + j2:
-        return 0.0
-    if abs(m1) > j1 or abs(m2) > j2 or abs(M) > J:
-        return 0.0
-    f = lambda x: math.factorial(int(round(x)))
-    pre = (2 * J + 1) * f(J + j1 - j2) * f(J - j1 + j2) * f(j1 + j2 - J) / f(j1 + j2 + J + 1)
-    pre *= f(J + M) * f(J - M) * f(j1 - m1) * f(j1 + m1) * f(j2 - m2) * f(j2 + m2)
-    kmin = int(round(max(0, -(J - j2 + m1), -(J - j1 - m2))))
-    kmax = int(round(min(j1 + j2 - J, j1 - m1, j2 + m2)))
-    s = 0.0
-    for k in range(kmin, kmax + 1):
-        s += (-1) ** k / (
-            f(k) * f(j1 + j2 - J - k) * f(j1 - m1 - k) * f(j2 + m2 - k)
-            * f(J - j2 + m1 + k) * f(J - j1 - m2 + k)
-        )
-    return math.sqrt(pre) * s
+from oracles import oracle_cg
 
 
 def _halves(maxj):
@@ -65,7 +44,7 @@ class TestClebschGordan:
     def test_derived_value(self):
         # <2,2; 1/2,-1/2 | 5/2,3/2> = +sqrt(1/5), frozen from the oracle
         want = math.sqrt(1 / 5)
-        assert abs(_oracle_cg(2, 2, 0.5, -0.5, 2.5, 1.5) - want) < 1e-13
+        assert abs(oracle_cg(2, 2, 0.5, -0.5, 2.5, 1.5) - want) < 1e-13
         assert clebsch_gordan(2, 2, 0.5, -0.5, 2.5, 1.5) == pytest.approx(want, abs=1e-14)
 
     def test_matches_oracle_exhaustively(self):
@@ -75,7 +54,7 @@ class TestClebschGordan:
                 J = J2 / 2
                 for m1, m2 in product(_projections(j1), _projections(j2)):
                     got = clebsch_gordan(j1, m1, j2, m2, J, m1 + m2)
-                    want = _oracle_cg(j1, m1, j2, m2, J, m1 + m2)
+                    want = oracle_cg(j1, m1, j2, m2, J, m1 + m2)
                     assert got == pytest.approx(want, abs=1e-12)
 
     def test_orthonormality_j_up_to_4(self):
@@ -102,6 +81,31 @@ class TestClebschGordan:
                         a = clebsch_gordan(j1, m1, j2, m2, J, m1 + m2)
                         b = clebsch_gordan(j2, m2, j1, m1, J, m1 + m2)
                         assert a == pytest.approx(phase * b, abs=1e-13)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=40)
+    @given(st.integers(10, 16), st.integers(0, 16), st.data())
+    def test_past_j_nine_halves_property(self, tj1, tj2, data):
+        # j1 of 5 to 8: values against the oracle, orthonormality of the rows
+        # (sum over J) and of the columns (sum over m1 at fixed J, M), and
+        # swap symmetry, at the bounds of the j <= 4 tests
+        j1, j2 = tj1 / 2, tj2 / 2
+        m1 = data.draw(st.sampled_from(_projections(j1)))
+        m2 = data.draw(st.sampled_from(_projections(j2)))
+        M = m1 + m2
+        Js = [J2 / 2 for J2 in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2) if J2 >= abs(2 * M)]
+        total = 0.0
+        for J in Js:
+            a = clebsch_gordan(j1, m1, j2, m2, J, M)
+            assert a == pytest.approx(oracle_cg(j1, m1, j2, m2, J, M), abs=1e-12)
+            phase = (-1) ** int(round(j1 + j2 - J))
+            assert a == pytest.approx(phase * clebsch_gordan(j2, m2, j1, m1, J, M), abs=1e-13)
+            total += a**2
+        assert abs(total - 1.0) < 1e-12
+        column = {J: [clebsch_gordan(j1, x, j2, M - x, J, M) for x in _projections(j1)]
+                  for J in Js}
+        for J, K in product(Js, repeat=2):
+            overlap = sum(a * b for a, b in zip(column[J], column[K]))
+            assert abs(overlap - (J == K)) < 1e-12
 
     def test_triangle_violation_returns_zero(self):
         assert clebsch_gordan(1, 0, 1, 0, 3, 0) == 0.0

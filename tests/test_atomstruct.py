@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ba137qudit import atomstruct
 from ba137qudit.angmom import HalfInt
@@ -12,7 +12,6 @@ from ba137qudit.atomstruct import (
     LevelConstants,
     MU_B_OVER_H,
     StateRef,
-    build_hamiltonian,
     decomposition_scan,
     diagonalize,
     diagonalize_range,
@@ -23,7 +22,16 @@ from ba137qudit.atomstruct import (
 )
 from ba137qudit.calib import paper13_transition_refs, reference_trio, simulate_splittings
 
-from oracles import oracle_breit_rabi, oracle_label_row, oracle_solve_field, oracle_walk_energies
+from oracles import (
+    oracle_breit_rabi,
+    oracle_hamiltonian,
+    oracle_label_row,
+    oracle_lande_g,
+    oracle_solve_field,
+    oracle_walk_energies,
+    oracle_zero_field_energy,
+    table_hamiltonian,
+)
 
 
 def _f_squared(level):
@@ -74,7 +82,7 @@ class TestStateRefKey:
 class TestHamiltonian:
     def test_zero_field_splitting_s12(self):
         # hand evaluation: I.J eigenvalues K/2 = 0.75 and -1.25
-        h = build_hamiltonian(BA137_S12, 0.0)
+        h = table_hamiltonian(BA137_S12, 0.0)
         w = np.sort(np.linalg.eigvalsh(h))
         assert w[-1] - w[0] == pytest.approx(2 * 4018.871, abs=1e-9)
         assert w[-1] == pytest.approx(0.75 * 4018.871, abs=1e-9)
@@ -82,21 +90,21 @@ class TestHamiltonian:
 
     def test_diagonal_zeeman_entry(self):
         level = LevelConstants("test", HalfInt(3), HalfInt(1), 0.0, 0.0, 2.0, 0.0)
-        h = build_hamiltonian(level, 1.0)
+        h = table_hamiltonian(level, 1.0)
         basis_mj = [tmj / 2 for (_, tmj) in atomstruct._table(level).basis]
         i = basis_mj.index(0.5)
         assert h[i, i] == pytest.approx(1.3996245, abs=1e-12)
 
     @pytest.mark.parametrize("level", [BA137_S12, BA137_D52])
     def test_commutes_with_f_squared_at_zero_field(self, level):
-        h = build_hamiltonian(level, 0.0)
+        h = table_hamiltonian(level, 0.0)
         f2 = _f_squared(level)
         assert np.max(np.abs(h @ f2 - f2 @ h)) < 1e-9
 
     @pytest.mark.parametrize("level", [BA137_S12, BA137_D52])
     @pytest.mark.parametrize("B", [0.0, 1.0, 8.35])
     def test_hermitian_and_block_structure(self, level, B):
-        h = build_hamiltonian(level, B)
+        h = table_hamiltonian(level, B)
         assert np.array_equal(h, h.T)
         tm = np.array([a + b for a, b in atomstruct._table(level).basis])
         off_block = h[np.not_equal.outer(tm, tm)]
@@ -105,17 +113,17 @@ class TestHamiltonian:
     @pytest.mark.parametrize("level", [BA137_S12, BA137_D52])
     @pytest.mark.parametrize("B", [0.0, 4.2, 10.0])
     def test_trace_preserved(self, level, B):
-        h = build_hamiltonian(level, B)
+        h = table_hamiltonian(level, B)
         assert abs(np.sum(np.linalg.eigvalsh(h)) - np.trace(h)) < 1e-8
 
     def test_rejects_negative_field(self):
         with pytest.raises(ValueError):
-            build_hamiltonian(BA137_S12, -1.0)
+            diagonalize(BA137_S12, -1.0)
+        with pytest.raises(ValueError):
+            diagonalize_range(BA137_S12, [-1.0])
 
     @pytest.mark.parametrize("B", [float("nan"), float("inf")])
     def test_rejects_non_finite_field(self, B):
-        with pytest.raises(ValueError):
-            build_hamiltonian(BA137_D52, B)
         with pytest.raises(ValueError):
             diagonalize_range(BA137_D52, [1.0, B])
         with pytest.raises(ValueError):
@@ -181,10 +189,7 @@ class TestDiagonalize:
     @pytest.mark.parametrize("level", [BA137_S12, BA137_D52])
     def test_labels_match_oracle_walk(self, level):
         bs = np.linspace(0.0, 100.0, 201)
-        walk = oracle_walk_energies(
-            float(level.I), float(level.J), level.A_D, level.B_Q,
-            level.g_J, level.g_I, MU_B_OVER_H, bs,
-        )
+        walk = oracle_walk_energies(level, bs)
         for ref, sys_ in zip(walk, diagonalize_range(level, bs)):
             got = {(float(s.F_tilde), float(s.m_F_tilde)): s.energy for s in sys_}
             assert got.keys() == ref.keys()
@@ -477,3 +482,87 @@ def breit_rabi_cases(draw):
 @given(breit_rabi_cases())
 def test_j_half_levels_match_breit_rabi_property(case):
     assert_matches_breit_rabi(*case)
+
+
+# The package's Hamiltonian against the textbook operator, its zero-field
+# spectrum against the closed-form E(F), and its zero-field slopes against
+# the Lande g_F.  Bounds are in ulps of the named scale; 3000 seeded draws
+# over the ranges of ``hyperfine_levels`` stayed within 3, 20, 0 and 11.
+HAMILTONIAN_ULPS = 4  # of the largest entry of the matrix: max|h0| at B = 0
+ZERO_FIELD_ULPS = 32  # of max|h0|, for the eigenvalues of the oracle's h0
+CLOSED_FORM_ULPS = 4  # of max|h0|, the package's E(F) against the oracle's
+# of the slope scale mu_B/h (|g_J| J + |g_I| I) times max|h0| over the
+# smallest gap between two E(F): the conditioning of the zero-field vectors
+LANDE_ULPS = 16
+D52_WITH_G_I = LevelConstants("5D5/2 g_I", HalfInt(3), HalfInt(5), -12.028, 59.533, 1.2, -0.0009)
+
+
+def _closed_form_gap(level):
+    """Smallest distance between two of the level's oracle E(F), MHz."""
+    e = sorted(oracle_zero_field_energy(level, float(F)) for F in level.f_values())
+    return min(np.diff(e), default=np.inf)
+
+
+@st.composite
+def hyperfine_levels(draw):
+    """A level with I up to 5/2 and J of 1/2 to 5/2, |A| of 1 to 5000 MHz of
+    either sign, B_Q up to 5000 MHz when I, J >= 1, any g_J and g_I != 0 of
+    either sign; its E(F) lie at least 1e-3 of max|h0| apart, so rank
+    labels hold at zero field."""
+    I, J = draw(st.integers(0, 5)), draw(st.integers(1, 5))
+    a_d = draw(st.floats(1.0, 5000.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    b_q = draw(st.floats(-5000.0, 5000.0)) if I >= 2 and J >= 2 else 0.0
+    g_j = draw(st.floats(-3.0, 3.0))
+    g_i = draw(st.floats(1e-4, 0.01)) * draw(st.sampled_from([-1.0, 1.0]))
+    level = LevelConstants("drawn", HalfInt(I), HalfInt(J), a_d, b_q, g_j, g_i)
+    assume(_closed_form_gap(level) >= 1e-3 * np.abs(atomstruct._table(level).h0).max())
+    return level
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=50)
+@given(hyperfine_levels(), st.floats(0.0, 200.0))
+@example(BA137_S12, 0.0)
+@example(BA137_D52, 0.0)
+@example(BA137_S12, 8.35)
+@example(BA137_D52, 8.35)
+@example(D52_WITH_G_I, 200.0)
+def test_hamiltonian_matches_textbook_operator(level, B):
+    got = table_hamiltonian(level, B)
+    ulp = np.spacing(np.abs(got).max())
+    assert np.abs(got - oracle_hamiltonian(level, B)).max() <= HAMILTONIAN_ULPS * ulp
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=50)
+@given(hyperfine_levels())
+@example(BA137_S12)
+@example(BA137_D52)
+def test_zero_field_spectrum_matches_closed_form(level):
+    h0 = oracle_hamiltonian(level, 0.0)
+    ulp = np.spacing(np.abs(h0).max())
+    closed = {F: oracle_zero_field_energy(level, float(F)) for F in level.f_values()}
+    want = np.sort([closed[F] for F in level.f_values() for _ in range(F.twice + 1)])
+    assert np.abs(np.linalg.eigvalsh(h0) - want).max() <= ZERO_FIELD_ULPS * ulp
+    # the package's zero-field energies are its own closed form
+    got = np.array([s.energy for s in diagonalize(level, 0.0)])
+    want = np.array([closed[F] for F, _ in atomstruct._table(level).labels])
+    assert np.abs(got - want).max() <= CLOSED_FORM_ULPS * ulp
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=50)
+@given(hyperfine_levels())
+@example(BA137_S12)
+@example(BA137_D52)
+@example(D52_WITH_G_I)
+def test_zero_field_slopes_are_lande(level):
+    """At B = 0 each state's slope, and each line's ``field_sensitivity``,
+    is the first-order g_F mu_B/h m_F, with g_I in g_F."""
+    labels = atomstruct._table(level).labels
+    want = np.array([MU_B_OVER_H * oracle_lande_g(level, float(F)) * float(m) for F, m in labels])
+    scale = MU_B_OVER_H * (abs(level.g_J) * float(level.J) + abs(level.g_I) * float(level.I))
+    conditioning = max(1.0, np.abs(atomstruct._table(level).h0).max() / _closed_form_gap(level))
+    tol = LANDE_ULPS * np.spacing(scale) * conditioning
+    assert np.abs(atomstruct._field_solve(level, 0.0)[3] - want).max() <= tol
+    ground = StateRef(level, *labels[0])
+    for k, (F, m) in enumerate(labels):
+        got = field_sensitivity(ground, StateRef(level, F, m), 0.0)
+        assert abs(got - (want[k] - want[0])) <= 2 * tol, (F, m)

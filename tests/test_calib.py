@@ -6,6 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ba137qudit import _lsq, atomstruct
 from ba137qudit.atomstruct import field_sensitivity
@@ -568,21 +569,56 @@ def binomial_trace(rng):
     return RabiTrace(t, rng.binomial(100, p) / 100.0, np.full(len(t), 100))
 
 
+def assert_lorentzian_matches_scipy(scan):
+    """``fit_lorentzian`` reaches at least scipy's optimum from the same
+    start, with the same centre to a thousandth of its error bar."""
+    fit = fit_lorentzian(scan)
+    x, cost_ref = oracle_fit_lorentzian(scan.freq_khz, scan.p_dark)
+    r = lorentzian_residuals(
+        scan.freq_khz, scan.p_dark, [fit.center_khz, fit.width_khz, fit.amplitude, fit.offset]
+    )
+    assert 0.5 * r @ r <= cost_ref * (1 + 1e-9)
+    assert abs(fit.center_khz - x[0]) <= 1e-3 * fit.center_err
+
+
+def assert_rabi_matches_scipy(trace):
+    """``fit_rabi_flop`` fits scipy's window, reaches at least its optimum
+    and gives its eps_pi; returns the fit."""
+    fit = fit_rabi_flop(trace)
+    x, cost_ref, (tw, pw) = oracle_fit_rabi(trace.t_us, trace.p)
+    assert fit.window == (tw[0], tw[-1])
+    r = rabi_residuals(tw, pw, [fit.amplitude, fit.offset, fit.t_peak_us, fit.t_scale_us])
+    assert 0.5 * r @ r <= cost_ref * (1 + 1e-9)
+    assert fit.eps_pi == pytest.approx(1.0 - x[0] - x[1], abs=1e-5)
+    return fit
+
+
+def assert_field_matches_scipy(measured):
+    """``estimate_field`` reaches at least the oracle's grid-and-Brent
+    optimum, reports its residual and lands on its field."""
+    est = estimate_field(measured)
+    b_ref, sq_ref = oracle_estimate_field(measured)
+    sq = field_sum_of_squares(measured, est.B)
+    assert sq <= sq_ref * (1 + 1e-9)
+    assert est.residual_rms == pytest.approx(math.sqrt(sq / (len(measured) - 1)), rel=1e-6)
+    assert est.B == pytest.approx(b_ref, abs=1e-4)
+
+
+def noisy_splittings(rng, b_true, ns):
+    """The lines |0> <-> |n> of the 13-level scheme at b_true, each with
+    uniform +-1 kHz noise."""
+    trans = paper13_transition_refs()
+    return {k: v + rng.uniform(-1e-3, 1e-3)
+            for k, v in simulate_splittings([trans[n] for n in ns], b_true).items()}
+
+
 class TestFitsAgainstScipy:
     """Each fit reaches at least the optimum scipy finds from the same start."""
 
     def test_lorentzian_noisy_scans(self):
         rng = np.random.default_rng(31)
         for _ in range(200):
-            scan = noisy_scan(rng)
-            fit = fit_lorentzian(scan)
-            x, cost_ref = oracle_fit_lorentzian(scan.freq_khz, scan.p_dark)
-            r = lorentzian_residuals(
-                scan.freq_khz, scan.p_dark,
-                [fit.center_khz, fit.width_khz, fit.amplitude, fit.offset],
-            )
-            assert 0.5 * r @ r <= cost_ref * (1 + 1e-9)
-            assert abs(fit.center_khz - x[0]) <= 1e-3 * fit.center_err
+            assert_lorentzian_matches_scipy(noisy_scan(rng))
 
     def test_lorentzian_center_err_matches_qr_oracle(self):
         rng = np.random.default_rng(31)
@@ -599,31 +635,47 @@ class TestFitsAgainstScipy:
         rng = np.random.default_rng(32)
         on_bound = 0
         for _ in range(100):
-            trace = binomial_trace(rng)
-            fit = fit_rabi_flop(trace)
-            x, cost_ref, (tw, pw) = oracle_fit_rabi(trace.t_us, trace.p)
-            assert fit.window == (tw[0], tw[-1])
-            r = rabi_residuals(tw, pw, [fit.amplitude, fit.offset, fit.t_peak_us, fit.t_scale_us])
-            assert 0.5 * r @ r <= cost_ref * (1 + 1e-9)
-            assert fit.eps_pi == pytest.approx(1.0 - x[0] - x[1], abs=1e-5)
-            on_bound += fit.offset == -0.5
+            on_bound += assert_rabi_matches_scipy(binomial_trace(rng)).offset == -0.5
         # the offset's lower bound is active in a fair share of these traces
         assert on_bound >= 10
 
     def test_field_noisy_splittings(self):
         rng = np.random.default_rng(33)
-        trans = paper13_transition_refs()
         for b_true, ns in [(8.1, (1, 3, 5, 10)), (8.6, tuple(range(1, 13))), (15.5, (1, 3, 5, 10))]:
-            measured = {
-                k: v + rng.uniform(-1e-3, 1e-3)
-                for k, v in simulate_splittings([trans[n] for n in ns], b_true).items()
-            }
-            est = estimate_field(measured)
-            b_ref, sq_ref = oracle_estimate_field(measured)
-            sq = field_sum_of_squares(measured, est.B)
-            assert sq <= sq_ref * (1 + 1e-9)
-            assert est.residual_rms == pytest.approx(math.sqrt(sq / (len(ns) - 1)), rel=1e-6)
-            assert est.B == pytest.approx(b_ref, abs=1e-4)
+            assert_field_matches_scipy(noisy_splittings(rng, b_true, ns))
+
+
+# Round trips on hypothesis-drawn data, at the bounds of TestFitsAgainstScipy.
+# The line, trace and field parameters are drawn; the noise comes from a
+# drawn seed.
+seeds = st.integers(0, 2**32 - 1)
+FIT_SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=50)
+
+
+@FIT_SETTINGS
+@given(st.floats(-5.0, 5.0), st.floats(3.0, 8.0), st.floats(0.2, 0.9), st.floats(0.0, 0.1),
+       seeds)
+def test_lorentzian_round_trip_property(line, width, amplitude, offset, seed):
+    f = 10.0 * round(line / 10.0) + np.arange(-10.0, 11.0)
+    noise = np.random.default_rng(seed).uniform(-0.02, 0.02, len(f))
+    y = np.clip(lorentzian(f, line, width, amplitude, offset) + noise, 0.0, 1.0)
+    assert_lorentzian_matches_scipy(FrequencyScan(f, y, np.full(len(f), 400)))
+
+
+@FIT_SETTINGS
+@given(st.floats(0.01, 0.1), st.floats(0.0, 0.03), st.floats(30.0, 100.0), seeds)
+def test_rabi_round_trip_property(eps, offset, t_pi, seed):
+    t = np.arange(0.0, 3.2 * t_pi, t_pi / 50.0)
+    p = (1.0 - eps - offset) * np.sin(np.pi * t / (2.0 * t_pi)) ** 2 + offset
+    p_measured = np.random.default_rng(seed).binomial(100, p) / 100.0
+    assert_rabi_matches_scipy(RabiTrace(t, p_measured, np.full(len(t), 100)))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=6)
+@given(st.floats(1.0, 19.0), st.lists(st.integers(1, 12), min_size=4, max_size=12, unique=True),
+       seeds)
+def test_field_round_trip_property(b_true, ns, seed):
+    assert_field_matches_scipy(noisy_splittings(np.random.default_rng(seed), b_true, ns))
 
 
 def _lorentzian_fits():
@@ -642,10 +694,8 @@ def _rabi_fits():
 
 def _field_fits():
     rng = np.random.default_rng(33)
-    trans = paper13_transition_refs()
     for b_true, ns in [(8.1, (1, 3, 5, 10)), (8.6, tuple(range(1, 13))), (15.5, (1, 3, 5, 10))]:
-        estimate_field({k: v + rng.uniform(-1e-3, 1e-3)
-                        for k, v in simulate_splittings([trans[n] for n in ns], b_true).items()})
+        estimate_field(noisy_splittings(rng, b_true, ns))
 
 
 @pytest.mark.parametrize("fits, bounded, on_bound", [

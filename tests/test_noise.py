@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from ba137qudit import _lsq
+from ba137qudit.noise import _kappa_to_rad
 from ba137qudit.fixtures import TableError
 from ba137qudit.noise import (
     ErrorBudget,
@@ -16,17 +17,15 @@ from ba137qudit.noise import (
     chi_closed_form,
     chi_numeric,
     error_budget,
-    filter_function_pi,
     fit_error_scaling,
-    kappa_to_rad,
     load_scaling_points,
     pi_pulse_error,
-    psd,
     reference_scaling_points,
     spam_error_from_pi,
     write_scaling_points,
 )
 from oracles import (
+    filter_function_pi,
     oracle_chi_quad,
     oracle_covariance,
     oracle_fit_error_scaling,
@@ -39,21 +38,20 @@ class TestPsd:
                        omega_ac=377.0, delta_omega_ac=6.0)
 
     def test_below_cutoff_flat(self):
-        want = kappa_to_rad(1.5) ** 2 * 2.0 / 10.0
-        assert psd(3.0, self.MODEL, 1.5) == pytest.approx(want)
+        assert self.MODEL.base_psd(3.0) == pytest.approx(2.0 / 10.0)
 
     def test_peak_branch(self):
-        want = kappa_to_rad(2.0) ** 2 * 30.0
-        assert psd(377.0, self.MODEL, 2.0) == pytest.approx(want)
+        assert self.MODEL.base_psd(377.0) == pytest.approx(30.0)
 
     def test_generic_branch(self):
         w = 3770.0
-        want = kappa_to_rad(1.0) ** 2 * (2.0 / w + 0.5)
-        assert psd(w, self.MODEL, 1.0) == pytest.approx(want)
+        assert self.MODEL.base_psd(w) == pytest.approx(2.0 / w + 0.5)
 
     def test_rejects_negative_omega(self):
-        with pytest.raises(ValueError):
-            psd(-1.0, self.MODEL, 1.0)
+        for omega in (-1.0, math.nan, math.inf):
+            message = f"^omega must be finite and nonnegative, got {omega!r}$"
+            with pytest.raises(ValueError, match=message):
+                self.MODEL.base_psd(omega)
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
@@ -110,7 +108,7 @@ class TestChi:
         params = TransitionNoiseParams(kappa=0.5, tau_pi=40e-6)
         model = NoiseModel(h_b=1e-4, omega_0=1e-8 * params.omega,
                            omega_ac=377.0, delta_omega_ac=1e-3)
-        want = 8.0 * 1e-4 * kappa_to_rad(0.5) ** 2 / (math.pi * params.omega)
+        want = 8.0 * 1e-4 * _kappa_to_rad(0.5) ** 2 / (math.pi * params.omega)
         assert chi_numeric(model, params) == pytest.approx(want, rel=1e-6)
 
     def test_closed_form_requires_mains_below_rabi(self):
@@ -122,7 +120,7 @@ class TestChi:
     def test_closed_form_white_term(self):
         params = TransitionNoiseParams(kappa=1.0, tau_pi=30e-6)
         model = NoiseModel(h_b=2e-5, omega_0=1.0, omega_ac=377.0, delta_omega_ac=1.0)
-        want = 8.0 * 2e-5 * kappa_to_rad(1.0) ** 2 / (math.pi * params.omega)
+        want = 8.0 * 2e-5 * _kappa_to_rad(1.0) ** 2 / (math.pi * params.omega)
         assert chi_closed_form(model, params) == pytest.approx(want, rel=1e-12)
 
     def test_kappa_squared_scaling(self):
@@ -257,14 +255,29 @@ class TestErrorScalingFit:
                 for k, t, _ in ref
             ]
 
+    @staticmethod
+    def assert_matches_scipy(pts):
+        # at least scipy's optimum from the same start
+        fit = fit_error_scaling(pts)
+        x_ref, cost_ref, (x, y) = oracle_fit_error_scaling(pts)
+        r = scaling_residuals(x, y, [fit.scale, fit.intercept])
+        assert 0.5 * r @ r <= cost_ref * (1 + 1e-9)
+        assert fit.intercept == pytest.approx(x_ref[1], abs=1e-6)
+
     def test_matches_scipy_optimum(self):
-        # at least scipy's optimum from the same start, on every set
         for pts in self.noisy_sets(50):
-            fit = fit_error_scaling(pts)
-            x_ref, cost_ref, (x, y) = oracle_fit_error_scaling(pts)
-            r = scaling_residuals(x, y, [fit.scale, fit.intercept])
-            assert 0.5 * r @ r <= cost_ref * (1 + 1e-9)
-            assert fit.intercept == pytest.approx(x_ref[1], abs=1e-6)
+            self.assert_matches_scipy(pts)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=50)
+    @given(st.floats(0.02, 0.05), st.floats(6.0, 6.7), st.integers(0, 2**32 - 1))
+    def test_round_trip_property(self, b, log_c, seed):
+        # drawn b and c, then noise as noisy_sets adds it
+        rng = np.random.default_rng(seed)
+        self.assert_matches_scipy([
+            (k, t, b + spam_error_from_pi(pi_pulse_error(10**log_c * (k * t) ** 2))
+             + rng.normal(0.0, 0.003))
+            for k, t, _ in reference_scaling_points()
+        ])
 
     def test_covariance_matches_qr_oracle(self):
         # the bundled points come first: there J^T J has singular values 12

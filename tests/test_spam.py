@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -491,6 +492,12 @@ class TestTimingBudget:
         enc = paper13_encoding()
         budget = timing_budget(enc, reference_timings(), prepared=3)
         assert budget.preparation_total == pytest.approx(37.5e-6)
+
+    @pytest.mark.parametrize("prepared", [13, 99, -1, 1.5])
+    def test_prepared_outside_encoding_refused(self, prepared):
+        message = re.escape(f"prepared must be an index in [0, d) for d = 13, got {prepared!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            timing_budget(paper13_encoding(), reference_timings(), prepared=prepared)
 
     def test_intervals_from_timings(self):
         enc = paper13_encoding()
