@@ -18,11 +18,13 @@ the encoding.  Coherences play no role in SPAM statistics at this scale.
 
 One shot is therefore a Markov chain over the atomic states, read out
 through noisy checks.  ``_outcome_matrix`` evaluates it exactly with the
-forward algorithm of hidden Markov models (Rabiner, Proc. IEEE 77, 257
-(1989)): a probability vector over atomic states per prepared state is
-carried through the plan, and each check moves its bright mass into the
-outcome it decides.  ``enumerate_outcomes`` is one row of that matrix and
-``run_experiment`` a seeded multinomial draw from it.
+forward-backward recursion of hidden Markov models (Rabiner, Proc. IEEE
+77, 257 (1989)).  A probability vector over atomic states per prepared
+state is carried forward through the plan, and each check books its
+bright mass as its outcome.  The strict-single-bright reading weights
+that mass by the probability that every later check reads dark, which
+one backward pass over the plan gives.  ``enumerate_outcomes`` is one row
+of that matrix and ``run_experiment`` a seeded multinomial draw from it.
 
 Three caches serve the evaluator.  Each keys on immutable content, never
 on the mutable ``QuditEncoding`` or ``ErrorParams``:
@@ -33,7 +35,7 @@ on the mutable ``QuditEncoding`` or ``ErrorParams``:
   states, parking items and de-shelve target items), which
   ``build_measurement_sequence`` returns.  It holds the plan's steps and
   preparation paths, and the same plan in integer codes;
-- ``_forward``, the forward pass, keyed on the plan (by identity), the mode,
+- ``_forward``, the evaluation, keyed on the plan (by identity), the mode,
   the float64 bytes of the numbers a call gathers from its error model
   and the leak layout.  Its matrices are read-only, and only a matrix
   that passed the row-stochastic check is ever stored.
@@ -256,7 +258,6 @@ class MeasurementPlan:
 
     steps: tuple[Union[PulseStep, CheckStep], ...]
     prep_paths: tuple[tuple[PulseStep, ...], ...]  # per encoded index
-    check_outcomes: tuple[int, ...]  # outcome of each check, in plan order
     _pulses: tuple[tuple[StateRef, StateRef], ...]  # distinct, plan steps first
     _step_codes: tuple[int | None, ...]  # a pulse index, or None for a check
     _prep_codes: tuple[tuple[int, ...], ...]  # the pulses of each prep path
@@ -267,7 +268,7 @@ class MeasurementPlan:
 
     @property
     def n_checks(self) -> int:
-        return len(self.check_outcomes)
+        return len(self.prep_paths)
 
     def pulse_keys(self) -> set[tuple[StateRef, StateRef]]:
         return set(self._pulses)
@@ -363,7 +364,6 @@ def _compile(
     return MeasurementPlan(
         steps=tuple(steps),
         prep_paths=prep_paths,
-        check_outcomes=tuple(range(len(states))),
         _pulses=pulses,
         _step_codes=tuple(index[s.key] if isinstance(s, PulseStep) else None for s in steps),
         _prep_codes=tuple(tuple(index[p.key] for p in path) for path in prep_paths),
@@ -567,7 +567,10 @@ def run_experiment(
 
     Shots are i.i.d., so each prepared state's counts are one multinomial
     draw of ``shots_per_state`` from its row of the exact outcome matrix;
-    the rows are drawn in order from ``default_rng(seed)``.
+    the rows are drawn in order from ``default_rng(seed)``.  ``intervals``
+    is the decay exposure in seconds before each check: entry j before
+    check j, or one number for every check.  Entry 0 is ignored, as the
+    first check follows preparation directly.
     """
     if not isinstance(shots_per_state, numbers.Integral) or shots_per_state < 1:
         raise ValueError(f"shots_per_state must be an integer >= 1, got {shots_per_state!r}")
@@ -585,16 +588,22 @@ def enumerate_outcomes(
 ) -> dict:
     """Exact outcome distribution of one prepared state.
 
-    One row of the forward-evaluated outcome matrix.  Keys are outcome
-    indices plus None for Null; outcomes of probability exactly zero are
-    omitted.
+    One row of the exact outcome matrix.  Keys are outcome indices plus
+    None for Null; outcomes of probability exactly zero are omitted.
+    ``intervals`` is as for ``run_experiment``: entry j is the exposure
+    before check j, a scalar applies to every check, and entry 0 is ignored.
     """
-    if not 0 <= prepared < encoding.d:
-        raise ValueError(f"prepared index {prepared} out of range")
+    _check_prepared(prepared, encoding.d)
     row = _outcome_matrix(encoding, errors, mode, intervals)[prepared]
     return {
         (None if k == encoding.d else k): float(p) for k, p in enumerate(row) if p > 0.0
     }
+
+
+def _check_prepared(prepared, d: int) -> None:
+    index = isinstance(prepared, numbers.Integral) and not isinstance(prepared, bool)
+    if not (index and 0 <= prepared < d):
+        raise ValueError(f"prepared must be an index in [0, d) for d = {d}, got {prepared!r}")
 
 
 def _swap(prob: np.ndarray, lo: int, hi: int, eps: float) -> None:
@@ -659,13 +668,15 @@ def _forward(
     plan's, the inert ground among them; ``leaks`` holds (pulse, spectator
     6S code, spectator 5D code) for each leaking plan pulse.
 
-    ``prob[row, block, code]`` is the probability that the prepared state
-    ``row`` is in atomic state ``code`` with no bright check so far
-    (block 0) or, in strict mode, with exactly one bright check so far, at
-    check j (block 1 + j).  A check applies decay, then splits every
-    block into its bright and dark part: first-bright mode books the
-    bright part of block 0 as that check's outcome, strict mode moves it
-    into block 1 + j and books the bright part of the other blocks as Null.
+    ``prob[row, code]`` is the probability that the prepared state ``row``
+    is in atomic state ``code`` with no bright check so far.  Check j
+    applies decay and moves the bright part of ``prob`` to ``bright[j]``.
+    Outcome j gets ``bright[j]`` times the weight ``weights[j, 0, code]``
+    and Null the rest, plus the mass never bright.  In first-bright mode
+    the weight is 1; in strict mode it is the probability that every later
+    check reads dark from ``code`` just after check j, which one backward
+    pass over the steps gives (the backward half of the forward-backward
+    recursion).
     """
     values = np.frombuffer(params)
     n = len(plan._pulses) + 3
@@ -673,53 +684,59 @@ def _forward(
     numbers = values[n:n + 2 * len(leaks)].tolist()
     leak_at = {i: (lo, hi, p, e) for (i, lo, hi), p, e in zip(leaks, numbers[::2], numbers[1::2])}
     decay_p = values[n + 2 * len(leaks):]
-    outcomes = plan.check_outcomes
-    d = len(plan._prep_codes)
-    strict = mode == "strict-single-bright"
+    d = plan.n_checks
     is_d_level = np.array(plan._is_d + tuple(s.level == BA137_D52 for s in extra))
     other = plan._code.get(_OTHER_GROUND, len(plan._code) + extra.index(_OTHER_GROUND))
 
-    prep_success = np.array([math.prod(1.0 - eps[i] for i in path) for path in plan._prep_codes])
-    n_blocks = 1 + (len(outcomes) if strict else 0)
-    prob = np.zeros((d, n_blocks, len(is_d_level)))
-    rows = np.arange(d)
-    stay = 1.0 - prep_error
-    prob[rows, 0, rows] += stay * prep_success
-    prob[rows, 0, 0] += stay * (1.0 - prep_success)
-    prob[:, 0, other] += prep_error
+    def pulse(prob, i):  # and its leak; the matrix is symmetric, so it steps beta too
+        lo, hi, leak_p, leak_eps = leak_at.get(i, (0, 0, 0.0, 0.0))
+        if leak_p > 0:
+            leaked = prob.copy()
+            _swap(leaked, lo, hi, leak_eps)
+        _swap(prob, *plan._pulse_codes[i], eps[i])
+        return (1.0 - leak_p) * prob + leak_p * leaked if leak_p > 0 else prob
+
     p_bright = np.where(is_d_level, p_bright_given_d, 1.0 - p_dark_given_s)
     p_dark = 1.0 - p_bright
     # per check, the factor decay leaves on each code: exactly 1.0 on S levels
     keep = np.where(is_d_level, 1.0 - decay_p[:, None], 1.0)
+    weights = 1.0
+    if mode == "strict-single-bright":
+        weights, beta, j = np.empty((d, 1, len(is_d_level))), np.ones(len(is_d_level)), d
+        for i in reversed(plan._step_codes):
+            if i is not None:
+                beta = pulse(beta, i)
+                continue
+            j -= 1
+            weights[j, 0] = beta
+            beta = p_dark * beta
+            if decay_p[j] > 0:
+                beta = keep[j] * beta + (1.0 - keep[j]) * beta[other]
 
-    out = np.zeros((d, d + 1))
-    ci = 0
+    prep_success = np.array([math.prod(1.0 - eps[i] for i in path) for path in plan._prep_codes])
+    prob = np.zeros((d, len(is_d_level)))
+    rows = np.arange(d)
+    stay = 1.0 - prep_error
+    prob[rows, rows] += stay * prep_success
+    prob[rows, 0] += stay * (1.0 - prep_success)
+    prob[:, other] += prep_error
+    bright = np.empty((d, d, len(is_d_level)))  # [check, row, code]
+    j = 0
     for i in plan._step_codes:
         if i is not None:
-            lo, hi, leak_p, leak_eps = leak_at.get(i, (0, 0, 0.0, 0.0))
-            if leak_p > 0:
-                leaked = prob.copy()
-                _swap(leaked, lo, hi, leak_eps)
-            _swap(prob, *plan._pulse_codes[i], eps[i])
-            if leak_p > 0:
-                prob = (1.0 - leak_p) * prob + leak_p * leaked
+            prob = pulse(prob, i)
             continue
-        if decay_p[ci] > 0:
-            lost = prob[..., is_d_level].sum(axis=-1) * decay_p[ci]
-            prob *= keep[ci]
-            prob[..., other] += lost
-        bright = prob * p_bright
+        if decay_p[j] > 0:
+            lost = prob[:, is_d_level].sum(axis=-1) * decay_p[j]
+            prob *= keep[j]
+            prob[:, other] += lost
+        np.multiply(prob, p_bright, out=bright[j])
         prob *= p_dark
-        if strict:
-            out[:, d] += bright[:, 1:].sum(axis=(1, 2))
-            prob[:, 1 + ci] = bright[:, 0]
-        else:
-            out[:, outcomes[ci]] += bright[:, 0].sum(axis=-1)
-        ci += 1
-    out[:, d] += prob[:, 0].sum(axis=-1)
-    if strict:
-        for j, outcome in enumerate(outcomes):
-            out[:, outcome] += prob[:, 1 + j].sum(axis=-1)
+        j += 1
+    kept = bright * weights
+    out = np.zeros((d, d + 1))
+    out[:, :d] += kept.sum(axis=-1).T
+    out[:, d] += (bright - kept).sum(axis=(0, 2)) + prob.sum(axis=-1)
 
     dev = np.abs(out.sum(axis=1) - 1.0).max()
     if out.min() < 0.0 or not dev <= 1e-12:
@@ -768,7 +785,8 @@ def scaling_analysis(per_state_fidelity: Mapping[int, float], d_range: Iterable[
     """Best/worst average fidelity vs qudit dimension, always keeping |0>.
 
     For each d the d-1 non-|0> states with the highest (lowest) fidelities
-    are chosen; ties break toward the lower state index.
+    are chosen; ties break toward the lower state index.  Each point is
+    the correctly rounded sum (``math.fsum``) of the chosen fidelities / d.
     """
     if 0 not in per_state_fidelity:
         raise ValueError("need the fidelity of state 0")
@@ -783,21 +801,14 @@ def scaling_analysis(per_state_fidelity: Mapping[int, float], d_range: Iterable[
         raise ValueError("d must be >= 1")
     best_order = sorted(others, key=lambda k: (-per_state_fidelity[k], k))
     worst_order = sorted(others, key=lambda k: (per_state_fidelity[k], k))
-    opt, wst, opt_choice, wst_choice = [], [], [], []
-    for d in d_values:
-        chosen_b = [0] + best_order[: d - 1]
-        chosen_w = [0] + worst_order[: d - 1]
-        opt.append(float(np.mean([per_state_fidelity[k] for k in chosen_b])))
-        wst.append(float(np.mean([per_state_fidelity[k] for k in chosen_w])))
-        opt_choice.append(tuple(sorted(chosen_b)))
-        wst_choice.append(tuple(sorted(chosen_w)))
-    return ScalingCurves(
-        d_values=tuple(d_values),
-        optimal=tuple(opt),
-        worst=tuple(wst),
-        optimal_choice=tuple(opt_choice),
-        worst_choice=tuple(wst_choice),
-    )
+
+    def curve(order):
+        chosen = [[0] + order[: d - 1] for d in d_values]
+        return (tuple(math.fsum(per_state_fidelity[k] for k in c) / len(c) for c in chosen),
+                tuple(tuple(sorted(c)) for c in chosen))
+
+    (optimal, optimal_choice), (worst, worst_choice) = curve(best_order), curve(worst_order)
+    return ScalingCurves(tuple(d_values), optimal, worst, optimal_choice, worst_choice)
 
 
 @dataclass(eq=False)
@@ -838,19 +849,14 @@ def timing_budget(encoding: QuditEncoding, timings: Timings, prepared: int = 0) 
     the encoding's d indices.
     """
     d = encoding.d
-    if not (isinstance(prepared, numbers.Integral) and 0 <= prepared < d):
-        raise ValueError(f"prepared must be an index in [0, d) for d = {d}, got {prepared!r}")
+    _check_prepared(prepared, d)
     fluor = d * timings.fluorescence_check
-    n_shelve = sum(1 for s in encoding.states[1:] if s.level == BA137_S12)
+    shelved = [n for n, s in enumerate(encoding.states) if n and s.level == BA137_S12]
     # one trigger per pulse plus the switch into the readout loop; a d = 1
     # measurement never touches the AWG at all
-    triggers = (1 + n_shelve + (d - 1)) * timings.awg_trigger if d > 1 else 0.0
+    triggers = (1 + len(shelved) + (d - 1)) * timings.awg_trigger if d > 1 else 0.0
     deshelve = sum(timings.pi_pulse.get(n, 0.0) for n in range(1, d))
-    shelve = sum(
-        timings.pi_pulse.get(encoding.index_of(s), 0.0)
-        for s in encoding.states[1:]
-        if s.level == BA137_S12
-    )
+    shelve = sum(timings.pi_pulse.get(n, 0.0) for n in shelved)
     inloop_pump = (d - 1) * timings.optical_pump
     measurement = fluor + triggers + deshelve + shelve + inloop_pump
     prep = timings.optical_pump + (timings.pi_pulse.get(prepared, 0.0) if prepared else 0.0)
@@ -863,9 +869,7 @@ def timing_budget(encoding: QuditEncoding, timings: Timings, prepared: int = 0) 
         ("optical_pump", timings.optical_pump),
         ("prep_pulse", prep - timings.optical_pump),
     )
-    return TimingBudget(
-        measurement_total=measurement, preparation_total=prep, breakdown=breakdown
-    )
+    return TimingBudget(measurement, prep, breakdown)
 
 
 def reference_timings(fixtures_dir=None) -> Timings:
@@ -879,12 +883,8 @@ def reference_timings(fixtures_dir=None) -> Timings:
 
 def intervals_from_timings(plan: MeasurementPlan, timings: Timings) -> list[float]:
     """Elapsed time before each fluorescence check (decay exposure)."""
-    out = [0.0]
-    for n in plan.check_outcomes[1:]:
-        out.append(
-            timings.awg_trigger + timings.pi_pulse.get(n, 0.0) + timings.fluorescence_check
-        )
-    return out
+    return [0.0] + [timings.awg_trigger + timings.pi_pulse.get(n, 0.0) + timings.fluorescence_check
+                    for n in range(1, plan.n_checks)]
 
 
 def write_confusion_csv(path, matrix: ConfusionMatrix) -> None:

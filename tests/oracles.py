@@ -9,6 +9,12 @@ One exception: ``table_hamiltonian`` reads the package's field-free matrix
 diagonalizes it.  That oracle checks the stacked solve bit for bit, which
 needs the very same matrix entries.  The entries themselves are checked
 against ``oracle_hamiltonian``, the textbook operator built here.
+
+A second: ``oracle_forward_strict`` is the package's earlier block-tensor
+forward pass, and takes the plan codes and gathered numbers that
+``spam._forward`` takes.  That lets a test check the one-pass evaluator
+bit for bit on the same inputs; ``oracle_enumerate_outcomes`` checks both
+against the model itself.
 """
 
 import itertools
@@ -30,7 +36,7 @@ from ba137qudit.atomstruct import (
     StateRef,
     zero_field_energy,
 )
-from ba137qudit.spam import PulseStep, build_measurement_sequence
+from ba137qudit.spam import _OTHER_GROUND, PulseStep, build_measurement_sequence
 from ba137qudit.transitions import geometric_factor
 
 
@@ -521,8 +527,76 @@ def oracle_enumerate_outcomes(encoding, errors, prepared, mode="first-bright", i
 
     out = {}
     for (_, reads), p in branches.items():
-        outcome = _oracle_outcome(reads, mode, plan.check_outcomes)
+        outcome = _oracle_outcome(reads, mode, range(plan.n_checks))
         out[outcome] = out.get(outcome, 0.0) + p
+    return out
+
+
+def oracle_forward_strict(plan, mode, params, extra, leaks):
+    """The package's forward pass as it was before strict mode gained its
+    backward pass: strict mode carries one block of the probability array
+    per check that could be the single bright one.  Takes the arguments of
+    ``spam._forward`` and returns its (d, d + 1) matrix; the one-pass
+    evaluator must match it bit for bit in first-bright mode and within
+    1e-14 in strict mode."""
+
+    def swap(prob, lo, hi, eps):
+        new_lo = eps * prob[..., lo] + (1.0 - eps) * prob[..., hi]
+        prob[..., hi] = eps * prob[..., hi] + (1.0 - eps) * prob[..., lo]
+        prob[..., lo] = new_lo
+
+    values = np.frombuffer(params)
+    n = len(plan._pulses) + 3
+    *eps, prep_error, p_dark_given_s, p_bright_given_d = values[:n].tolist()
+    numbers = values[n:n + 2 * len(leaks)].tolist()
+    leak_at = {i: (lo, hi, p, e) for (i, lo, hi), p, e in zip(leaks, numbers[::2], numbers[1::2])}
+    decay_p = values[n + 2 * len(leaks):]
+    d = len(plan._prep_codes)
+    outcomes = range(d)
+    strict = mode == "strict-single-bright"
+    is_d_level = np.array(plan._is_d + tuple(s.level == BA137_D52 for s in extra))
+    other = plan._code.get(_OTHER_GROUND, len(plan._code) + extra.index(_OTHER_GROUND))
+
+    prep_success = np.array([math.prod(1.0 - eps[i] for i in path) for path in plan._prep_codes])
+    n_blocks = 1 + (len(outcomes) if strict else 0)
+    prob = np.zeros((d, n_blocks, len(is_d_level)))
+    rows = np.arange(d)
+    stay = 1.0 - prep_error
+    prob[rows, 0, rows] += stay * prep_success
+    prob[rows, 0, 0] += stay * (1.0 - prep_success)
+    prob[:, 0, other] += prep_error
+    p_bright = np.where(is_d_level, p_bright_given_d, 1.0 - p_dark_given_s)
+    p_dark = 1.0 - p_bright
+    keep = np.where(is_d_level, 1.0 - decay_p[:, None], 1.0)
+
+    out = np.zeros((d, d + 1))
+    ci = 0
+    for i in plan._step_codes:
+        if i is not None:
+            lo, hi, leak_p, leak_eps = leak_at.get(i, (0, 0, 0.0, 0.0))
+            if leak_p > 0:
+                leaked = prob.copy()
+                swap(leaked, lo, hi, leak_eps)
+            swap(prob, *plan._pulse_codes[i], eps[i])
+            if leak_p > 0:
+                prob = (1.0 - leak_p) * prob + leak_p * leaked
+            continue
+        if decay_p[ci] > 0:
+            lost = prob[..., is_d_level].sum(axis=-1) * decay_p[ci]
+            prob *= keep[ci]
+            prob[..., other] += lost
+        bright = prob * p_bright
+        prob *= p_dark
+        if strict:
+            out[:, d] += bright[:, 1:].sum(axis=(1, 2))
+            prob[:, 1 + ci] = bright[:, 0]
+        else:
+            out[:, outcomes[ci]] += bright[:, 0].sum(axis=-1)
+        ci += 1
+    out[:, d] += prob[:, 0].sum(axis=-1)
+    if strict:
+        for j, outcome in enumerate(outcomes):
+            out[:, outcome] += prob[:, 1 + j].sum(axis=-1)
     return out
 
 

@@ -5,7 +5,9 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -48,7 +50,10 @@ from ba137qudit.spam import (
 )
 from ba137qudit import spam
 
-from oracles import _oracle_outcome, oracle_enumerate_outcomes, oracle_prep_path, simulate_shot
+from oracles import (
+    _oracle_outcome, oracle_enumerate_outcomes, oracle_forward_strict, oracle_prep_path,
+    simulate_shot,
+)
 
 
 def S(f, m):
@@ -124,7 +129,7 @@ class TestMeasurementPlan:
         assert isinstance(plan.steps[0], CheckStep)
         pulses = [s for s in plan.steps if isinstance(s, PulseStep)]
         assert len(pulses) == 12
-        assert plan.check_outcomes == tuple(range(13))
+        assert [s.outcome for s in plan.steps if isinstance(s, CheckStep)] == list(range(13))
 
     def test_single_level(self):
         enc = QuditEncoding("d1", (S(2, 2),))
@@ -453,6 +458,16 @@ class TestScalingAnalysis:
         with pytest.raises(ValueError):
             scaling_analysis({0: 0.99, 1: 0.9}, [3])
 
+    @pytest.mark.parametrize("table", ["e2", "e3", "s1", "s2"])
+    def test_points_within_one_ulp_of_exact_mean(self, table):
+        fids = {i: float(p) for i, p in enumerate(load_reference_confusion(table).diagonal())}
+        curves = scaling_analysis(fids, range(1, 14))
+        for points, choices in ((curves.optimal, curves.optimal_choice),
+                                (curves.worst, curves.worst_choice)):
+            for got, choice in zip(points, choices):
+                exact = sum(Fraction(fids[k]) for k in choice) / len(choice)
+                assert abs(Fraction(got) - exact) <= Fraction(math.ulp(got)), (table, choice)
+
 
 class TestTimingBudget:
     def test_reference_defaults_near_100ms(self):
@@ -493,7 +508,7 @@ class TestTimingBudget:
         budget = timing_budget(enc, reference_timings(), prepared=3)
         assert budget.preparation_total == pytest.approx(37.5e-6)
 
-    @pytest.mark.parametrize("prepared", [13, 99, -1, 1.5])
+    @pytest.mark.parametrize("prepared", [13, 99, -1, 1.5, True])
     def test_prepared_outside_encoding_refused(self, prepared):
         message = re.escape(f"prepared must be an index in [0, d) for d = 13, got {prepared!r}")
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -607,7 +622,7 @@ class TestScalarPathMatchesEnumerator:
         counts = {}
         for _ in range(shots):
             rec = simulate_shot(1, enc, errs, rng, plan=plan)
-            outcome = _oracle_outcome(rec.reads, "first-bright", plan.check_outcomes)
+            outcome = _oracle_outcome(rec.reads, "first-bright", range(plan.n_checks))
             counts[outcome] = counts.get(outcome, 0) + 1
         exact = enumerate_outcomes(enc, errs, prepared=1)
         for outcome, p in exact.items():
@@ -677,6 +692,44 @@ def random_errors(rng, enc):
     return errs, intervals
 
 
+def leak_outside_plan(rng, errs):
+    """Point the one leak of ``errs`` at a random 6S/5D pair, most likely
+    one the plan never pulses."""
+    ((source, (_, p)),) = errs.leak.items()
+    pair = (spam.ALL_S_STATES[rng.integers(8)], spam.ALL_D_STATES[rng.integers(24)])
+    errs.eps_pi.setdefault(pair, 0.1)
+    errs.leak[source] = (pair, p)
+
+
+def evaluator_cases(seed):
+    """paper13 and full25 twice, and sub-encodings of d = 2..8 with and
+    without shelving, each with random errors and decay and with its leak
+    inside and then outside the plan."""
+    rng = np.random.default_rng(seed)
+    encs = [paper13_encoding(), twenty_five_level_encoding()] * 2
+    encs += [random_sub_encoding(rng, d, shelving) for d in range(2, 9) for shelving in (False, True)]
+    for enc in encs:
+        for outside in (False, True):
+            errs, intervals = random_errors(rng, enc)
+            if outside and errs.leak:
+                leak_outside_plan(rng, errs)
+            yield enc, errs, intervals
+
+
+def assert_matches_block_tensor_pass(enc, errs, intervals):
+    """The evaluator's matrices against ``oracle_forward_strict`` on the same
+    gathered numbers: first-bright bit for bit, signs of zeros included, and
+    strict within 1e-14."""
+    for mode in spam.MODES:
+        with mock.patch.object(spam, "_forward", wraps=spam._forward) as forward:
+            got = spam._outcome_matrix(enc, errs, mode, intervals)
+        want = oracle_forward_strict(*forward.call_args.args)
+        if mode == "first-bright":
+            assert got.tobytes() == want.tobytes(), enc.states
+        else:
+            assert np.abs(got - want).max() <= 1e-14, enc.states
+
+
 class TestForwardEvaluator:
     @pytest.mark.parametrize("shelving", [False, True], ids=["paper13", "full25"])
     @pytest.mark.parametrize("d", range(2, 9))
@@ -693,6 +746,10 @@ class TestForwardEvaluator:
                         assert got.get(outcome, 0.0) == pytest.approx(
                             want.get(outcome, 0.0), abs=1e-12
                         ), (enc.states, mode, prepared, outcome)
+
+    def test_matches_block_tensor_pass(self):
+        for case in evaluator_cases(28):
+            assert_matches_block_tensor_pass(*case)
 
     def test_zero_probabilities_omitted(self):
         enc = paper13_encoding()
@@ -761,9 +818,12 @@ class TestForwardEvaluator:
         assert spam._compile.cache_info().misses == len({enc.name for enc in encs}) == 2
 
     def test_prepared_out_of_range(self):
+        # a bool or a float is refused by name, not by a numpy indexing error
         enc = two_level()
-        with pytest.raises(ValueError):
-            enumerate_outcomes(enc, ErrorParams.zero(enc), 2)
+        for prepared in (2, -1, True, 1.5):
+            message = re.escape(f"prepared must be an index in [0, d) for d = 2, got {prepared!r}")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                enumerate_outcomes(enc, ErrorParams.zero(enc), prepared)
 
     def test_missing_transition_error(self):
         enc = two_level()
@@ -842,8 +902,8 @@ class TestEvaluatorCaches:
         self.assert_sees_change(enc, errs, 0.0,
                                 lambda: enc.deshelve_targets.update({D(2, 1): S(2, 1)}))
 
-    # the parent implementation's matrices, entry by entry, for either sign of
-    # a zero pulse error
+    # the matrices entry by entry, for either sign of a zero pulse error; the
+    # first-bright pins are the block-tensor pass's, kept bit for bit
     SIGNED_ZERO_REPRS = {
         "first-bright": [
             ["0.9899999999999999", "0.002982983012142557", "0.0004113657134731767",
@@ -852,14 +912,29 @@ class TestEvaluatorCaches:
             ["0.0491", "0.03756744691996046", "0.904199227549239", "0.009133325530800401"],
         ],
         "strict-single-bright": [
-            ["0.6539594761640424", "0.0024001625562324325", "0.0004113657134731767",
-             "0.34322899556625175"],
-            ["0.1668862778565326", "0.5025726463448165", "0.01038660067029885",
-             "0.3201544751283518"],
-            ["0.00018936378634286537", "0.00037567446919960495", "0.904199227549239",
+            ["0.6539594761640426", "0.0024001625562324325", "0.0004113657134731767",
+             "0.3432289955662518"],
+            ["0.1668862778565326", "0.5025726463448166", "0.01038660067029885",
+             "0.3201544751283519"],
+            ["0.00018936378634286534", "0.00037567446919960495", "0.904199227549239",
              "0.09523573419521839"],
         ],
     }
+    # the strict pins of the block-tensor pass, which the backward pass
+    # reproduces up to rounding
+    BLOCK_TENSOR_STRICT_REPRS = [
+        ["0.6539594761640424", "0.0024001625562324325", "0.0004113657134731767",
+         "0.34322899556625175"],
+        ["0.1668862778565326", "0.5025726463448165", "0.01038660067029885",
+         "0.3201544751283518"],
+        ["0.00018936378634286537", "0.00037567446919960495", "0.904199227549239",
+         "0.09523573419521839"],
+    ]
+
+    def test_strict_pins_within_rounding_of_block_tensor_pins(self):
+        new = np.array(self.SIGNED_ZERO_REPRS["strict-single-bright"], dtype=float)
+        old = np.array(self.BLOCK_TENSOR_STRICT_REPRS, dtype=float)
+        assert np.abs(new - old).max() <= 1e-14
 
     @pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)])
     def test_signed_zero_errors_are_distinct_keys(self, first, second):
@@ -910,7 +985,7 @@ HASH_SEED_PROBE = """
 import hashlib
 import numpy as np
 from ba137qudit import spam
-from test_spam import random_errors, random_sub_encoding
+from test_spam import leak_outside_plan, random_errors, random_sub_encoding
 
 rng = np.random.default_rng(16)
 encs = [spam.paper13_encoding(), spam.twenty_five_level_encoding()] * 3
@@ -920,10 +995,7 @@ for enc in encs:
     for outside in (False, True):
         errs, intervals = random_errors(rng, enc)
         if outside:
-            ((source, (_, p)),) = errs.leak.items()
-            pair = (spam.ALL_S_STATES[rng.integers(8)], spam.ALL_D_STATES[rng.integers(24)])
-            errs.eps_pi.setdefault(pair, 0.1)
-            errs.leak[source] = (pair, p)
+            leak_outside_plan(rng, errs)
         for mode in spam.MODES:
             digest.update(spam._outcome_matrix(enc, errs, mode, intervals).tobytes())
 for enc in (spam.paper13_encoding(), spam.twenty_five_level_encoding()):
@@ -1082,6 +1154,7 @@ def spam_cases(draw):
 @given(spam_cases())
 def test_evaluator_matches_oracle_property(case):
     assert_rows_match_oracle(*case)
+    assert_matches_block_tensor_pass(*case)
 
 
 class TestErrorParamsJson:
