@@ -6,7 +6,9 @@ and seed produce byte-identical primary output files.  Outputs are data
 only (CSV/JSON ready for external plotting).
 
 Each parameter is one ``PARAMS`` row; before a command runs, ``main`` takes
-its flag, else its --config entry, else its default, and checks it.
+its flag, else its --config entry, else its default, and checks it.  A
+command returns the files it makes as ``(name, write)`` pairs, and only
+after it succeeds does ``main`` write them into --out.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ LEVELS = {"6S1/2": BA137_S12, "5D5/2": BA137_D52}
 _B_EXPERIMENT = 8.35
 # most field values a --b range may hold
 _MAX_FIELDS = 100_001
+# most shots per state: numpy's multinomial takes its count as a C int64
+_MAX_SHOTS = int(np.iinfo(np.int64).max)
 
 
 class CliError(Exception):
@@ -62,10 +66,12 @@ def _drift(value, flag):
     return x
 
 
-def _at_least(n, why=""):
+def _at_least(n, why="", most=None):
     def check(value, flag):
         if value < n:
             raise CliError(f"{flag} must be at least {n}{why}, got {value}")
+        if most is not None and value > most:
+            raise CliError(f"{flag} must be at most {most}, got {value}")
         return value
 
     return check
@@ -134,7 +140,7 @@ PARAMS = {
     "gamma_deg": _Param("--gamma", _NUMBER, transitions.PAPER13_GEOMETRY.gamma, _finite),
     "threshold": _Param("--threshold", _NUMBER, 0.03, _finite),
     "errors": _Param("--errors", str, "table-e5", help="zero | table-e5 | params.json"),
-    "shots": _Param("--shots", int, 1000, _at_least(1)),
+    "shots": _Param("--shots", int, 1000, _at_least(1, most=_MAX_SHOTS)),
     "mode": _Param("--mode", str, "first-bright", _one_of(spam.MODES), choices=spam.MODES),
     "seed": _Param("--seed", int, 0, _at_least(0)),
     "b_center": _Param("--b-center", _NUMBER, _B_EXPERIMENT, _nonnegative),
@@ -170,16 +176,8 @@ def _resolve(args, keys):
         setattr(args, key, value)
 
 
-def _outdir(args) -> Path:
-    out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def cmd_levels(args):
     bs = args.b_range
-    out = _outdir(args) / f"levels_{args.level.replace('/', '')}.csv"
-
     level = LEVELS[args.level]
     labels = atomstruct._table(level).labels
     if level is BA137_D52:  # lines from the encoding's ground state |F=2, m=2>
@@ -191,13 +189,13 @@ def cmd_levels(args):
     header, mark = ["B_gauss", "state_label", "frequency_MHz"], []
     if args.b_mark is not None:
         header, mark = header + ["b_mark_gauss"], [repr(args.b_mark)]
-    _write_csv(out, header, (
+    rows = (
         [repr(b + 0.0), name, repr(value)] + mark  # + 0.0: -0.0 G is written 0.0
         for b, row_values in zip(bs, values.tolist())
         for name, value in zip(names, row_values)
-    ))
-    print(f"levels: wrote {out} ({len(bs)} field values)")
-    return [out]
+    )
+    return [(f"levels_{args.level.replace('/', '')}.csv",
+             partial(_write_csv, header=header, rows=rows))]
 
 
 def cmd_eigenstates(args):
@@ -205,28 +203,13 @@ def cmd_eigenstates(args):
         scan = atomstruct.decomposition_scan(LEVELS[args.level], args.f, args.m, args.b_range)
     except KeyError as exc:
         raise CliError(str(exc))
-    out = _outdir(args) / f"eigenstate_{args.level.replace('/', '')}_F{args.f}_m{args.m}.csv"
-    atomstruct.write_decomposition_scan(out, scan)
-    print(f"eigenstates: wrote {out} ({len(scan.components)} components)")
-    return [out]
+    return [(f"eigenstate_{args.level.replace('/', '')}_F{args.f}_m{args.m}.csv",
+             partial(atomstruct.write_decomposition_scan, scan=scan))]
 
 
 def cmd_strengths(args):
-    fmt = args.format or "csv"
-    outdir = _outdir(args)
-
     geometry = transitions.LaserGeometry(args.phi_deg, args.gamma_deg)
     table = transitions.strength_table(args.b_gauss, geometry)
-    written = []
-    if fmt in ("csv", "both"):
-        path = outdir / "strengths.csv"
-        table.to_csv(path)
-        written.append(path)
-    if fmt in ("json", "both"):
-        path = outdir / "strengths.json"
-        table.to_json(path)
-        written.append(path)
-
     d_keys, s_keys, ref = fixtures.load_strength_fixture(args.fixtures_dir)
     dev = float(np.max(np.abs(table.values - ref)))
     report = {
@@ -242,35 +225,20 @@ def cmd_strengths(args):
         print(f"strengths: {len(picked)} states above {args.threshold}:")
         for i, state in enumerate(picked, start=1):
             print(f"  |{i}> = {state}")
-    rep_path = outdir / "strengths_report.json"
-    _write_json(rep_path, report)
-    written.append(rep_path)
     print(f"strengths: max abs deviation vs bundled reference = {dev:.2e}")
-    for p in written:
-        print(f"strengths: wrote {p}")
-    return written
-
-
-def _confusion_to_json(path, matrix):
-    doc = {
-        "has_null": matrix.has_null,
-        "shots": [int(s) for s in matrix.shots],
-        "probs": [[float(x) for x in row] for row in matrix.probs],
-    }
-    _write_json(path, doc)
+    return [("strengths", {".csv": table.to_csv, ".json": table.to_json}),
+            ("strengths_report.json", partial(_write_json, doc=report))]
 
 
 def cmd_spam(args):
-    outdir = _outdir(args)
     if args.analyze:
         m = spam.read_confusion_csv(args.analyze)
         fid, sigma = spam.average_fidelity(m)
         kind = "raw" if m.has_null else "post-selected"
         print(f"spam: {kind} average error {1 - fid:.3f} +/- {sigma:.3f} ({args.analyze})")
-        _write_json(outdir / "spam_analysis.json",
-                    {"input": str(args.analyze), "kind": kind,
-                     "average_fidelity": fid, "uncertainty": sigma})
-        return [outdir / "spam_analysis.json"]
+        return [("spam_analysis.json", partial(_write_json, doc={
+            "input": str(args.analyze), "kind": kind,
+            "average_fidelity": fid, "uncertainty": sigma}))]
 
     encoding = spam.paper13_encoding()
     if args.errors == "zero":
@@ -291,22 +259,9 @@ def cmd_spam(args):
         {i: float(p) for i, p in enumerate(post.diagonal())}, range(2, encoding.d + 1)
     )
 
-    fmt = args.format or "csv"
-    written = []
-    if fmt in ("csv", "both"):
-        spam.write_confusion_csv(outdir / "spam_raw.csv", raw)
-        spam.write_confusion_csv(outdir / "spam_post.csv", post)
-        written += [outdir / "spam_raw.csv", outdir / "spam_post.csv"]
-    if fmt in ("json", "both"):
-        _confusion_to_json(outdir / "spam_raw.json", raw)
-        _confusion_to_json(outdir / "spam_post.json", post)
-        written += [outdir / "spam_raw.json", outdir / "spam_post.json"]
-    _write_csv(outdir / "spam_scaling.csv", ["d", "optimal_fidelity", "worst_fidelity"], (
-        [d, repr(float(o)), repr(float(wv))]
-        for d, o, wv in zip(curves.d_values, curves.optimal, curves.worst)
-    ))
-    written.append(outdir / "spam_scaling.csv")
-    _write_json(outdir / "spam_summary.json", {
+    print(f"spam: raw error {1 - fid_raw:.4f} +/- {sig_raw:.4f}, "
+          f"post-selected {1 - fid_post:.4f} +/- {sig_post:.4f}")
+    summary = {
         "shots_per_state": args.shots,
         "seed": args.seed,
         "mode": args.mode,
@@ -320,13 +275,22 @@ def cmd_spam(args):
             "1.5 +/- 2 percentage points above the single-pulse prediction "
             "because parameters drift between calibration and data taking"
         ),
-    })
-    written.append(outdir / "spam_summary.json")
-    print(f"spam: raw error {1 - fid_raw:.4f} +/- {sig_raw:.4f}, "
-          f"post-selected {1 - fid_post:.4f} +/- {sig_post:.4f}")
-    for p in written:
-        print(f"spam: wrote {p}")
-    return written
+    }
+    scaling = ([d, repr(float(o)), repr(float(wv))]
+               for d, o, wv in zip(curves.d_values, curves.optimal, curves.worst))
+    return [
+        *((f"spam_{name}", {
+            ".csv": partial(spam.write_confusion_csv, matrix=m),
+            ".json": partial(_write_json, doc={
+                "has_null": m.has_null,
+                "shots": [int(s) for s in m.shots],
+                "probs": [[float(x) for x in row] for row in m.probs],
+            }),
+        }) for name, m in (("raw", raw), ("post", post))),
+        ("spam_scaling.csv", partial(
+            _write_csv, header=["d", "optimal_fidelity", "worst_fidelity"], rows=scaling)),
+        ("spam_summary.json", partial(_write_json, doc=summary)),
+    ]
 
 
 def _read_trace(path, trace, x, y):
@@ -356,7 +320,6 @@ def _snapshot(row):
 
 
 def cmd_fit(args):
-    outdir = _outdir(args)
     kind = args.kind
     path = args.input
     if kind == "error-scaling":
@@ -370,15 +333,13 @@ def cmd_fit(args):
         }
         x = [(k * t) ** 2 for k, t, _ in points]
         resid = fit.predict(np.array(x)) - np.array([e for _, _, e in points])
-        out = outdir / "fit_error_scaling.json"
-        _write_json(out, doc)
-        _write_csv(outdir / "fit_error_scaling_residuals.csv",
-                   ["x_kappa2_tau2", "eps_spam", "residual"],
-                   ([repr(float(xi)), repr(float(e)), repr(float(r))]
-                    for xi, (_, _, e), r in zip(x, points, resid)))
         print(f"fit: intercept = {fit.intercept:.4f} +/- {fit.intercept_err:.4f}, "
               f"scale = {fit.scale:.4g} +/- {fit.scale_err:.4g}")
-        return [out, outdir / "fit_error_scaling_residuals.csv"]
+        rows = ([repr(float(xi)), repr(float(e)), repr(float(r))]
+                for xi, (_, _, e), r in zip(x, points, resid))
+        return [("fit_error_scaling.json", partial(_write_json, doc=doc)),
+                ("fit_error_scaling_residuals.csv", partial(
+                    _write_csv, header=["x_kappa2_tau2", "eps_spam", "residual"], rows=rows))]
     if kind == "lorentzian":
         fit = calib.fit_lorentzian(_read_trace(path, calib.FrequencyScan, "freq_kHz", "p_dark"))
         doc = {
@@ -389,11 +350,9 @@ def cmd_fit(args):
             "offset": fit.offset,
             "at_boundary": fit.at_boundary,
         }
-        out = outdir / "fit_lorentzian.json"
-        _write_json(out, doc)
         print(f"fit: center = {fit.center_khz:.3f} +/- {fit.center_err:.3f} kHz"
               + (" (AT SCAN BOUNDARY)" if fit.at_boundary else ""))
-        return [out]
+        return [("fit_lorentzian.json", partial(_write_json, doc=doc))]
     if kind == "rabi":
         fit = calib.fit_rabi_flop(_read_trace(path, calib.RabiTrace, "t_us", "p_transition"))
         doc = {
@@ -404,18 +363,14 @@ def cmd_fit(args):
             "eps_pi": fit.eps_pi,
             "window_us": list(fit.window),
         }
-        out = outdir / "fit_rabi.json"
-        _write_json(out, doc)
         print(f"fit: eps_pi = {fit.eps_pi:.4f} (t_peak {fit.t_peak_us:.2f} us)")
-        return [out]
+        return [("fit_rabi.json", partial(_write_json, doc=doc))]
     if kind == "calibration":
         model = calib.fit_calibration(_read_csv(path, _snapshot)[1])
-        out = outdir / "fit_calibration.json"
-        model.to_json(out)
         worst = max(model.residual_rms.values())
         print(f"fit: calibrated {len(model.a1)} transitions, "
               f"worst residual rms {worst * 1e3:.3f} kHz")
-        return [out]
+        return [("fit_calibration.json", model.to_json)]
     raise CliError(f"unknown fit kind {kind!r}")
 
 
@@ -444,21 +399,20 @@ def cmd_estimate_b(args):
         rel_sim = sims[pair] - sims[ref_pair]
         key = f"{pair[0].F}:{pair[0].m}->{pair[1].F}:{pair[1].m}"
         residuals[key] = rel_meas - rel_sim
-    out = _outdir(args) / "estimate_b.json"
-    _write_json(out, {
+    print(f"estimate-b: B = {est.B:.4f} G (residual rms {est.residual_rms * 1e3:.3f} kHz)")
+    return [("estimate_b.json", partial(_write_json, doc={
         "B_gauss": est.B,
         "residual_rms_MHz": est.residual_rms,
         "per_transition_residual_MHz": residuals,
-    })
-    print(f"estimate-b: B = {est.B:.4f} G (residual rms {est.residual_rms * 1e3:.3f} kHz)")
-    return [out]
+    }))]
 
 
 def cmd_calibrate_demo(args):
     """Synthetic end-to-end run of the documented calibration procedure:
     coarse/fine scans at drifted fields, Lorentzian centers, linear model."""
-    outdir = _outdir(args)
     b_center, drift, sessions = args.b_center, args.drift, args.sessions
+    if b_center < drift:  # a session field could then fall below zero
+        raise CliError(f"--b-center must be at least --drift, got {b_center} < {drift}")
     rng = np.random.default_rng(args.seed)
 
     plan = calib.scan_plan()
@@ -492,17 +446,7 @@ def cmd_calibrate_demo(args):
         )
         history.append(snap)
 
-    hist_path = outdir / "calibration_history.csv"
-    header = ["f_offset_MHz", "f_low_MHz", "f_up_MHz"] + [f"f{n}_MHz" for n in nominal.freqs]
-    _write_csv(hist_path, header, (  # every snapshot's freqs follow nominal's keys
-        [repr(float(x)) for x in (s.f_offset, s.f_low, s.f_up, *s.freqs.values())]
-        for s in history
-    ))
-
     model = calib.fit_calibration(history)
-    model_path = outdir / "calibration_model.json"
-    model.to_json(model_path)
-
     test_b = b_center + drift / 2
     truth = calib.synthetic_snapshot(test_b)
     worst = 0.0
@@ -512,12 +456,16 @@ def cmd_calibrate_demo(args):
     print(f"calibrate-demo: {sessions} sessions within +/-{drift} G of {b_center} G")
     print(f"calibrate-demo: worst prediction error at B = {test_b:.3f} G: "
           f"{worst * 1e3:.3f} kHz")
-    print(f"calibrate-demo: wrote {hist_path} and {model_path}")
-    return [hist_path, model_path]
+    header = ["f_offset_MHz", "f_low_MHz", "f_up_MHz"] + [f"f{n}_MHz" for n in nominal.freqs]
+    rows = (  # every snapshot's freqs follow nominal's keys
+        [repr(float(x)) for x in (s.f_offset, s.f_low, s.f_up, *s.freqs.values())]
+        for s in history
+    )
+    return [("calibration_history.csv", partial(_write_csv, header=header, rows=rows)),
+            ("calibration_model.json", model.to_json)]
 
 
 def cmd_budget(args):
-    outdir = _outdir(args)
     given_ms = {"fluorescence_check": args.fluorescence_ms, "awg_trigger": args.awg_ms,
                 "optical_pump": args.optical_pump_ms}
     timings = replace(spam.reference_timings(args.fixtures_dir),
@@ -528,13 +476,11 @@ def cmd_budget(args):
         "preparation_total_ms": budget.preparation_total * 1e3,
         "breakdown_ms": {k: v * 1e3 for k, v in budget.breakdown},
     }
-    out = outdir / "budget.json"
-    _write_json(out, doc)
     print(f"budget: measurement {budget.measurement_total * 1e3:.2f} ms, "
           f"preparation {budget.preparation_total * 1e3:.3f} ms")
     for k, v in budget.breakdown:
         print(f"budget:   {k:<16s} {v * 1e3:9.3f} ms")
-    return [out]
+    return [("budget.json", partial(_write_json, doc=doc))]
 
 
 # every command: its function, its help text and the parameters it reads
@@ -596,12 +542,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(args, outputs) -> None:
+    """Write a command's ``(name, write)`` outputs into --out, csv before json,
+    and print one line per file.  A table in two formats is ``(stem, {suffix:
+    write})``; --format picks among those and is refused if there are none."""
+    formats = {None: [".csv"], "csv": [".csv"], "json": [".json"], "both": [".csv", ".json"]}
+    if args.format is not None and not any(isinstance(w, dict) for _, w in outputs):
+        raise CliError(f"--format: {args.command} writes no table in more than one format")
+    out = Path(args.out or ".")
+    out.mkdir(parents=True, exist_ok=True)
+    for name, write in outputs:
+        files = ([(name + s, write[s]) for s in formats[args.format]]
+                 if isinstance(write, dict) else [(name, write)])
+        for file, write_file in files:
+            write_file(out / file)
+            print(f"{args.command}: wrote {out / file}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     func, _, keys = COMMANDS[args.command]
     try:
         _resolve(args, keys)
-        func(args)
+        _write(args, func(args))
     except (CliError, TableError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

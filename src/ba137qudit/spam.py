@@ -175,9 +175,6 @@ class QuditEncoding:
     def d(self) -> int:
         return len(self.states)
 
-    def index_of(self, state: StateRef) -> int:
-        return self.states.index(state)
-
     def deshelve_target(self, d_state: StateRef) -> StateRef:
         return self.deshelve_targets.get(d_state, self.states[0])
 

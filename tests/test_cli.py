@@ -234,6 +234,9 @@ class TestSpam:
     (["spam", "--shots", "-5"], None),
     (["spam"], {"shots": 0}),
     (["spam"], {"mode": "majority"}),
+    # numpy's multinomial takes at most 2**63 - 1 shots
+    (["spam", "--shots", "9223372036854775808"], None),
+    (["spam"], {"shots": 2**63}),
 ])
 def test_bad_spam_input_exits_2(tmp_path, capsys, argv, config):
     prefix = ["--out", str(tmp_path)]
@@ -318,6 +321,40 @@ def test_bad_parameter_exits_2_naming_its_flag_before_any_output(
     assert rc == 2
     assert re.search(re.escape(PARAMS[key].flag) + r"(?![\w-])", capsys.readouterr().err)
     assert not out.exists()
+
+
+def test_shots_bound_is_the_largest_multinomial_count():
+    check = PARAMS["shots"].check
+    assert check(2**63 - 1, "--shots") == 2**63 - 1
+    np.random.default_rng(0).multinomial(2**63 - 1, [0.5, 0.5])
+    with pytest.raises(CliError, match="--shots must be at most 9223372036854775807"):
+        check(2**63, "--shots")
+    with pytest.raises(OverflowError):
+        np.random.default_rng(0).multinomial(2**63, [0.5, 0.5])
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["calibrate-demo", "--b-center", "0", "--sessions", "3"], None),
+    (["calibrate-demo", "--sessions", "3"], {"b_center": 0.01, "drift": 0.02}),
+    (["calibrate-demo", "--b-center", "0.01"], {"drift": 0.05}),
+])
+def test_b_center_below_drift_exits_2_naming_both_before_any_output(
+    tmp_path, capsys, argv, config
+):
+    # a session field is drawn within --drift of --b-center and must not be negative
+    prefix = ["--out", str(tmp_path / "out")]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        prefix += ["--config", str(tmp_path / "cfg.json")]
+    assert main(prefix + argv) == 2
+    err = capsys.readouterr().err
+    assert "--b-center" in err and "--drift" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_b_center_equal_to_drift_runs(tmp_path):
+    assert main(["--out", str(tmp_path), "calibrate-demo", "--b-center", "0.02",
+                 "--drift", "0.02", "--sessions", "3"]) == 0
 
 
 def test_readme_names_every_config_key_and_flag():
@@ -597,3 +634,103 @@ class TestBudget:
         assert rc == 0
         doc = json.load(open(tmp_path / "budget.json"))
         assert doc["measurement_total_ms"] < 10.0
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A directory holding one input table for each command that reads one."""
+    where = tmp_path_factory.mktemp("inputs")
+    write_scaling_points(where / "points.csv", reference_scaling_points())
+    f = np.arange(-10.0, 11.0)
+    rows = zip(f.tolist(), (0.5 * 25.0 / ((f - 1.0) ** 2 + 25.0) + 0.02).tolist())
+    (where / "scan.csv").write_text(
+        "freq_kHz,p_dark,shots\n" + "".join(f"{x!r},{y!r},400\n" for x, y in rows))
+    t = np.linspace(0.0, 200.0, 201)
+    rows = zip(t.tolist(), (0.95 * np.sin(np.pi * t / 80.0) ** 2 + 0.02).tolist())
+    (where / "rabi.csv").write_text(
+        "t_us,p_transition,shots\n" + "".join(f"{x!r},{y!r},100\n" for x, y in rows))
+    TestEstimateB().write_splittings(where / "splittings.csv", 8.35)
+    assert main(["--out", str(where), "--seed", "3", "calibrate-demo", "--sessions", "4"]) == 0
+    return where
+
+
+E3 = str(fixture_path("table_e3.csv"))
+SPAM_TABLES = ["spam_scaling.csv", "spam_summary.json"]
+# a run that succeeds, and the files it writes
+OUTPUT_RUNS = [
+    (["levels", "--b", "0:1"], ["levels_5D52.csv"]),
+    (["eigenstates", "--level", "6S1/2", "--f-tilde", "1", "--m-tilde", "0", "--b", "0:1"],
+     ["eigenstate_6S12_F1_m0.csv"]),
+    (["strengths"], ["strengths.csv", "strengths_report.json"]),
+    (["--format", "csv", "strengths"], ["strengths.csv", "strengths_report.json"]),
+    (["--format", "json", "strengths"], ["strengths.json", "strengths_report.json"]),
+    (["strengths", "--format", "both"],
+     ["strengths.csv", "strengths.json", "strengths_report.json"]),
+    (["spam", "--shots", "50"], ["spam_raw.csv", "spam_post.csv"] + SPAM_TABLES),
+    (["--format", "csv", "spam", "--shots", "50"],
+     ["spam_raw.csv", "spam_post.csv"] + SPAM_TABLES),
+    (["--format", "json", "spam", "--shots", "50"],
+     ["spam_raw.json", "spam_post.json"] + SPAM_TABLES),
+    (["spam", "--format", "both", "--shots", "50"],
+     ["spam_raw.csv", "spam_raw.json", "spam_post.csv", "spam_post.json"] + SPAM_TABLES),
+    (["spam", "--analyze", E3], ["spam_analysis.json"]),
+    (["fit", "error-scaling", "{inputs}/points.csv"],
+     ["fit_error_scaling.json", "fit_error_scaling_residuals.csv"]),
+    (["fit", "lorentzian", "{inputs}/scan.csv"], ["fit_lorentzian.json"]),
+    (["fit", "rabi", "{inputs}/rabi.csv"], ["fit_rabi.json"]),
+    (["fit", "calibration", "{inputs}/calibration_history.csv"], ["fit_calibration.json"]),
+    (["estimate-b", "{inputs}/splittings.csv"], ["estimate_b.json"]),
+    (["calibrate-demo", "--sessions", "3"],
+     ["calibration_history.csv", "calibration_model.json"]),
+    (["budget"], ["budget.json"]),
+]
+
+
+def _command(argv):
+    return next(a for a in argv if a in COMMANDS)
+
+
+def _ids(argv):
+    return " ".join(a for a in argv if not a.startswith(("{", "/")))
+
+
+@pytest.mark.parametrize("argv, files", OUTPUT_RUNS, ids=[_ids(a) for a, _ in OUTPUT_RUNS])
+def test_wrote_lines_name_exactly_the_files_in_a_fresh_out(tmp_path, capsys, inputs, argv, files):
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["--out", str(out)] + [a.format(inputs=inputs) for a in argv]) == 0
+    wrote = [line for line in capsys.readouterr().out.splitlines() if " wrote " in line]
+    # one line per file, in the order written: a table's csv before its json
+    assert wrote == [f"{_command(argv)}: wrote {out / name}" for name in files]
+    assert sorted(p.name for p in out.iterdir()) == sorted(files)
+
+
+# the runs whose outputs hold no table in more than one format
+SINGLE_FORMAT_RUNS = [argv for argv, files in OUTPUT_RUNS
+                      if not any(name.startswith(("strengths.", "spam_raw.")) for name in files)]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "both"])
+@pytest.mark.parametrize("argv", SINGLE_FORMAT_RUNS, ids=[_ids(a) for a in SINGLE_FORMAT_RUNS])
+def test_format_without_a_two_format_table_exits_2_before_any_output(
+    tmp_path, capsys, inputs, argv, fmt
+):
+    out = tmp_path / "out"
+    argv = ["--out", str(out), "--format", fmt] + [a.format(inputs=inputs) for a in argv]
+    assert main(argv) == 2
+    assert "--format" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, rc", [
+    (["--fixtures-dir", "{tmp}", "strengths"], 2),  # no bundled reference table there
+    (["spam", "--errors", "{tmp}/missing.json"], 2),
+    # the drift carries lines out of the coarse scan, so a fit fails
+    (["--seed", "2", "calibrate-demo", "--b-center", "8", "--drift", "0.05", "--sessions", "3"],
+     1),
+], ids=["strengths", "spam", "calibrate-demo"])
+def test_failed_command_leaves_no_output_directory(tmp_path, capsys, argv, rc):
+    out = tmp_path / "out"
+    assert main(["--out", str(out)] + [a.format(tmp=tmp_path) for a in argv]) == rc
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()

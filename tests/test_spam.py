@@ -150,7 +150,7 @@ class TestMeasurementPlan:
         # every state preparable within three pulses
         assert all(len(p) <= 3 for p in plan.prep_paths)
         # negative-m metastable states genuinely need the three-pulse route
-        assert len(plan.prep_paths[enc.index_of(D(4, -1))]) == 3
+        assert len(plan.prep_paths[enc.states.index(D(4, -1))]) == 3
 
     def test_unreachable_parking_rejected(self):
         # parking D(4,4) from S(2,-2) would need |Delta m| = 6
