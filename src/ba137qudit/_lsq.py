@@ -2,14 +2,19 @@
 
 Levenberg-Marquardt (Nocedal & Wright, *Numerical Optimization*, 2nd ed.,
 section 10.3) with Marquardt's diagonal scaling kept nondecreasing as in
-More's MINPACK design, on a Jacobian the caller supplies.  Box bounds are
-handled by an active set: a parameter on a bound whose gradient points
-outward stays fixed for that step, and the step is projected back into the
-box.  Sized for the package's fits: a few parameters, tens of residuals,
-where each iteration's small numpy calls cost more than its arithmetic.  So
-the loop indexes a sub-matrix only while a bound is active, adds the damping
-to the diagonal in place, and skips the active set and the clipping when the
-caller gives no bounds; each of these keeps every result bit for bit.
+More's MINPACK design.  The caller supplies one callable that returns the
+residuals and the Jacobian at a point together, so a model computes the
+subexpressions the two share once per trial point.  Box bounds are handled
+by an active set: a parameter on a bound whose gradient points outward
+stays fixed for that step, and the step is projected back into the box.
+Sized for the package's fits: a few parameters, tens of residuals, where
+each iteration's small numpy calls cost more than its arithmetic.  So the
+loop builds an index set only while a parameter sits on a bound, adds the
+damping to the diagonal in place, and skips the active set and the
+clipping when the caller gives no bounds; each of these keeps every result
+bit for bit.  The covariance inverts the column-scaled J^T J through its
+Cholesky factor, and through the pseudo-inverse only when that factor does
+not exist.
 """
 
 from __future__ import annotations
@@ -44,24 +49,31 @@ class Solution:
     def covariance(self) -> np.ndarray:
         """s^2 (J^T J)^-1 with s^2 = |r|^2 / (m - n).  J^T J is inverted with
         unit-norm columns, so a parameter near 1e6 beside one near 0.03 keeps
-        its variance instead of falling under the pseudo-inverse's cutoff."""
+        its variance.  The inverse is L^-T L^-1 from the Cholesky factor L of
+        the scaled matrix; a matrix that is not numerically positive definite
+        (a Jacobian of rank below n) falls back to the pseudo-inverse."""
         m, n = self.jac.shape
         s2 = 2.0 * self.cost / max(m - n, 1)
         A = self.jac.T @ self.jac
         d = np.sqrt(np.diag(A))
         d = np.where(d > 0, d, 1.0)
         outer = np.outer(d, d)
-        return s2 * np.linalg.pinv(A / outer) / outer
+        try:
+            inv_l = np.linalg.inv(np.linalg.cholesky(A / outer))
+            inv = inv_l.T @ inv_l
+        except np.linalg.LinAlgError:
+            inv = np.linalg.pinv(A / outer)
+        return s2 * inv / outer
 
 
 def least_squares(
-    fun: Callable[[np.ndarray], np.ndarray],
-    jac: Callable[[np.ndarray], np.ndarray],
+    fun_jac: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     x0,
     lower=None,
     upper=None,
 ) -> Solution:
-    """Minimize |fun(x)|^2 / 2 from x0 within lower <= x <= upper.
+    """Minimize |r(x)|^2 / 2 from x0 within lower <= x <= upper, where
+    ``fun_jac(x)`` returns (r(x), the Jacobian of r at x).
 
     Returns unconverged after ``_MAX_ITER`` trial steps; each caller turns
     that into a FitError naming its fit.
@@ -73,8 +85,7 @@ def least_squares(
         lo = np.full(n, -np.inf) if lower is None else np.asarray(lower, dtype=float)
         hi = np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=float)
         x = np.minimum(np.maximum(x, lo), hi)
-    r = fun(x)
-    J = jac(x)
+    r, J = fun_jac(x)
     cost = 0.5 * float(r @ r)
     scale = np.zeros(n)
     lam, nu = 1e-3, 2.0
@@ -82,17 +93,22 @@ def least_squares(
         g = J.T @ r
         A = J.T @ J
         scale = np.maximum(scale, np.sqrt(A.diagonal()))
-        d = np.where(scale > 0, scale, 1.0)
-        # every parameter is free unless a bound is active: then index a slice
-        free = ~(((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0))) if bounded else None
-        idx = slice(None) if free is None or free.all() else np.flatnonzero(free)
-        gi, di = g[idx], d[idx]
+        d = scale if scale.all() else np.where(scale > 0, scale, 1.0)
+        # every parameter is free unless one sits on a bound: only then is an
+        # active set formed, and only an active bound indexes a sub-problem
+        idx = None
+        if bounded and ((x <= lo) | (x >= hi)).any():
+            free = ~(((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0)))
+            idx = None if free.all() else np.flatnonzero(free)
+        gi, di, Ai = (g, d, A) if idx is None else (g[idx], d[idx], A[idx][:, idx])
         if cost == 0.0 or not gi.any():
             return Solution(x, cost, J, it - 1, True)
-        M = A[idx][:, idx] / (di[:, None] * di)
+        M = Ai / (di[:, None] * di)
         M.flat[:: di.size + 1] += lam
-        step = np.zeros(n)
-        step[idx] = _solve(M, -gi / di) / di
+        step = _solve(M, -gi / di) / di
+        if idx is not None:  # the parameters held on a bound take no step
+            step, free_step = np.zeros(n), step
+            step[idx] = free_step
         trial = x + step
         x_new = np.minimum(np.maximum(trial, lo), hi) if bounded else trial
         clipped = bounded and bool((x_new != trial).any())
@@ -104,12 +120,11 @@ def least_squares(
             not clipped and predicted <= _FTOL * cost
         ):
             return Solution(x, cost, J, it, True)
-        r_new = fun(x_new)
+        r_new, J_new = fun_jac(x_new)
         cost_new = 0.5 * float(r_new @ r_new)
         if predicted > 0 and cost_new < cost:
             rho = (cost - cost_new) / predicted
-            x, r, cost = x_new, r_new, cost_new
-            J = jac(x)
+            x, r, J, cost = x_new, r_new, J_new, cost_new
             # Nielsen's damping update: shrink by at most 3 on a good step
             lam *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
             nu = 2.0

@@ -9,13 +9,15 @@ The Hamiltonian is built in the |m_I, m_J> product basis, in MHz:
 with mu_B/h = ``MU_B_OVER_H``, the one physical constant the structure uses.
 
 It conserves m = m_I + m_J, so each m block is diagonalized independently:
-all requested fields in one stacked eigendecomposition per block, from one
-cached per-level table of everything that does not depend on the field.
+all requested fields and all blocks of one size in one stacked
+eigendecomposition, from one cached per-level table of everything that does
+not depend on the field.
 Eigenstates are labeled |F~, m_F~> by energy rank: levels of one block
 cannot cross (von Neumann-Wigner), so the k-th lowest eigenvalue of a block
 carries the k-th lowest closed-form E(F) of that block at every field.  A
 gap guard raises ``LabelingError`` when two eigenvalues of a block, at zero
-field or at the requested field, come closer than ``_GAP_MIN``.
+field or at the requested field, come closer than ``_GAP_MIN``, or when an
+eigenvalue is not finite.
 The hyperfine terms are traceless over the level, so energies come out
 relative to the level centroid, and ``transition_frequency`` gives
 splittings relative to the two level centroids.  Line frequencies at many
@@ -73,7 +75,8 @@ _GAP_MIN = 1e-6
 
 class LabelingError(RuntimeError):
     """Rank labels are ambiguous: two eigenvalues of one m block lie closer
-    than ``_GAP_MIN``, or the zero-field spectrum disagrees with E(F)."""
+    than ``_GAP_MIN``, an eigenvalue is not finite, or the zero-field
+    spectrum disagrees with E(F)."""
 
 
 class FieldMismatchError(ValueError):
@@ -190,8 +193,10 @@ class _Table(NamedTuple):
     u: np.ndarray  # U[basis index, row] = <I m_I; J m_J | F m_F>
     e_f: np.ndarray  # closed-form E(F) by row
     off_block: np.ndarray  # [row, row']: True where the two m_F differ
-    # per m block, m ascending: (product-basis indices, label rows by ascending
-    # closed-form E(F), the block of h0, the block's moment as a diagonal matrix)
+    # per m-block size, the blocks of that size stacked in ascending m:
+    # (product-basis indices (k, s), label rows by ascending closed-form E(F)
+    # (k, s), the blocks of h0 (k, s, s), the blocks' moments as diagonal
+    # matrices (k, s, s)), so one eigh solves every block of a size
     blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
 
 
@@ -216,15 +221,17 @@ def _table(level: LevelConstants) -> _Table:
     ] for ti, tj in basis])
     e_f = np.array([zero_field_energy(level, HalfInt(tf)) for tf, _ in keys])
     tm, tm_f = tmi + tmj, np.array([tmf for _, tmf in keys])
-    blocks = []
+    by_size = {}
     for m in sorted(set(tm.tolist())):
         idx = np.flatnonzero(tm == m)
         rows = np.array(sorted(np.flatnonzero(tm_f == m), key=lambda k: e_f[k]))
-        blocks.append((idx, rows, h0[np.ix_(idx, idx)], np.diag(moment[idx])))
+        block = (idx, rows, h0[np.ix_(idx, idx)], np.diag(moment[idx]))
+        by_size.setdefault(idx.size, []).append(block)
+    blocks = tuple(tuple(map(np.array, zip(*group))) for group in by_size.values())
     labels = tuple((HalfInt(tf), HalfInt(tmf)) for tf, tmf in keys)
     row = {key: k for k, key in enumerate(keys)}
     off_block = np.not_equal.outer(tm_f, tm_f)
-    return _Table(basis, h0, moment, labels, row, u, e_f, off_block, tuple(blocks))
+    return _Table(basis, h0, moment, labels, row, u, e_f, off_block, blocks)
 
 
 def zero_field_energy(level: LevelConstants, F) -> float:
@@ -311,23 +318,31 @@ def _solve(level: LevelConstants, bs) -> tuple[np.ndarray, np.ndarray, np.ndarra
     for b in bs:
         if not 0.0 <= b < math.inf:
             raise ValueError(f"B must be finite and nonnegative, got {b}")
-    # + 0.0 makes a field of -0.0 the zero field
-    zeeman = (np.array(bs, dtype=float) + 0.0)[:, None, None] * MU_B_OVER_H
-    n = len(zeeman)
+    n = len(bs)
     energies = np.empty((n, level.dim))
     amps = np.zeros((n, level.dim, level.dim))
-    for idx, rows, h0, moment in t.blocks:
-        # entry for entry the block of _table(level).h0 + diag(B mu_B/h moment)
-        w, v = np.linalg.eigh(h0 + zeeman * moment)
-        gap = np.diff(w).min(axis=-1, initial=np.inf)  # per field
-        if gap.min(initial=np.inf) < _GAP_MIN:
-            j = np.argmax(gap < _GAP_MIN)
-            raise LabelingError(
-                f"{level.name}, m={t.labels[rows[0]][1]}: in-block gap {gap[j]:.3e} MHz "
-                f"at B = {bs[j]} G is below {_GAP_MIN} MHz, so rank labels are ambiguous"
-            )
-        energies[:, rows] = w
-        amps[:, rows[:, None], idx] = v.transpose(0, 2, 1)
+    # a field too large for floats is reported by the guard below, not by
+    # numpy's overflow and invalid-value warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        # + 0.0 makes a field of -0.0 the zero field
+        zeeman = (np.array(bs, dtype=float) + 0.0)[:, None, None, None] * MU_B_OVER_H
+        for idx, rows, h0, moment in t.blocks:
+            # entry for entry the blocks of _table(level).h0 + diag(B mu_B/h moment)
+            w, v = np.linalg.eigh(h0 + zeeman * moment)
+            gap = np.diff(w).min(axis=-1, initial=np.inf)  # per (field, block)
+            # written so that NaN fails it; the spread is not finite when an
+            # eigenvalue is not, or when two lie too far apart to subtract
+            spread = w[..., -1] - w[..., 0]
+            bad = ~((gap >= _GAP_MIN) & np.isfinite(spread))
+            if bad.any():
+                j, k = np.argwhere(bad)[0]
+                why = (f"in-block gap {gap[j, k]:.3e} MHz at B = {bs[j]} G is below {_GAP_MIN} "
+                       "MHz, so rank labels are ambiguous")
+                if not (np.isfinite(w[j, k]).all() and np.isfinite(spread[j, k])):
+                    why = f"the eigenvalues at B = {bs[j]} G are not finite or too far apart"
+                raise LabelingError(f"{level.name}, m={t.labels[rows[k, 0]][1]}: {why}")
+            energies[:, rows] = w
+            amps[:, rows[..., None], idx[:, None]] = v.transpose(0, 1, 3, 2)
     # not amps @ u: only the batched matrix-vector form is bit-equal to U.T @ vec
     amp_f = np.matmul(t.u.T, amps[..., None])[..., 0]
     mag = np.abs(amp_f)
@@ -373,7 +388,7 @@ def diagonalize_range(level: LevelConstants, b_values: Sequence[float]) -> list[
     """Labeled eigensystems at every requested field, in the given order.
 
     The distinct fields are solved together: one stacked eigendecomposition
-    per m block, labeled by energy rank.  At B = 0 the energies are the
+    per m-block size, labeled by energy rank.  At B = 0 the energies are the
     closed-form E(F).  Repeated fields share one EigenSystem.
     """
     bs = [float(b) + 0.0 for b in b_values]  # + 0.0: a field of -0.0 is the zero field
@@ -412,11 +427,11 @@ def _frequencies(pairs: Sequence[tuple[StateRef, StateRef]], b_values) -> np.nda
     return (cols[:, 1] - cols[:, 0]).T
 
 
-# keyed on (level, field).  A miss costs one field's eigendecompositions
-# (0.1-0.3 ms), so the cache only needs to hold the fields one computation
-# revisits: a field estimate's Gauss-Newton steps visit about four fields
-# per local minimum, and read both levels at each for the residual and the
-# Jacobian alike
+# keyed on (level, field).  A miss costs one eigendecomposition per block
+# size (about 0.13 ms on 6S1/2, 0.27 ms on 5D5/2), so the cache only needs
+# to hold the fields one computation revisits: a field estimate's
+# Gauss-Newton steps visit about four fields per local minimum, and read
+# both levels at each
 @lru_cache(maxsize=32)
 def _field_solve(level: LevelConstants, B: float) -> tuple[np.ndarray, ...]:
     """(energies, amp_mImJ, amp_FmF, slopes) of one level at the one field B:
@@ -425,8 +440,9 @@ def _field_solve(level: LevelConstants, B: float) -> tuple[np.ndarray, ...]:
     in that state.  The arrays are read-only, as they are shared."""
     (energies,), (amps,), (amp_f,) = _labeled_solve(level, [B])
     moment = _table(level).moment
-    # one dot per state, not amps**2 @ moment: the batched form rounds differently
-    slopes = np.array([MU_B_OVER_H * float(a**2 @ moment) for a in amps])
+    # a stack of row-by-column products sums each state as its own dot
+    # a**2 @ moment does; amps**2 @ moment, einsum and .sum round differently
+    slopes = MU_B_OVER_H * np.matmul((amps**2)[:, None, :], moment[:, None])[:, 0, 0]
     for x in (energies, amps, amp_f, slopes):
         x.setflags(write=False)
     return energies, amps, amp_f, slopes

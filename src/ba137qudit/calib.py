@@ -100,12 +100,9 @@ class LorentzianFit:
     at_boundary: bool = False
 
 
-def _lorentzian(f, f0, w, a, c):
-    return a * w**2 / ((f - f0) ** 2 + w**2) + c
-
-
 def fit_lorentzian(scan: FrequencyScan) -> LorentzianFit:
-    """Least-squares Lorentzian peak fit of a fine frequency scan.
+    """Least-squares fit of p(f) = a w^2 / ((f - f0)^2 + w^2) + c to a fine
+    frequency scan.
 
     A center within one grid step of either scan edge is flagged
     ``at_boundary`` (the scan window should be re-centered).
@@ -120,11 +117,8 @@ def fit_lorentzian(scan: FrequencyScan) -> LorentzianFit:
     f0 = float(f[np.argmax(y)])
     w0 = max((f[-1] - f[0]) / 6.0, 1e-6)
 
-    def resid(p):
-        return _lorentzian(f, *p) - y
-
-    def jac(p):
-        f0, w, a, _ = p
+    def resid_jac(p):
+        f0, w, a, c = p
         d = f - f0
         w2 = w**2
         q = d**2 + w2
@@ -134,9 +128,9 @@ def fit_lorentzian(scan: FrequencyScan) -> LorentzianFit:
         J[:, 1] = 2 * a * w * d**2 / q2
         J[:, 2] = w2 / q
         J[:, 3] = 1.0
-        return J
+        return a * w2 / q + c - y, J
 
-    res = _lsq.least_squares(resid, jac, [f0, w0, a0, c0])
+    res = _lsq.least_squares(resid_jac, [f0, w0, a0, c0])
     if not res.converged:
         raise FitError(f"Lorentzian fit did not converge in {res.iterations} steps")
     cov = res.covariance()
@@ -294,13 +288,9 @@ def estimate_field(
     meas = np.array([measured[p] - measured[ref] for p in pairs[1:]])
     rows = _line_rows(pairs)
 
-    def resid(x) -> np.ndarray:
-        sims = _lines_at(rows, x[0])[0]
-        return sims[1:] - sims[:1] - meas
-
-    def jac(x) -> np.ndarray:
-        slopes = _lines_at(rows, x[0])[1]
-        return (slopes[1:] - slopes[0])[:, None]
+    def resid_jac(x) -> tuple[np.ndarray, np.ndarray]:
+        sims, slopes = _lines_at(rows, x[0])
+        return sims[1:] - sims[:1] - meas, (slopes[1:] - slopes[0])[:, None]
 
     lo = max(prior[0], 1e-4)
     grid = np.arange(lo, prior[1] + _GRID_STEP, _GRID_STEP)
@@ -315,7 +305,7 @@ def estimate_field(
     minima = []
     for i in sorted(starts):
         left, right = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
-        res = _lsq.least_squares(resid, jac, [grid[i]], lower=[left], upper=[right])
+        res = _lsq.least_squares(resid_jac, [grid[i]], lower=[left], upper=[right])
         if not res.converged:
             raise FitError(
                 f"field estimate did not converge in {res.iterations} steps near B = {grid[i]} G"
@@ -420,10 +410,6 @@ def fit_rabi_flop(trace: RabiTrace) -> RabiFit:
         )
     tw, pw = t[mask], p[mask]
 
-    def model(params):
-        a, c, tp, ts = params
-        return a * np.cos(np.pi * (tw - tp) / (2.0 * ts)) ** 2 + c
-
     p_max = float(pw.max())
     p_min = float(pw.min())
     x0 = [max(p_max - p_min, 0.1), p_min, t_peak_r, t_peak_r]
@@ -433,18 +419,19 @@ def fit_rabi_flop(trace: RabiTrace) -> RabiFit:
     upper = [1.5, 0.5, 1.5 * t_peak_r, 4.0 * t_peak_r]
     x0 = np.clip(x0, lower, upper)
 
-    def jac(params):
-        a, _, tp, ts = params
+    def resid_jac(params):
+        a, c, tp, ts = params
         theta = np.pi * (tw - tp) / (2.0 * ts)
+        cos2 = np.cos(theta) ** 2
         sin2 = a * np.sin(2.0 * theta)
         J = np.empty((tw.size, 4))
-        J[:, 0] = np.cos(theta) ** 2
+        J[:, 0] = cos2
         J[:, 1] = 1.0
         J[:, 2] = sin2 * np.pi / (2.0 * ts)
         J[:, 3] = sin2 * theta / ts
-        return J
+        return a * cos2 + c - pw, J
 
-    res = _lsq.least_squares(lambda q: model(q) - pw, jac, x0, lower=lower, upper=upper)
+    res = _lsq.least_squares(resid_jac, x0, lower=lower, upper=upper)
     if not res.converged:
         raise FitError(f"Rabi fit did not converge in {res.iterations} steps")
     a, c, tp, ts = res.x

@@ -258,19 +258,17 @@ def fit_error_scaling(points) -> ErrorScalingFit:
     else:
         c0 = 0.0
 
-    def resid(p):
-        return _scaling_model(p[0], p[1], x) - y
-
-    def jac(p):
-        c, _ = p
+    def resid_jac(p):
+        c, b = p
         eps = 0.5 * -np.expm1(-c * x)
         denom = eps + (1.0 - eps) ** 2
         # d(spam)/d(eps) and d(eps)/dc by the chain rule
         dspam_deps = ((1.0 - eps) * (1.0 + eps)) / denom**2
         deps_dc = 0.5 * x * np.exp(-c * x)
-        return np.column_stack([dspam_deps * deps_dc, np.ones_like(x)])
+        # _scaling_model(c, b, x) - y, from the terms the Jacobian shares
+        return b + eps / denom - y, np.column_stack([dspam_deps * deps_dc, np.ones_like(x)])
 
-    res = _lsq.least_squares(resid, jac, [c0, b0])
+    res = _lsq.least_squares(resid_jac, [c0, b0])
     if not res.converged:
         raise _lsq.FitError(f"error-scaling fit did not converge in {res.iterations} steps")
     return ErrorScalingFit(

@@ -391,11 +391,14 @@ class ErrorParams:
     ] = field(default_factory=dict)
 
     def __post_init__(self):
-        probs = [(name, getattr(self, name)) for name in _PROBABILITIES]
-        probs += [(f"eps_pi {_pair_key(k)}", p) for k, p in self.eps_pi.items()]
-        probs += [(f"leak {_pair_key(k)}", p) for k, (_, p) in self.leak.items()]
-        for name, p in probs:
+        # (name, pulse pair or None, value); only a failing entry's name is
+        # formatted, as formatting every pair costs more than the checks
+        probs = [(name, None, getattr(self, name)) for name in _PROBABILITIES]
+        probs += [("eps_pi", k, p) for k, p in self.eps_pi.items()]
+        probs += [("leak", k, p) for k, (_, p) in self.leak.items()]
+        for name, pair, p in probs:
             if not 0.0 <= p <= 1.0:
+                name = name if pair is None else f"{name} {_pair_key(pair)}"
                 raise ValueError(f"{name} must be in [0, 1], got {p!r}")
         if not (math.isfinite(self.decay_rate) and self.decay_rate >= 0):
             raise ValueError(f"decay_rate must be finite and nonnegative, got {self.decay_rate!r}")

@@ -357,6 +357,15 @@ def oracle_solve_field(level, B):
     return energies, amps, amp_f
 
 
+def oracle_slopes(level, amps):
+    """Hellmann-Feynman slope in MHz/G of each state, a row of ``amps`` over
+    the product basis: one dot of its squared amplitudes with the table's
+    moments per state, the form the package's batched slopes must equal
+    bit for bit."""
+    moment = atomstruct._table(level).moment
+    return np.array([MU_B_OVER_H * float(a**2 @ moment) for a in amps])
+
+
 def oracle_label_row(ref):
     """Row of a (level, F, m) state ref in ``oracle_solve_field``'s output."""
     below = sum(F.twice + 1 for F in ref.level.f_values() if F < ref.F)
@@ -742,6 +751,18 @@ def oracle_covariance(residuals, params, rel_step=1e-4):
     _, R = np.linalg.qr(J)
     R_inv = np.linalg.solve(R, np.eye(p.size))
     return (r @ r) / (len(r) - p.size) * R_inv @ R_inv.T
+
+
+def oracle_pinv_covariance(jac, cost):
+    """s^2 (J^T J)^-1, s^2 = 2 cost / (m - n), with J^T J inverted by the
+    pseudo-inverse with unit-norm columns: the package's covariance before it
+    took a Cholesky factor."""
+    m, n = jac.shape
+    A = jac.T @ jac
+    d = np.sqrt(np.diag(A))
+    d = np.where(d > 0, d, 1.0)
+    outer = np.outer(d, d)
+    return 2.0 * cost / max(m - n, 1) * np.linalg.pinv(A / outer) / outer
 
 
 def lorentzian_residuals(f, y, params):

@@ -1,3 +1,7 @@
+import re
+from collections import Counter
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -27,6 +31,7 @@ from oracles import (
     oracle_hamiltonian,
     oracle_label_row,
     oracle_lande_g,
+    oracle_slopes,
     oracle_solve_field,
     oracle_walk_energies,
     oracle_zero_field_energy,
@@ -333,6 +338,23 @@ class TestLabelingFailure:
         with pytest.raises(LabelingError, match="B = 0.05 G"):
             diagonalize_range(BA137_D52, [0.05])
 
+    @pytest.mark.parametrize("B", [1e308, 1.7e308])
+    def test_field_beyond_float_range(self, B):
+        message = rf"^6S1/2, m=-?\d: the eigenvalues at B = {re.escape(str(B))} G are not finite"
+        with pytest.raises(LabelingError, match=message):
+            diagonalize_range(BA137_S12, [8.35, B])
+
+    def test_nan_eigenvalue_fails_the_guard(self):
+        eigh = np.linalg.eigh
+
+        def nan_eigh(a):
+            w, v = eigh(a)
+            return np.full_like(w, np.nan), v
+
+        with mock.patch.object(np.linalg, "eigh", nan_eigh):
+            with pytest.raises(LabelingError, match=r"^5D5/2, m=.*B = 3.25 G are not finite"):
+                atomstruct._solve(BA137_D52, [3.25])
+
 
 def _rows(systems):
     """(energies, amp_mImJ, amp_FmF) stacked over fields, rows by label."""
@@ -385,6 +407,25 @@ class TestStackedSolve:
         assert systems[2] is systems[3]
         with pytest.raises(ValueError):
             diagonalize_range(BA137_S12, [1.0, -1.0])
+
+
+@pytest.mark.parametrize("level", [BA137_S12, BA137_D52])
+def test_one_eigh_per_block_size(level):
+    # 6S1/2 has blocks of sizes 1 and 2, 5D5/2 of sizes 1 to 4
+    sizes = set(Counter(tmi + tmj for tmi, tmj in atomstruct._table(level).basis).values())
+    atomstruct._check_zero_field(level)  # cached apart from the field solve
+    with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+        atomstruct._field_solve.__wrapped__(level, 8.35)
+    assert eigh.call_count == len(sizes) == {BA137_S12: 2, BA137_D52: 4}[level]
+
+
+@pytest.mark.parametrize("level", [BA137_S12, BA137_D52])
+def test_field_solve_slopes_match_per_state_dots_bit_for_bit(level):
+    rng = np.random.default_rng(41)
+    fields = [0.0, -0.0, 1e-300, 8.35, *rng.uniform(0.0, 20.0, 150), *rng.exponential(300.0, 50)]
+    for B in fields:
+        _, amps, _, slopes = atomstruct._field_solve.__wrapped__(level, B)
+        assert _identical(slopes, oracle_slopes(level, amps)), B
 
 
 @st.composite

@@ -3,6 +3,7 @@ import json
 import math
 import re
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -42,6 +43,7 @@ from oracles import (
     oracle_fit_lorentzian,
     oracle_fit_rabi,
     oracle_lm_reference,
+    oracle_pinv_covariance,
     rabi_residuals,
 )
 
@@ -710,8 +712,9 @@ def test_solver_matches_reference_loop_bit_for_bit(monkeypatch, fits, bounded, o
     so the same covariance."""
     solve, calls = _lsq.least_squares, []
 
-    def both(fun, jac, x0, lower=None, upper=None):
-        got = solve(fun, jac, x0, lower, upper)
+    def both(fun_jac, x0, lower=None, upper=None):
+        got = solve(fun_jac, x0, lower, upper)
+        fun, jac = (lambda x: fun_jac(x)[0]), (lambda x: fun_jac(x)[1])
         calls.append((got, oracle_lm_reference(fun, jac, x0, lower, upper), lower, upper))
         return got
 
@@ -727,6 +730,51 @@ def test_solver_matches_reference_loop_bit_for_bit(monkeypatch, fits, bounded, o
         assert np.array_equal(got.covariance(), want)
         hits += bounded and bool(np.any((x == np.asarray(lower)) | (x == np.asarray(upper))))
     assert hits >= on_bound
+
+
+def _error_scaling_fits():
+    ref = reference_scaling_points()
+    rng = np.random.default_rng(34)
+    fit_error_scaling(ref)
+    for _ in range(20):
+        fit_error_scaling([(k, t, e + rng.normal(0.0, 0.003)) for k, t, e in ref])
+
+
+@pytest.mark.parametrize("fits, on_bound", [
+    (_lorentzian_fits, 0),
+    (_rabi_fits, 1),
+    (_error_scaling_fits, 0),
+], ids=["lorentzian", "rabi", "error-scaling"])
+def test_covariance_matches_pseudo_inverse(monkeypatch, fits, on_bound):
+    """The Cholesky covariance of every fit agrees with the pseudo-inverse
+    formula to 1e-9 of sqrt(C_ii C_jj), on-bound Rabi fits included."""
+    solve, solutions = _lsq.least_squares, []
+
+    def keep(*args, **kwargs):
+        solutions.append(solve(*args, **kwargs))
+        return solutions[-1]
+
+    monkeypatch.setattr(_lsq, "least_squares", keep)
+    fits()
+    assert solutions
+    hits = 0
+    for sol in solutions:
+        got, want = sol.covariance(), oracle_pinv_covariance(sol.jac, sol.cost)
+        sd = np.sqrt(np.diag(want))
+        assert np.all(np.abs(got - want) <= 1e-9 * np.outer(sd, sd))
+        hits += sol.x[1] == -0.5  # the Rabi offset's lower bound
+    assert hits >= on_bound
+
+
+def test_covariance_of_equal_columns_falls_back_to_pseudo_inverse():
+    # unit-norm scaling makes J^T J exactly [[1, 1], [1, 1]], which has no
+    # Cholesky factor
+    jac = np.array([[3.0, 3.0], [4.0, 4.0], [0.0, 0.0]])
+    sol = _lsq.Solution(np.zeros(2), 0.5, jac, 1, True)
+    with mock.patch.object(np.linalg, "pinv", wraps=np.linalg.pinv) as pinv:
+        cov = sol.covariance()
+    assert pinv.call_count == 1 and np.isfinite(cov).all()
+    assert np.array_equal(cov, oracle_pinv_covariance(jac, 0.5))
 
 
 @pytest.mark.parametrize("fit", [

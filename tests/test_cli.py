@@ -49,6 +49,16 @@ class TestLevels:
     def test_bad_level(self, tmp_path):
         assert main(["--out", str(tmp_path), "levels", "--level", "7P1/2"]) == 2
 
+    def test_field_beyond_float_range_exits_1_without_output(self, tmp_path, capsys):
+        # B mu_B/h is finite at 1e308 G, but the eigenvalues of a block lie
+        # too far apart to subtract, so no rank label can be trusted
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "levels", "--level", "6S1/2", "--b", "1e308:1e308"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: 6S1/2, m=-1: the eigenvalues at B = 1e+308 G are not "
+                                "finite or too far apart\n")
+        assert captured.out == "" and not out.exists()
+
     @pytest.mark.parametrize("level", ["5D5/2", "6S1/2"])
     def test_values_row_by_row(self, tmp_path, level):
         # 5D5/2: line frequencies from |F=2, m=2> of 6S1/2; 6S1/2: energies
