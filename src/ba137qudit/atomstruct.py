@@ -397,14 +397,29 @@ def diagonalize_range(level: LevelConstants, b_values: Sequence[float]) -> list[
     return [systems[b] for b in bs]
 
 
+# fields per stacked solve of a caller that keeps only energies: the
+# eigenvectors and Hamiltonian stacks of a solve take about 16 kB per field
+# on 5D5/2, so a long scan solved at once would hold gigabytes of them
+_CHUNK = 1024
+
+
+def _energies(level: LevelConstants, bs) -> np.ndarray:
+    """``_labeled_solve``'s energies at the fields ``bs``, solved ``_CHUNK``
+    fields at a time, each chunk through every guard."""
+    energies = np.empty((len(bs), level.dim))
+    for i in range(0, len(bs), _CHUNK):
+        energies[i:i + _CHUNK] = _labeled_solve(level, bs[i:i + _CHUNK])[0]
+    return energies
+
+
 # keyed on (level, the fields as float64 bytes).  The field estimate asks
 # for the same grid over its prior on every call, and a miss on that grid
 # costs about 3 ms; a few entries hold it beside the odd one-field request
 @lru_cache(maxsize=8)
 def _grid_energies(level: LevelConstants, grid: bytes) -> np.ndarray:
-    """``_labeled_solve``'s energies at the fields packed in ``grid``,
-    read-only, as they are shared."""
-    energies = _labeled_solve(level, np.frombuffer(grid))[0]
+    """``_energies`` at the fields packed in ``grid``, read-only, as they
+    are shared."""
+    energies = _energies(level, np.frombuffer(grid))
     energies.setflags(write=False)
     return energies
 

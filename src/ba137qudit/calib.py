@@ -18,23 +18,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from . import _lsq
-from .atomstruct import (
-    BA137_D52,
-    BA137_S12,
-    StateRef,
-    _frequencies,
-    _line_rows,
-    _lines_at,
-)
+from . import _lsq, atomstruct, transitions
 from ._lsq import FitError
 from .fixtures import _NUMBER, _json, _number, _read_json, _write_json
-from .spam import paper13_encoding
-from .transitions import StrengthTable
+
+if TYPE_CHECKING:
+    from .atomstruct import StateRef
+    from .transitions import StrengthTable
 
 __all__ = [
     "FrequencyScan",
@@ -286,15 +280,15 @@ def estimate_field(
         raise ValueError(f"prior must be a finite interval (lo, hi) with lo < hi, got {prior}")
     ref = pairs[0]
     meas = np.array([measured[p] - measured[ref] for p in pairs[1:]])
-    rows = _line_rows(pairs)
+    rows = atomstruct._line_rows(pairs)
 
     def resid_jac(x) -> tuple[np.ndarray, np.ndarray]:
-        sims, slopes = _lines_at(rows, x[0])
+        sims, slopes = atomstruct._lines_at(rows, x[0])
         return sims[1:] - sims[:1] - meas, (slopes[1:] - slopes[0])[:, None]
 
     lo = max(prior[0], 1e-4)
     grid = np.arange(lo, prior[1] + _GRID_STEP, _GRID_STEP)
-    sims = _frequencies(pairs, grid)
+    sims = atomstruct._frequencies(pairs, grid)
     values = np.sum((sims[:, 1:] - sims[:, :1] - meas) ** 2, axis=1)
     best = int(np.argmin(values))
     starts = {best} | {
@@ -336,7 +330,7 @@ def simulate_splittings(
     transitions: Sequence[tuple[StateRef, StateRef]], B: float
 ) -> dict[tuple[StateRef, StateRef], float]:
     """Model-generated transition frequencies, e.g. for round-trip tests."""
-    vals = _frequencies(transitions, [B])[0]
+    vals = atomstruct._frequencies(transitions, [B])[0]
     return dict(zip(transitions, vals.tolist()))
 
 
@@ -542,17 +536,18 @@ def scan_plan() -> ScanPlan:
 def paper13_transition_refs() -> dict[int, tuple[StateRef, StateRef]]:
     """Encoded transitions |0> <-> |n> of the 13-level scheme, n = 1..12,
     as pairs of the states of ``spam.paper13_encoding``."""
-    states = paper13_encoding().states
+    states = transitions._PAPER13_STATES
     return {n: (states[0], states[n]) for n in range(1, len(states))}
 
 
 def reference_trio() -> dict[str, tuple[StateRef, StateRef]]:
     """The published reference choice: the least field-sensitive encoded
     transition as offset, the two pure stretched transitions as low/up."""
+    ref, s, d = atomstruct.StateRef.of, atomstruct.BA137_S12, atomstruct.BA137_D52
     return {
-        "offset": (StateRef.of(BA137_S12, 2, 2), StateRef.of(BA137_D52, 2, 1)),
-        "low": (StateRef.of(BA137_S12, 2, -2), StateRef.of(BA137_D52, 4, -4)),
-        "up": (StateRef.of(BA137_S12, 2, 2), StateRef.of(BA137_D52, 4, 4)),
+        "offset": (ref(s, 2, 2), ref(d, 2, 1)),
+        "low": (ref(s, 2, -2), ref(d, 4, -4)),
+        "up": (ref(s, 2, 2), ref(d, 4, 4)),
     }
 
 
@@ -560,6 +555,6 @@ def synthetic_snapshot(B: float) -> CalSnapshot:
     """Model-generated calibration session at one field value."""
     refs = reference_trio()
     trans = paper13_transition_refs()
-    f = _frequencies([refs["offset"], refs["low"], refs["up"], *trans.values()], [B])[0]
+    f = atomstruct._frequencies([refs["offset"], refs["low"], refs["up"], *trans.values()], [B])[0]
     f_offset, f_low, f_up, *freqs = f.tolist()
     return CalSnapshot(f_offset=f_offset, f_low=f_low, f_up=f_up, freqs=dict(zip(trans, freqs)))

@@ -23,21 +23,23 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import atomstruct, calib, fixtures, noise, spam, transitions
-from .angmom import HalfInt
-from .atomstruct import BA137_D52, BA137_S12, StateRef
+from . import angmom, atomstruct, calib, fixtures, noise, spam, transitions
 from .fixtures import (
     _NUMBER, TableError, _json, _number, _read_csv, _read_json, _write_csv, _write_json,
 )
 
-LEVELS = {"6S1/2": BA137_S12, "5D5/2": BA137_D52}
+# --level name -> the name of its preset in atomstruct.  Every library
+# module is read only when a command runs, so a command loads only the
+# modules it uses
+LEVELS = {"6S1/2": "BA137_S12", "5D5/2": "BA137_D52"}
 
 # gauss: the field of the 13-level experiment
 _B_EXPERIMENT = 8.35
 # most field values a --b range may hold
 _MAX_FIELDS = 100_001
-# most shots per state: numpy's multinomial takes its count as a C int64
-_MAX_SHOTS = int(np.iinfo(np.int64).max)
+# most shots per state: spam.post_select rounds shots * probability to an
+# int64, which is exact, and fits, for every count up to 2**53
+_MAX_SHOTS = 2**53
 
 
 class CliError(Exception):
@@ -90,7 +92,7 @@ def _half_int(value, flag):
     """A state label, given by flag or config, checked to be a half-integer
     and kept as given: the output file is named from it."""
     try:
-        HalfInt.coerce(float(value))
+        angmom.HalfInt.coerce(float(value))
     except (TypeError, ValueError):
         raise CliError(f"eigenstates needs {flag} as a half-integer, got {value!r}") from None
     return value
@@ -127,6 +129,11 @@ class _Param(NamedTuple):
     help: str | None = None
 
 
+# spam.MODES, and below the angles of transitions.PAPER13_GEOMETRY, kept
+# as data so that parsing a command loads neither module
+_MODES = ("first-bright", "strict-single-bright")
+
+
 # every parameter, by config key (also its name in the parsed arguments);
 # a value comes from its flag, else the --config file, else the default
 PARAMS = {
@@ -136,12 +143,12 @@ PARAMS = {
     "f": _Param("--f-tilde", _NUMBER + (str,), None, _half_int),
     "m": _Param("--m-tilde", _NUMBER + (str,), None, _half_int),
     "b_gauss": _Param("--b", _NUMBER, _B_EXPERIMENT, _nonnegative),
-    "phi_deg": _Param("--phi", _NUMBER, transitions.PAPER13_GEOMETRY.phi, _finite),
-    "gamma_deg": _Param("--gamma", _NUMBER, transitions.PAPER13_GEOMETRY.gamma, _finite),
+    "phi_deg": _Param("--phi", _NUMBER, 45.0, _finite),
+    "gamma_deg": _Param("--gamma", _NUMBER, 58.0, _finite),
     "threshold": _Param("--threshold", _NUMBER, 0.03, _finite),
     "errors": _Param("--errors", str, "table-e5", help="zero | table-e5 | params.json"),
     "shots": _Param("--shots", int, 1000, _at_least(1, most=_MAX_SHOTS)),
-    "mode": _Param("--mode", str, "first-bright", _one_of(spam.MODES), choices=spam.MODES),
+    "mode": _Param("--mode", str, "first-bright", _one_of(_MODES), choices=_MODES),
     "seed": _Param("--seed", int, 0, _at_least(0)),
     "b_center": _Param("--b-center", _NUMBER, _B_EXPERIMENT, _nonnegative),
     "drift": _Param("--drift", _NUMBER, 0.02, _drift),
@@ -176,23 +183,29 @@ def _resolve(args, keys):
         setattr(args, key, value)
 
 
+def _level(name):
+    """The ``atomstruct`` preset of a --level name."""
+    return getattr(atomstruct, LEVELS[name])
+
+
 def cmd_levels(args):
     bs = args.b_range
-    level = LEVELS[args.level]
+    level = _level(args.level)
     labels = atomstruct._table(level).labels
-    if level is BA137_D52:  # lines from the encoding's ground state |F=2, m=2>
-        ground = StateRef.of(BA137_S12, 2, 2)
-        values = atomstruct._frequencies([(ground, StateRef(level, F, m)) for F, m in labels], bs)
+    ref = atomstruct.StateRef
+    if level is atomstruct.BA137_D52:  # lines from the encoding's ground state |F=2, m=2>
+        ground = ref.of(atomstruct.BA137_S12, 2, 2)
+        values = atomstruct._frequencies([(ground, ref(level, F, m)) for F, m in labels], bs)
     else:  # energies relative to the level centroid
-        values = atomstruct._labeled_solve(level, bs)[0]
+        values = atomstruct._energies(level, bs)
     names = [f"F{F}_m{m}" for F, m in labels]
     header, mark = ["B_gauss", "state_label", "frequency_MHz"], []
     if args.b_mark is not None:
         header, mark = header + ["b_mark_gauss"], [repr(args.b_mark)]
     rows = (
         [repr(b + 0.0), name, repr(value)] + mark  # + 0.0: -0.0 G is written 0.0
-        for b, row_values in zip(bs, values.tolist())
-        for name, value in zip(names, row_values)
+        for b, row_values in zip(bs, values)  # one row's floats at a time
+        for name, value in zip(names, row_values.tolist())
     )
     return [(f"levels_{args.level.replace('/', '')}.csv",
              partial(_write_csv, header=header, rows=rows))]
@@ -200,7 +213,7 @@ def cmd_levels(args):
 
 def cmd_eigenstates(args):
     try:
-        scan = atomstruct.decomposition_scan(LEVELS[args.level], args.f, args.m, args.b_range)
+        scan = atomstruct.decomposition_scan(_level(args.level), args.f, args.m, args.b_range)
     except KeyError as exc:
         raise CliError(str(exc))
     return [(f"eigenstate_{args.level.replace('/', '')}_F{args.f}_m{args.m}.csv",
@@ -219,7 +232,7 @@ def cmd_strengths(args):
         "max_abs_deviation_vs_reference": dev,
     }
     if args.list_encodable:
-        picked = [StateRef(BA137_D52, *p)
+        picked = [atomstruct.StateRef(atomstruct.BA137_D52, *p)
                   for p in transitions.encodable_states(table, args.threshold)]
         report["encodable_states"] = [state.key for state in picked]
         print(f"strengths: {len(picked)} states above {args.threshold}:")
@@ -377,7 +390,7 @@ def cmd_fit(args):
 def _splitting(row):
     """((ground, excited), frequency) of a measured-splittings row: columns
     transition (e.g. S:F2:m2->D:F4:m4) and freq_MHz."""
-    g, e = (spam.parse_atomic_state(key) for key in row["transition"].split("->"))
+    g, e = (atomstruct.parse_atomic_state(key) for key in row["transition"].split("->"))
     return (g, e), _number(row["freq_MHz"])
 
 

@@ -63,7 +63,7 @@ from .fixtures import (
     _NUMBER, _json, _read_confusion, _read_json, _write_csv, _write_json, fixture_path,
     load_transition_params,
 )
-from .transitions import PAPER13_D_STATES
+from .transitions import _PAPER13_STATES
 
 __all__ = [
     "QuditEncoding",
@@ -182,8 +182,7 @@ class QuditEncoding:
 def paper13_encoding() -> QuditEncoding:
     """The 13-level encoding: |0> = 6S1/2(F~=2, m=2) plus the twelve 5D5/2
     states reachable from it with relative strength above 0.03."""
-    states = (_S(2, 2),) + tuple(StateRef(BA137_D52, f, m) for f, m in PAPER13_D_STATES)
-    return QuditEncoding(name="paper13", states=states)
+    return QuditEncoding(name="paper13", states=_PAPER13_STATES)
 
 
 def twenty_five_level_encoding() -> QuditEncoding:

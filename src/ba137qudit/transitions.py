@@ -74,6 +74,11 @@ PAPER13_D_STATES: tuple[tuple[HalfInt, HalfInt], ...] = tuple(
         (1, 0),
     ]
 )
+# the 13 states in qudit index order, |0> first: the states of
+# spam.paper13_encoding and the ends of calib.paper13_transition_refs
+_PAPER13_STATES = (StateRef.of(BA137_S12, 2, 2),) + tuple(
+    StateRef(BA137_D52, f, m) for f, m in PAPER13_D_STATES
+)
 
 
 def geometric_factor(q: int, geometry: LaserGeometry) -> float:

@@ -399,6 +399,28 @@ class TestStackedSolve:
         assert got.shape == (len(grid), len(pairs))
         assert _identical(got, want)
 
+    @pytest.mark.parametrize("level", [BA137_S12, BA137_D52])
+    def test_chunked_energies_match_one_solve_bit_for_bit(self, level):
+        # three chunks, the last one partial; zeros of both signs on either
+        # side of the first chunk edge
+        n = atomstruct._CHUNK
+        rng = np.random.default_rng(7)
+        grid = [0.0, *rng.uniform(0.0, 20.0, n - 2).tolist(), -0.0, 0.0, -0.0,
+                *rng.exponential(300.0, n).tolist()]
+        with mock.patch.object(atomstruct, "_labeled_solve",
+                               wraps=atomstruct._labeled_solve) as solve:
+            got = atomstruct._energies(level, grid)
+        assert solve.call_count == 3
+        assert got.tobytes() == atomstruct._labeled_solve(level, grid)[0].tobytes()
+        # a field that fails the gap guard fails it with the same message
+        bad = grid[:n + 1] + [1e308] + grid[n + 1:]
+        messages = []
+        for energies in (atomstruct._energies, lambda lv, bs: atomstruct._labeled_solve(lv, bs)[0]):
+            with pytest.raises(LabelingError) as failure:
+                energies(level, bad)
+            messages.append(str(failure.value))
+        assert messages[0] == messages[1] and "B = 1e+308 G" in messages[0]
+
     def test_edge_requests(self):
         assert diagonalize_range(BA137_D52, []) == []
         systems = diagonalize_range(BA137_D52, [-0.0, 0.0, 3.0, 3.0])

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from ba137qudit import spam
-from ba137qudit.atomstruct import BA137_S12, diagonalize, transition_frequency
-from ba137qudit.cli import COMMANDS, LEVELS, PARAMS, CliError, _parse_b_range, main
+from ba137qudit.atomstruct import BA137_D52, BA137_S12, diagonalize, transition_frequency
+from ba137qudit.cli import COMMANDS, PARAMS, CliError, _parse_b_range, main
 from ba137qudit.fixtures import _read_csv, fixture_path
 from ba137qudit.noise import (
     fit_error_scaling, load_scaling_points, reference_scaling_points, write_scaling_points,
@@ -67,7 +67,7 @@ class TestLevels:
         want = []
         for B in (0.0, 2.5, 5.0, 7.5, 10.0):
             ground = diagonalize(BA137_S12, B).state(2, 2)
-            for s in diagonalize(LEVELS[level], B):
+            for s in diagonalize({"6S1/2": BA137_S12, "5D5/2": BA137_D52}[level], B):
                 value = s.energy if level == "6S1/2" else transition_frequency(ground, s)
                 want.append([repr(B), f"F{s.F_tilde}_m{s.m_F_tilde}", repr(value)])
         assert rows == want
@@ -244,9 +244,10 @@ class TestSpam:
     (["spam", "--shots", "-5"], None),
     (["spam"], {"shots": 0}),
     (["spam"], {"mode": "majority"}),
-    # numpy's multinomial takes at most 2**63 - 1 shots
+    # shots * probability must stay an exact float inside int64
     (["spam", "--shots", "9223372036854775808"], None),
-    (["spam"], {"shots": 2**63}),
+    (["spam"], {"shots": 2**53 + 1}),
+    (["spam", "--shots", "9007199254740993"], None),
 ])
 def test_bad_spam_input_exits_2(tmp_path, capsys, argv, config):
     prefix = ["--out", str(tmp_path)]
@@ -334,13 +335,24 @@ def test_bad_parameter_exits_2_naming_its_flag_before_any_output(
 
 
 def test_shots_bound_is_the_largest_multinomial_count():
+    # the largest count whose product with a probability <= 1 is exact and
+    # fits int64, as post_select rounds it; 2**63 - 1 rounds up to 2**63
     check = PARAMS["shots"].check
-    assert check(2**63 - 1, "--shots") == 2**63 - 1
-    np.random.default_rng(0).multinomial(2**63 - 1, [0.5, 0.5])
-    with pytest.raises(CliError, match="--shots must be at most 9223372036854775807"):
-        check(2**63, "--shots")
-    with pytest.raises(OverflowError):
-        np.random.default_rng(0).multinomial(2**63, [0.5, 0.5])
+    assert check(2**53, "--shots") == 2**53
+    np.random.default_rng(0).multinomial(2**53, [0.5, 0.5])
+    assert float(2**53 + 1) == float(2**53) and float(2**63 - 1) == 2**63
+    with pytest.raises(CliError, match="--shots must be at most 9007199254740992"):
+        check(2**53 + 1, "--shots")
+
+
+def test_spam_at_the_shots_bound_post_selects_exact_counts(tmp_path, capsys):
+    with np.errstate(over="raise", invalid="raise"):  # 2**63 - 1 shots failed the cast
+        assert main(["--out", str(tmp_path), "--format", "json", "spam",
+                     "--shots", str(2**53)]) == 0
+    post = json.loads((tmp_path / "spam_post.json").read_text())
+    raw = json.loads((tmp_path / "spam_raw.json").read_text())
+    assert raw["shots"] == [2**53] * 13
+    assert all(0 < s <= 2**53 for s in post["shots"])
 
 
 @pytest.mark.parametrize("argv, config", [

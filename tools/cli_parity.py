@@ -52,7 +52,7 @@ FIXED = [
     ("spam-json", ["--format", "json", "--seed", "3", "spam", "--shots", "200"], {}),
     ("spam-both", ["--seed", "4", "spam", "--format", "both", "--errors", "zero",
                    "--shots", "50", "--mode", "strict-single-bright"], {}),
-    ("spam-shots-at-bound", ["spam", "--errors", "zero", "--shots", str(2**63 - 1)], {}),
+    ("spam-shots-at-bound", ["spam", "--errors", "zero", "--shots", str(2**53)], {}),
     ("levels-6S12-b-mark", ["levels", "--level", "6S1/2", "--b", "0:3:0.5", "--b-mark", "8.35"],
      {}),
     ("levels-one-field", ["levels", "--b", "5:5"], {}),
