@@ -2,7 +2,7 @@
 
 Modules
 -------
-angmom       exact Clebsch-Gordan / Wigner 3j coefficients
+angmom       exact Clebsch-Gordan coefficients (the 3j symbol is internal)
 atomstruct   hyperfine + Zeeman structure, state labeling by in-block energy rank
 transitions  laser geometry factors and relative quadrupole strengths
 noise        filter-function dephasing model and secondary error budget
@@ -24,7 +24,7 @@ ordinary submodule.
 
 # every re-exported name, by the module that defines it
 _EXPORTS = {
-    "angmom": ("HalfInt", "clebsch_gordan", "wigner3j"),
+    "angmom": ("HalfInt", "clebsch_gordan"),
     "atomstruct": (
         "BA137_D52",
         "BA137_S12",

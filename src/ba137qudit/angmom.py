@@ -1,4 +1,4 @@
-"""Angular-momentum coupling coefficients with exact rational arithmetic.
+"""Clebsch-Gordan coefficients, from an internal 3j symbol, in exact arithmetic.
 
 Quantum numbers are carried as doubled integers (``HalfInt``), so every
 factorial argument in the Racah sum is an exact integer and the only
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-__all__ = ["HalfInt", "clebsch_gordan", "wigner3j"]
+__all__ = ["HalfInt", "clebsch_gordan"]
 
 
 @dataclass(frozen=True, order=True)
@@ -49,26 +49,8 @@ class HalfInt:
     def __float__(self) -> float:
         return self.twice / 2.0
 
-    def __add__(self, other) -> "HalfInt":
-        return HalfInt(self.twice + HalfInt.coerce(other).twice)
-
-    __radd__ = __add__
-
     def __sub__(self, other) -> "HalfInt":
         return HalfInt(self.twice - HalfInt.coerce(other).twice)
-
-    def __rsub__(self, other) -> "HalfInt":
-        return HalfInt(HalfInt.coerce(other).twice - self.twice)
-
-    def __neg__(self) -> "HalfInt":
-        return HalfInt(-self.twice)
-
-    def __abs__(self) -> "HalfInt":
-        return HalfInt(abs(self.twice))
-
-    @property
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
 
     def __str__(self) -> str:
         if self.twice % 2 == 0:
@@ -146,20 +128,6 @@ def _wigner3j_signed_square(
     if ((tj1 - tj2 - tm3) // 2) % 2:
         sign = -sign
     return sign, pre * total * total
-
-
-def wigner3j(j1, j2, j3, m1, m2, m3) -> float:
-    """Wigner 3j symbol (j1 j2 j3; m1 m2 m3).
-
-    Arguments may be ints, exact half-integer floats, or HalfInt.  Selection
-    rule violations (m1+m2+m3 != 0, triangle failure, |m| > j) return 0.
-    """
-    tj = [HalfInt.coerce(j).twice for j in (j1, j2, j3)]
-    tm = [HalfInt.coerce(m).twice for m in (m1, m2, m3)]
-    if any(t < 0 for t in tj):
-        raise ValueError("angular momentum magnitudes must be nonnegative")
-    sign, square = _wigner3j_signed_square(tj[0], tj[1], tj[2], tm[0], tm[1], tm[2])
-    return sign * _sqrt_fraction(square)
 
 
 def clebsch_gordan(j1, m1, j2, m2, J, M) -> float:

@@ -276,10 +276,6 @@ class LabeledEigenstate:
     def ref(self) -> StateRef:
         return StateRef(self.level, self.F_tilde, self.m_F_tilde)
 
-    def f_component(self, F, m) -> float:
-        """Amplitude on the zero-field state |F, m_F=m>."""
-        return float(self.amp_FmF[_row(self.level, F, m)])
-
 
 def _row(level: LevelConstants, F, m) -> int:
     """Row of the label |F, m_F> (or |F~, m_F~>) in the level's table."""
@@ -397,19 +393,24 @@ def diagonalize_range(level: LevelConstants, b_values: Sequence[float]) -> list[
     return [systems[b] for b in bs]
 
 
-# fields per stacked solve of a caller that keeps only energies: the
+# fields per stacked solve of a caller that keeps one row per field: the
 # eigenvectors and Hamiltonian stacks of a solve take about 16 kB per field
 # on 5D5/2, so a long scan solved at once would hold gigabytes of them
 _CHUNK = 1024
 
 
-def _energies(level: LevelConstants, bs) -> np.ndarray:
-    """``_labeled_solve``'s energies at the fields ``bs``, solved ``_CHUNK``
-    fields at a time, each chunk through every guard."""
-    energies = np.empty((len(bs), level.dim))
+def _chunked(level: LevelConstants, bs, keep) -> np.ndarray:
+    """``keep(*_labeled_solve(...))``, a row of ``level.dim`` numbers per field
+    of ``bs``, solved ``_CHUNK`` fields at a time, each through every guard."""
+    kept = np.empty((len(bs), level.dim))
     for i in range(0, len(bs), _CHUNK):
-        energies[i:i + _CHUNK] = _labeled_solve(level, bs[i:i + _CHUNK])[0]
-    return energies
+        kept[i:i + _CHUNK] = keep(*_labeled_solve(level, bs[i:i + _CHUNK]))
+    return kept
+
+
+def _energies(level: LevelConstants, bs) -> np.ndarray:
+    """``_labeled_solve``'s energies at the fields ``bs``, by ``_chunked``."""
+    return _chunked(level, bs, lambda energies, amps, amp_f: energies)
 
 
 # keyed on (level, the fields as float64 bytes).  The field estimate asks
@@ -502,7 +503,7 @@ def decomposition_scan(
     F, m = HalfInt.coerce(F), HalfInt.coerce(m)
     k = _row(level, F, m)
     bs = np.asarray(list(b_values), dtype=float)
-    amps = _labeled_solve(level, bs)[2][:, k]
+    amps = _chunked(level, bs, lambda energies, amps, amp_f: amp_f[:, k])
     keep = np.flatnonzero(np.max(np.abs(amps), axis=0) > 1e-12)
     comps = tuple(_table(level).labels[i] for i in keep)
     return DecompositionScan(level, F, m, bs, comps, amps[:, keep])

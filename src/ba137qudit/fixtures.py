@@ -18,11 +18,11 @@ be supplied to every loader, which the command line exposes as
 as UTF-8 with or without a byte-order mark: no data rows, a row whose width
 differs from its header's, a missing column, or a cell that is not a finite
 number where one is expected raises TableError naming the file and the line
-or column.  Every confusion
-table also goes through ``_read_confusion``, which checks its outcome
-columns, row sums and cells.  Every table the package writes goes through
-``_write_csv``, and every JSON file through ``_read_json`` (UTF-8 with or
-without a byte-order mark; it names the key at fault and rejects a key
+or column, as does a confusion table whose rows are not prepared 0..d-1 in
+order (``_read_confusion`` also checks outcome columns, row sums and cells)
+or a table_e5 that repeats a qudit index.  Every table the package writes
+goes through ``_write_csv``, and every JSON file through ``_read_json`` (UTF-8
+with or without a byte-order mark; it names the key at fault and rejects a key
 repeated within an object; ``_json`` checks each value) and ``_write_json``.
 """
 
@@ -61,7 +61,7 @@ class TableError(ValueError):
 
 
 class _Row(dict):
-    """One data row of a table: cell text by column name, in header order."""
+    """One data row: cell text by column name, in header order; its ``line``."""
 
     def __missing__(self, column):
         raise TableError(f"no column {column!r}; the header has {','.join(self)}")
@@ -95,8 +95,10 @@ def _read_csv(path, parse) -> tuple[list[str], list]:
                         f"{path}, line {reader.line_num}: {len(row)} fields, "
                         f"the header has {len(header)}"
                     )
+                cells = _Row(zip(header, row))
+                cells.line = reader.line_num
                 try:
-                    rows.append(parse(_Row(zip(header, row))))
+                    rows.append(parse(cells))
                 except TableError as exc:  # a column the header lacks
                     raise TableError(f"{path}: {exc}") from None
                 except ValueError as exc:
@@ -177,7 +179,7 @@ def load_strength_fixture(fixtures_dir=None):
     return d_keys, header[1:], values
 
 
-def _confusion_row(row: _Row) -> tuple[str, list[float]]:
+def _confusion_row(row: _Row) -> tuple[str, list[float], int]:
     label, probs = _labeled_numbers(row)
     for column, p in zip(list(row)[1:], probs):
         if not 0.0 <= p <= 1.0:
@@ -186,13 +188,14 @@ def _confusion_row(row: _Row) -> tuple[str, list[float]]:
     # printed precision can miss row-stochasticity by a couple of counts
     if dev > 2.5e-3:
         raise ValueError(f"row deviates from unit sum by {dev:g} (> 0.0025)")
-    return label, probs
+    return label, probs, row.line
 
 
 def _read_confusion(path) -> tuple[list[str], list[str], np.ndarray, bool]:
     """(prepared labels, outcome labels, probability matrix, has_null) of a
     confusion table: header prepared,0,1,...,d-1 and an optional Null
-    column, and every row summing to 1 within the printed precision."""
+    column, rows prepared 0..d-1 in order, and every row summing to 1 within
+    the printed precision."""
     header, rows = _read_csv(path, _confusion_row)
     outcomes = [str(i) for i in range(len(rows))]
     if header[1:] not in (outcomes, outcomes + ["Null"]):
@@ -200,8 +203,12 @@ def _read_confusion(path) -> tuple[list[str], list[str], np.ndarray, bool]:
             f"{path}: outcome columns {','.join(header[1:])}; {len(rows)} rows need "
             f"0..{len(rows) - 1} and an optional Null"
         )
-    probs = np.array([p for _, p in rows])
-    return [label for label, _ in rows], header[1:], probs, header[-1] == "Null"
+    for want, (label, _, line) in zip(outcomes, rows):
+        if label != want:
+            raise TableError(f"{path}, line {line}: prepared {label!r} where {want} belongs; "
+                             f"rows are prepared 0..{len(rows) - 1} in order")
+    probs = np.array([p for _, p, _ in rows])
+    return outcomes, header[1:], probs, header[-1] == "Null"
 
 
 def load_confusion_fixture(name: str, fixtures_dir=None):
@@ -240,5 +247,12 @@ def _transition_params(r: _Row) -> TransitionParams:
 
 
 def load_transition_params(fixtures_dir=None) -> list[TransitionParams]:
-    _, rows = _read_csv(fixture_path("table_e5.csv", fixtures_dir), _transition_params)
-    return rows
+    path = fixture_path("table_e5.csv", fixtures_dir)
+    _, rows = _read_csv(path, lambda r: (_transition_params(r), r.line))
+    seen = set()
+    for row, line in rows:
+        if row.index in seen:
+            raise TableError(f"{path}, line {line}: state {row.index} is on an earlier row too")
+        if row.index is not None:
+            seen.add(row.index)
+    return [row for row, _ in rows]

@@ -17,22 +17,20 @@ Under this PSD the chi integrand on each interval between the cutoff,
 the mains-peak edges and the Rabi frequency is a sum of c, a/w, c/w^2 and
 a/w^3, so ``chi_numeric`` is an exact sum of antiderivatives; the
 error-scaling fit runs on the package's numpy least-squares solver.  The
-field-noise PSD is ``NoiseModel.base_psd``; the pi-pulse filter function
-and the kappa^2 factor enter only through chi.  The module needs numpy
-alone.
+field-noise PSD has no evaluator of its own: chi reads it one piece at a
+time, and the pi-pulse filter function and the kappa^2 factor also enter
+only through chi.  The module needs numpy alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import _lsq
-from .fixtures import (
-    _NUMBER, _json, _number, _read_csv, _read_json, _write_csv, _write_json, load_transition_params,
-)
+from .fixtures import _number, _read_csv, _write_csv, load_transition_params
 
 __all__ = [
     "NoiseModel",
@@ -89,14 +87,6 @@ class NoiseModel:
         if min(self.h_a, self.h_b, self.h_peak) < 0:
             raise ValueError("PSD levels must be nonnegative")
 
-    def base_psd(self, omega: float) -> float:
-        """S_B at omega (rad/s).  The transition-frequency PSD is this times
-        kappa^2, with kappa in rad/s per gauss."""
-        if not 0.0 <= omega < math.inf:
-            raise ValueError(f"omega must be finite and nonnegative, got {omega!r}")
-        a, c = self._piece(omega)
-        return a / omega + c if a else c
-
     def _piece(self, omega: float) -> tuple[float, float]:
         """(a, c) with S_B = a/w + c on the piece of the PSD that holds omega."""
         if omega < self.omega_0:
@@ -104,28 +94,6 @@ class NoiseModel:
         if self.omega_ac - self.delta_omega_ac / 2 < omega < self.omega_ac + self.delta_omega_ac / 2:
             return 0.0, self.h_peak
         return self.h_a, self.h_b
-
-    def to_json(self, path) -> None:
-        _write_json(path, asdict(self))
-
-    @classmethod
-    def from_json(cls, path) -> "NoiseModel":
-        """Read what ``to_json`` writes; a key the file leaves out keeps its
-        default.  A file that is not such a document, an unknown key or a
-        value that is not a finite number raises TableError naming the file
-        and the key at fault."""
-        names = [f.name for f in fields(cls)]
-
-        def read(doc, where):
-            values = {}
-            for where.key, x in doc.items():
-                if where.key not in names:
-                    raise ValueError(f"unknown key; expected one of {', '.join(names)}")
-                values[where.key] = _number(_json(x, _NUMBER))
-            where.key = "values"
-            return cls(**values)
-
-        return _read_json(path, read)
 
 
 @dataclass(frozen=True)

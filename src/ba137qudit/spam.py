@@ -95,7 +95,6 @@ __all__ = [
     "read_confusion_csv",
     "write_confusion_csv",
     "load_reference_confusion",
-    "intervals_from_timings",
 ]
 
 
@@ -473,7 +472,7 @@ def error_params_from_json(path) -> ErrorParams:
     return _read_json(path, read)
 
 
-def error_params_from_reference(fixtures_dir=None, **kwargs) -> ErrorParams:
+def error_params_from_reference(fixtures_dir=None) -> ErrorParams:
     """eps_pi from the bundled per-transition reference table (13-level
     encoding, single-transition-error column)."""
     ground = _S(2, 2)
@@ -484,7 +483,7 @@ def error_params_from_reference(fixtures_dir=None, **kwargs) -> ErrorParams:
         if row.single_transition_error is None:
             continue
         eps[(ground, parse_atomic_state(row.atomic_state))] = row.single_transition_error
-    return ErrorParams(eps_pi=eps, **kwargs)
+    return ErrorParams(eps_pi=eps)
 
 
 _OTHER_GROUND = StateRef(BA137_S12, HalfInt(-2), HalfInt(0))  # inert bright sentinel, F~ = -1
@@ -544,11 +543,6 @@ class ConfusionMatrix:
     @property
     def n_outcomes(self) -> int:
         return self.probs.shape[1] - (1 if self.has_null else 0)
-
-    def null_column(self) -> np.ndarray:
-        if not self.has_null:
-            raise ValueError("matrix has no Null column")
-        return self.probs[:, -1]
 
     def diagonal(self) -> np.ndarray:
         return np.array([self.probs[i, i] for i in range(self.n_prepared)])
@@ -878,12 +872,6 @@ def reference_timings(fixtures_dir=None) -> Timings:
         if row.index not in (None, 0) and row.tau_pi_us is not None:
             pi[row.index] = row.tau_pi_us * 1e-6
     return Timings(fluorescence_check=5e-3, awg_trigger=4e-3, optical_pump=0.0, pi_pulse=pi)
-
-
-def intervals_from_timings(plan: MeasurementPlan, timings: Timings) -> list[float]:
-    """Elapsed time before each fluorescence check (decay exposure)."""
-    return [0.0] + [timings.awg_trigger + timings.pi_pulse.get(n, 0.0) + timings.fluorescence_check
-                    for n in range(1, plan.n_checks)]
 
 
 def write_confusion_csv(path, matrix: ConfusionMatrix) -> None:

@@ -13,6 +13,7 @@ from ba137qudit.atomstruct import (
     BA137_D52,
     BA137_S12,
     StateRef,
+    _row,
     diagonalize,
     field_sensitivity,
 )
@@ -98,7 +99,7 @@ def test_criterion_03_stretched_state_purity():
     for b in np.linspace(0.0, 10.0, 41):
         sys_ = diagonalize(BA137_D52, float(b))
         for m in (4, -4):
-            worst = max(worst, abs(sys_.state(4, m).f_component(4, m) - 1.0))
+            worst = max(worst, abs(sys_.state(4, m).amp_FmF[_row(BA137_D52, 4, m)] - 1.0))
     ok = worst < 1e-10
     report(3, ok, f"|F~=4, m=+/-4> overlap deviation <= {worst:.2e} for B in [0, 10] G")
 

@@ -154,13 +154,14 @@ class TestDiagonalize:
     def test_zero_field_states_are_pure(self):
         for level in (BA137_S12, BA137_D52):
             for s in diagonalize(level, 0.0):
-                assert s.f_component(s.F_tilde, s.m_F_tilde) == pytest.approx(1.0, abs=1e-12)
+                row = atomstruct._row(level, s.F_tilde, s.m_F_tilde)
+                assert s.amp_FmF[row] == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("B", [0.0, 0.2, 2.0, 8.35, 10.0])
     def test_stretched_states_stay_pure(self, B):
         sys = diagonalize(BA137_D52, B)
         for m in (4, -4):
-            assert abs(sys.state(4, m).f_component(4, m) - 1.0) < 1e-10
+            assert abs(sys.state(4, m).amp_FmF[atomstruct._row(BA137_D52, 4, m)] - 1.0) < 1e-10
 
     @pytest.mark.parametrize("level", [BA137_S12, BA137_D52])
     def test_orthonormal_complete(self, level):
@@ -420,6 +421,27 @@ class TestStackedSolve:
                 energies(level, bad)
             messages.append(str(failure.value))
         assert messages[0] == messages[1] and "B = 1e+308 G" in messages[0]
+
+    @pytest.mark.parametrize("level", [BA137_S12, BA137_D52])
+    def test_chunked_scan_matches_one_solve_bit_for_bit(self, level, tmp_path):
+        # two chunks; zeros of both signs on either side of the chunk edge
+        n = atomstruct._CHUNK
+        grid = [*np.linspace(0.0, 30.0, n - 2).tolist(), -0.0, 0.0, -0.0, 0.0, 8.35, 0.0]
+        F, m = atomstruct._table(level).labels[1]
+        with mock.patch.object(atomstruct, "_labeled_solve",
+                               wraps=atomstruct._labeled_solve) as solve:
+            scan = decomposition_scan(level, F, m, grid)
+        assert solve.call_count == 2
+        # the scan as one solve over every field gives it
+        amps = atomstruct._labeled_solve(level, grid)[2][:, atomstruct._row(level, F, m)]
+        keep = np.flatnonzero(np.max(np.abs(amps), axis=0) > 1e-12)
+        whole = atomstruct.DecompositionScan(
+            level, F, m, scan.b_values, tuple(atomstruct._table(level).labels[i] for i in keep),
+            amps[:, keep])
+        for name, s in (("chunked.csv", scan), ("whole.csv", whole)):
+            write_decomposition_scan(tmp_path / name, s)
+        assert len(scan.components) > 1
+        assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
     def test_edge_requests(self):
         assert diagonalize_range(BA137_D52, []) == []

@@ -141,6 +141,31 @@ def test_cli_header_only_confusion_table_exits_2(tmp_path, capsys):
     assert "empty.csv: no data rows" in capsys.readouterr().err
 
 
+def test_cli_confusion_rows_out_of_order_exit_2(tmp_path, capsys):
+    # rows 0 and 1 swapped with their labels: read by position, the table
+    # gave a raw error of 0.319 in place of the bundled 0.190
+    lines = fixture_path("table_s1.csv").read_text().splitlines(keepends=True)
+    lines[1], lines[2] = lines[2], lines[1]
+    (tmp_path / "table_s1.csv").write_text("".join(lines))
+    rc = main(["--out", str(tmp_path / "out"), "spam", "--analyze", str(tmp_path / "table_s1.csv")])
+    assert rc == 2
+    assert "table_s1.csv, line 2: prepared '1' where 0 belongs" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_repeated_state_index_exits_2(tmp_path, capsys):
+    # row 1 also claiming index 2 made the preparation time 0.000 ms, not 0.037
+    d = tmp_path / "fixtures"
+    shutil.copytree(fixture_path("table_e5.csv").parent, d)
+    lines = (d / "table_e5.csv").read_text().splitlines(keepends=True)
+    lines[2] = "2" + lines[2].removeprefix("1")
+    (d / "table_e5.csv").write_text("".join(lines))
+    rc = main(["--out", str(tmp_path / "out"), "--fixtures-dir", str(d), "budget"])
+    assert rc == 2
+    assert "table_e5.csv, line 4: state 2 is on an earlier row too" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def valid_tables():
     """command argv (input path last) -> (file name, CSV text) of a table
     that command reads without error."""

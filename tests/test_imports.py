@@ -245,7 +245,7 @@ def test_package_names_are_its_modules_names():
         "fit_lorentzian", "fit_rabi_flop", "geometric_factor", "paper13_encoding",
         "pi_pulse_error", "post_select", "predict_frequency", "ratio_pi_calibration",
         "run_experiment", "scaling_analysis", "spam_error_from_pi", "strength_table",
-        "timing_budget", "transition_frequency", "wigner3j", "zero_field_energy",
+        "timing_budget", "transition_frequency", "zero_field_energy",
     ])
     modules = [getattr(ba137qudit, name) for name in LIBRARY]
     for name in dir(ba137qudit):

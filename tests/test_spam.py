@@ -35,7 +35,6 @@ from ba137qudit.spam import (
     error_params_from_json,
     error_params_from_reference,
     error_params_to_json,
-    intervals_from_timings,
     load_reference_confusion,
     paper13_encoding,
     reference_timings,
@@ -270,7 +269,7 @@ class TestRunExperiment:
         enc = paper13_encoding()
         m = run_experiment(enc, ErrorParams.zero(enc), 100, seed=1)
         assert np.array_equal(m.probs[:, :-1], np.eye(13))
-        assert np.all(m.null_column() == 0.0)
+        assert m.has_null and np.all(m.probs[:, -1] == 0.0)
 
     def test_deterministic_and_schedule_independent(self):
         enc = two_level()
@@ -283,7 +282,7 @@ class TestRunExperiment:
 
     def test_rows_stochastic(self):
         enc = paper13_encoding()
-        errs = error_params_from_reference(prep_error=0.002)
+        errs = dataclasses.replace(error_params_from_reference(), prep_error=0.002)
         m = run_experiment(enc, errs, 2000, seed=3)
         assert np.max(np.abs(m.probs.sum(axis=1) - 1.0)) < 1e-12
 
@@ -514,14 +513,6 @@ class TestTimingBudget:
         with pytest.raises(ValueError, match=f"^{message}$"):
             timing_budget(paper13_encoding(), reference_timings(), prepared=prepared)
 
-    def test_intervals_from_timings(self):
-        enc = paper13_encoding()
-        plan = build_measurement_sequence(enc)
-        ivals = intervals_from_timings(plan, reference_timings())
-        assert len(ivals) == 13
-        assert ivals[0] == 0.0
-        assert ivals[1] == pytest.approx(4e-3 + 37.2e-6 + 5e-3)
-
 
 class TestConfusionIO:
     def test_roundtrip(self, tmp_path):
@@ -635,7 +626,7 @@ class TestStrictModeRelation:
     def test_strict_never_beats_first_bright(self):
         # strict reading only moves mass from real outcomes into Null
         enc = paper13_encoding()
-        errs = error_params_from_reference(prep_error=0.01)
+        errs = dataclasses.replace(error_params_from_reference(), prep_error=0.01)
         a = spam._outcome_matrix(enc, errs, "first-bright", 0.0)
         b = spam._outcome_matrix(enc, errs, "strict-single-bright", 0.0)
         assert np.all(b[:, :-1] <= a[:, :-1] + 1e-15)
@@ -1161,8 +1152,8 @@ class TestErrorParamsJson:
     def test_round_trip(self, tmp_path):
         enc = paper13_encoding()
         key = next(iter(sorted(build_measurement_sequence(enc).pulse_keys())))
-        errs = error_params_from_reference(
-            prep_error=0.01, p_dark_given_s=0.02, p_bright_given_d=0.003, decay_rate=0.5,
+        errs = dataclasses.replace(
+            error_params_from_reference(), prep_error=0.01, p_dark_given_s=0.02, p_bright_given_d=0.003, decay_rate=0.5,
             leak={key: ((S(2, 1), D(3, 1)), 0.1)},
         )
         error_params_to_json(tmp_path / "errors.json", errs)
@@ -1174,6 +1165,7 @@ class TestErrorParamsJson:
 
     @pytest.mark.parametrize("text, message", [
         ('{"prep_error": "x"}', "prep_error: expected a number"),
+        ('{"prep_error": true}', "prep_error: expected a number, got True"),
         ("[1, 2]", r"document: expected an object, got \[1, 2\]"),
         ("{bad", "document"),
         ('{"leak": {"S:F2:m2->D:F4:m4": {"probability": 0.1}}}',
