@@ -11,23 +11,46 @@ j, but is exercised and tested up to j = 9/2, which is more headroom than
 the I = 3/2, J <= 5/2, k = 2 couplings used in this package require.
 6j/9j symbols are out of scope.  Everything here is pure; the memo table
 behind the evaluator is an lru_cache, which is safe to read concurrently.
+
+``HalfInt`` is an interned value object: there is one instance per value,
+so equality and hashing are by identity and run in C, and ``copy``,
+``deepcopy`` and ``pickle`` return that same instance.  State keys built
+from it (``atomstruct.StateRef``) therefore hash without Python code.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 
 __all__ = ["HalfInt", "clebsch_gordan"]
 
 
-@dataclass(frozen=True, order=True)
-class HalfInt:
-    """A half-integer stored exactly as twice its value."""
+# the one instance of each value, by twice the value
+_INSTANCES: dict[int, "HalfInt"] = {}
 
-    twice: int
+
+@total_ordering
+class HalfInt:
+    """A half-integer stored exactly as twice its value.
+
+    Interned: ``HalfInt(t)`` returns the one instance for ``int(t)``, so
+    equal values are the same object, and equality and hashing are by
+    identity and run in C.  ``copy``, ``deepcopy`` and ``pickle`` return
+    that instance too.  Instances are immutable and order by ``twice``.
+    """
+
+    __slots__ = ("twice",)
+
+    def __new__(cls, twice: int) -> "HalfInt":
+        try:
+            return _INSTANCES[twice]
+        except KeyError:
+            twice = int(twice)
+        self = object.__new__(cls)
+        object.__setattr__(self, "twice", twice)
+        return _INSTANCES.setdefault(twice, self)  # one atomic step: one instance per value
 
     @classmethod
     def coerce(cls, x) -> "HalfInt":
@@ -41,10 +64,16 @@ class HalfInt:
             raise ValueError(f"{x!r} is not a half-integer")
         return cls(int(round(doubled)))
 
-    def __hash__(self) -> int:
-        # the generated dataclass hash builds a tuple per call; states are
-        # hashed by the hundred per exact SPAM evaluation
-        return hash(self.twice)
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"HalfInt is immutable; cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return HalfInt, (self.twice,)
+
+    def __lt__(self, other):
+        return self.twice < other.twice if other.__class__ is HalfInt else NotImplemented
 
     def __float__(self) -> float:
         return self.twice / 2.0

@@ -30,14 +30,17 @@ the fields' bytes), so the field estimate's grid is solved once per prior;
 and ``_field_solve``, one field's energies, eigenvectors and Hellmann-Feynman
 slopes keyed on (level, field), which ``diagonalize``, ``field_sensitivity``,
 the field estimate's Gauss-Newton steps and ``transitions.strength_table``
-read.  ``StateRef`` is the package's one state type; a level hashes by its
-name, so a ref hashes cheaply, and ``parse_atomic_state`` reads its key.
+read.  ``StateRef`` is the package's one state type, and
+``parse_atomic_state`` reads its key.  Levels, like ``HalfInt`` values, are
+interned (one instance per content), so a ref hashes and compares in C.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import threading
+import weakref
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
@@ -83,13 +86,25 @@ class FieldMismatchError(ValueError):
     """Two eigenstates from different magnetic fields were combined."""
 
 
-@dataclass(frozen=True)
+# every level in use, by its coerced field values; a level nothing else
+# holds drops out
+_LEVELS: "weakref.WeakValueDictionary[tuple, LevelConstants]" = weakref.WeakValueDictionary()
+_LEVELS_LOCK = threading.Lock()
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class LevelConstants:
     """Hyperfine and Zeeman parameters of one fine-structure level.
 
     g_J defaults must be supplied by the caller; for 137Ba+ the bundled
     ``BA137_S12`` / ``BA137_D52`` presets use Lande values g_J = 2 and 6/5
     with g_I = 0, which reproduce the measured field sensitivities.
+
+    Interned by content: ``I`` and ``J`` are coerced to ``HalfInt`` and the
+    four numbers to floats (-0.0 read as 0.0), and a level whose fields
+    then equal an existing level's is that level, so a twin of a preset is
+    the preset.  Equality and hashing are by identity and run in C, and
+    ``copy``, ``deepcopy`` and ``pickle`` return the same instance.
     """
 
     name: str
@@ -100,16 +115,27 @@ class LevelConstants:
     g_J: float
     g_I: float = 0.0
 
-    def __post_init__(self):
-        object.__setattr__(self, "I", HalfInt.coerce(self.I))
-        object.__setattr__(self, "J", HalfInt.coerce(self.J))
-        if self.I.twice < 0 or self.J.twice < 0:
-            raise ValueError("I and J must be nonnegative")
-        if self.B_Q != 0.0 and (self.I.twice < 2 or self.J.twice < 2):
-            raise ValueError(
-                f"{self.name}: B_Q != 0 requires I >= 1 and J >= 1 "
-                "(the quadrupole denominator vanishes otherwise)"
-            )
+    def __new__(cls, name, I, J, A_D, B_Q, g_J, g_I=0.0):
+        I, J = HalfInt.coerce(I), HalfInt.coerce(J)
+        values = (name, I, J, *(float(x) + 0.0 for x in (A_D, B_Q, g_J, g_I)))
+        with _LEVELS_LOCK:
+            level = _LEVELS.get(values)
+            if level is not None:
+                return level
+            if I.twice < 0 or J.twice < 0:
+                raise ValueError("I and J must be nonnegative")
+            if values[4] != 0.0 and (I.twice < 2 or J.twice < 2):
+                raise ValueError(
+                    f"{name}: B_Q != 0 requires I >= 1 and J >= 1 "
+                    "(the quadrupole denominator vanishes otherwise)"
+                )
+            level = _LEVELS[values] = object.__new__(cls)
+            for f, value in zip(fields(cls), values):
+                object.__setattr__(level, f.name, value)
+            return level
+
+    def __reduce__(self):
+        return LevelConstants, tuple(getattr(self, f.name) for f in fields(self))
 
     @property
     def dim(self) -> int:
@@ -119,9 +145,6 @@ class LevelConstants:
         tmin = abs(self.I.twice - self.J.twice)
         tmax = self.I.twice + self.J.twice
         return tuple(HalfInt(t) for t in range(tmin, tmax + 1, 2))
-
-    def __hash__(self) -> int:  # equal levels have equal names
-        return hash(self.name)
 
 
 BA137_S12 = LevelConstants("6S1/2", HalfInt(3), HalfInt(1), 4018.871, 0.0, 2.0)

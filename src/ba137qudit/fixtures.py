@@ -19,8 +19,11 @@ as UTF-8 with or without a byte-order mark: no data rows, a row whose width
 differs from its header's, a missing column, or a cell that is not a finite
 number where one is expected raises TableError naming the file and the line
 or column, as does a confusion table whose rows are not prepared 0..d-1 in
-order (``_read_confusion`` also checks outcome columns, row sums and cells)
-or a table_e5 that repeats a qudit index.  Every table the package writes
+order (``_read_confusion`` also checks outcome columns, row sums and cells),
+a strength table whose row or column labels are not the state keys
+``transitions.strength_table`` writes, in its order, or a table_e5 that
+repeats a qudit index or holds a probability outside [0, 1] or a pi time
+that is not positive.  Every table the package writes
 goes through ``_write_csv``, and every JSON file through ``_read_json`` (UTF-8
 with or without a byte-order mark; it names the key at fault and rejects a key
 repeated within an object; ``_json`` checks each value) and ``_write_json``.
@@ -171,11 +174,32 @@ def _labeled_numbers(row: _Row) -> tuple[str, list[float]]:
     return label, [_number(x) for x in values]
 
 
+def _check_labels(path, what: str, got: list[str], lines: list[int], want: list[str]) -> None:
+    """Reject labels that are not ``want`` in order, naming the file, the
+    line (``lines[k]`` for the k-th label, and one more for a missing last
+    one) and the label; a table is never reordered."""
+    if got == want:
+        return
+    k = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    found = f"{what} {got[k]!r}" if k < len(got) else f"no {what}"
+    belongs = f"{want[k]} belongs" if k < len(want) else "none belongs"
+    raise TableError(f"{path}, line {lines[k]}: {found} where {belongs}; the {what}s must be "
+                     f"the keys strength_table writes, {want[0]} to {want[-1]}, in its order")
+
+
 def load_strength_fixture(fixtures_dir=None):
-    """(d_keys, s_keys, values) of the reference strength table."""
-    header, rows = _read_csv(fixture_path("table_e1.csv", fixtures_dir), _labeled_numbers)
-    d_keys = [label for label, _ in rows]
-    values = np.array([v for _, v in rows])
+    """(d_keys, s_keys, values) of the reference strength table, whose row
+    and column labels must be the state keys ``transitions.strength_table``
+    writes, in its order."""
+    from .transitions import _strength_keys  # transitions reads this module
+
+    path = fixture_path("table_e1.csv", fixtures_dir)
+    header, rows = _read_csv(path, lambda r: (*_labeled_numbers(r), r.line))
+    d_want, s_want = _strength_keys()
+    _check_labels(path, "column", header[1:], [1] * len(header), s_want)
+    d_keys, lines = [label for label, _, _ in rows], [line for _, _, line in rows]
+    _check_labels(path, "row", d_keys, lines + [lines[-1] + 1], d_want)
+    values = np.array([v for _, v, _ in rows])
     return d_keys, header[1:], values
 
 
@@ -219,8 +243,19 @@ def load_confusion_fixture(name: str, fixtures_dir=None):
     return _read_confusion(fixture_path(name, fixtures_dir))
 
 
-def _parse(cell: str):
-    return None if cell == "NA" else _number(cell)
+def _parse(r: _Row, column: str, ok=None, what: str = ""):
+    """A cell as None for NA, else a finite number; ``ok`` tests its range,
+    which ``what`` names."""
+    if r[column] == "NA":
+        return None
+    x = _number(r[column])
+    if ok is not None and not ok(x):
+        raise ValueError(f"column {column}: {x!r} is not {what}")
+    return x
+
+
+def _probability(x: float) -> bool:
+    return 0.0 <= x <= 1.0
 
 
 @dataclass(frozen=True)
@@ -239,10 +274,11 @@ def _transition_params(r: _Row) -> TransitionParams:
     return TransitionParams(
         index=None if r["state"] == "NA" else int(r["state"]),
         atomic_state=r["atomic_state"],
-        spam_error=_parse(r["spam_error"]),
-        kappa=_parse(r["kappa_MHz_per_G"]),
-        tau_pi_us=_parse(r["tau_pi_us"]),
-        single_transition_error=_parse(r["single_transition_error"]),
+        spam_error=_parse(r, "spam_error", _probability, "a probability in [0, 1]"),
+        kappa=_parse(r, "kappa_MHz_per_G"),
+        tau_pi_us=_parse(r, "tau_pi_us", lambda x: x > 0, "a positive pi time"),
+        single_transition_error=_parse(r, "single_transition_error", _probability,
+                                       "a probability in [0, 1]"),
     )
 
 

@@ -26,7 +26,7 @@ that mass by the probability that every later check reads dark, which
 one backward pass over the plan gives.  ``enumerate_outcomes`` is one row
 of that matrix and ``run_experiment`` a seeded multinomial draw from it.
 
-Three caches serve the evaluator.  Each keys on immutable content, never
+Four caches serve the evaluator.  Each keys on immutable content, never
 on the mutable ``QuditEncoding`` or ``ErrorParams``:
 
 - ``_shortest_path``, the breadth-first preparation-path search, keyed on
@@ -35,19 +35,26 @@ on the mutable ``QuditEncoding`` or ``ErrorParams``:
   states, parking items and de-shelve target items), which
   ``build_measurement_sequence`` returns.  It holds the plan's steps and
   preparation paths, and the same plan in integer codes;
+- ``_decay_probs``, the per-check decay probabilities, keyed on the decay
+  rate, the intervals (one number or a tuple) and the number of checks;
 - ``_forward``, the evaluation, keyed on the plan (by identity), the mode,
   the float64 bytes of the numbers a call gathers from its error model
   and the leak layout.  Its matrices are read-only, and only a matrix
   that passed the row-stochastic check is ever stored.
 
 So every call reads the error model afresh, and evaluating content seen
-before costs one lookup.  Each pulse updates the probability array in
+before costs one lookup.  A gather reads each plan pulse's error straight
+from ``eps_pi`` by its (6S state, 5D state) key.  Levels and ``HalfInt``
+values are interned, so that key hashes and compares in C.
+``ErrorParams.eps`` is called only to raise ``MissingTransitionError``
+for a pulse the model lacks.  Each pulse updates the probability array in
 place.  Codes follow the encoding and the plan, never a set order, so no
 matrix depends on the hash seed.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -325,12 +332,12 @@ def _compile(
     pulse with |Delta m| > 2 or a state more than three pulses from |0>."""
     encoding = QuditEncoding(name, states, dict(parking), dict(deshelve_targets))
 
-    def pulse(s_state, d_state, what):
+    def pulse(s_state, d_state, what, source, dest):
         if not _quadrupole_allowed(s_state, d_state):
-            raise PlanError(f"{name}: {what} needs |Delta m| <= 2")
+            raise PlanError(f"{name}: {what} {source} -> {dest} needs |Delta m| <= 2")
         return PulseStep(s_state, d_state)
 
-    shelve = {s: pulse(s, encoding.parking[s], f"shelving {s} -> {encoding.parking[s]}")
+    shelve = {s: pulse(s, encoding.parking[s], "shelving", s, encoding.parking[s])
               for s in states[1:] if s.level == BA137_S12}
     steps = [*shelve.values(), CheckStep(0)]
     for n, state in enumerate(states[1:], start=1):
@@ -338,7 +345,7 @@ def _compile(
             readout = shelve[state]
         else:
             target = encoding.deshelve_target(state)
-            readout = pulse(target, state, f"de-shelving {state} -> {target}")
+            readout = pulse(target, state, "de-shelving", state, target)
         steps += [readout, CheckStep(n)]
     prep_paths = tuple(_shortest_path(states[0], s) for s in states)
     for s, path in zip(states, prep_paths):
@@ -491,20 +498,22 @@ _OTHER_GROUND = StateRef(BA137_S12, HalfInt(-2), HalfInt(0))  # inert bright sen
 MODES = ("first-bright", "strict-single-bright")
 
 
-def _decay_probs(
-    errors: ErrorParams, intervals, n_checks: int
-) -> np.ndarray:
-    """Per-check decay probabilities (0 for the first check)."""
+# a sweep reads one matrix row by row, each read with the same triple
+@lru_cache(maxsize=64)
+def _decay_probs(decay_rate: float, intervals, n_checks: int) -> np.ndarray:
+    """Per-check decay probabilities (0 for the first check), read-only;
+    ``intervals`` is one number or a tuple."""
     if np.isscalar(intervals):
         ivals = np.full(n_checks, float(intervals))
     else:
-        ivals = np.asarray(list(intervals), dtype=float)
+        ivals = np.asarray(intervals, dtype=float)
         if len(ivals) != n_checks:
             raise ValueError(f"need {n_checks} check intervals, got {len(ivals)}")
     if not np.all(np.isfinite(ivals) & (ivals >= 0)):
         raise ValueError(f"check intervals must be finite and nonnegative, got {ivals.tolist()}")
-    probs = -np.expm1(-errors.decay_rate * ivals)
+    probs = -np.expm1(-decay_rate * ivals)
     probs[0] = 0.0
+    probs.setflags(write=False)
     return probs
 
 
@@ -545,7 +554,7 @@ class ConfusionMatrix:
         return self.probs.shape[1] - (1 if self.has_null else 0)
 
     def diagonal(self) -> np.ndarray:
-        return np.array([self.probs[i, i] for i in range(self.n_prepared)])
+        return self.probs.diagonal().copy()
 
 
 def run_experiment(
@@ -587,10 +596,8 @@ def enumerate_outcomes(
     before check j, a scalar applies to every check, and entry 0 is ignored.
     """
     _check_prepared(prepared, encoding.d)
-    row = _outcome_matrix(encoding, errors, mode, intervals)[prepared]
-    return {
-        (None if k == encoding.d else k): float(p) for k, p in enumerate(row) if p > 0.0
-    }
+    row = _outcome_matrix(encoding, errors, mode, intervals)[prepared].tolist()
+    return {(None if k == encoding.d else k): p for k, p in enumerate(row) if p > 0.0}
 
 
 def _check_prepared(prepared, d: int) -> None:
@@ -623,8 +630,14 @@ def _outcome_matrix(
     if mode not in MODES:
         raise ValueError(f"unknown interpretation mode {mode!r}")
     plan = build_measurement_sequence(encoding)
-    decay_p = _decay_probs(errors, intervals, plan.n_checks)
-    params = [errors.eps(key) for key in plan._pulses]
+    if not np.isscalar(intervals):
+        intervals = tuple(intervals)
+    decay_p = _decay_probs(errors.decay_rate, intervals, plan.n_checks)
+    eps_pi = errors.eps_pi
+    try:
+        params = [eps_pi[key] for key in plan._pulses]
+    except KeyError:
+        params = [errors.eps(key) for key in plan._pulses]  # raises, naming the pulse
     params += [errors.prep_error, errors.p_dark_given_s, errors.p_bright_given_d]
     # leak spectators outside the plan get the next codes, and the inert
     # ground the last one
@@ -666,10 +679,11 @@ def _forward(
     applies decay and moves the bright part of ``prob`` to ``bright[j]``.
     Outcome j gets ``bright[j]`` times the weight ``weights[j, 0, code]``
     and Null the rest, plus the mass never bright.  In first-bright mode
-    the weight is 1; in strict mode it is the probability that every later
-    check reads dark from ``code`` just after check j, which one backward
-    pass over the steps gives (the backward half of the forward-backward
-    recursion).
+    the weight is exactly 1, so ``bright[j]`` is booked whole; in strict
+    mode it is the probability that every later check reads dark from
+    ``code`` just after check j, which one backward pass over the steps
+    gives (the backward half of the forward-backward recursion), on Python
+    floats, as each of its pulses touches two entries.
     """
     values = np.frombuffer(params)
     n = len(plan._pulses) + 3
@@ -681,30 +695,47 @@ def _forward(
     is_d_level = np.array(plan._is_d + tuple(s.level == BA137_D52 for s in extra))
     other = plan._code.get(_OTHER_GROUND, len(plan._code) + extra.index(_OTHER_GROUND))
 
-    def pulse(prob, i):  # and its leak; the matrix is symmetric, so it steps beta too
-        lo, hi, leak_p, leak_eps = leak_at.get(i, (0, 0, 0.0, 0.0))
-        if leak_p > 0:
-            leaked = prob.copy()
-            _swap(leaked, lo, hi, leak_eps)
+    def pulse(prob, i):  # and its leak, if it leaks
+        if i not in leak_at:
+            _swap(prob, *plan._pulse_codes[i], eps[i])
+            return prob
+        lo, hi, leak_p, leak_eps = leak_at[i]
+        leaked = prob.copy()
+        _swap(leaked, lo, hi, leak_eps)
         _swap(prob, *plan._pulse_codes[i], eps[i])
-        return (1.0 - leak_p) * prob + leak_p * leaked if leak_p > 0 else prob
+        return (1.0 - leak_p) * prob + leak_p * leaked
+
+    def swap_floats(beta, lo, hi, e):  # _swap, on a list of floats
+        beta[lo], beta[hi] = (e * beta[lo] + (1.0 - e) * beta[hi],
+                              e * beta[hi] + (1.0 - e) * beta[lo])
+
+    def beta_pulse(beta, i):  # pulse, on a list of floats: the matrix is symmetric
+        if i not in leak_at:
+            swap_floats(beta, *plan._pulse_codes[i], eps[i])
+            return beta
+        lo, hi, leak_p, leak_eps = leak_at[i]
+        leaked = beta.copy()
+        swap_floats(leaked, lo, hi, leak_eps)
+        swap_floats(beta, *plan._pulse_codes[i], eps[i])
+        return [(1.0 - leak_p) * b + leak_p * c for b, c in zip(beta, leaked)]
 
     p_bright = np.where(is_d_level, p_bright_given_d, 1.0 - p_dark_given_s)
     p_dark = 1.0 - p_bright
     # per check, the factor decay leaves on each code: exactly 1.0 on S levels
     keep = np.where(is_d_level, 1.0 - decay_p[:, None], 1.0)
-    weights = 1.0
     if mode == "strict-single-bright":
-        weights, beta, j = np.empty((d, 1, len(is_d_level))), np.ones(len(is_d_level)), d
+        weights, beta, j = np.empty((d, 1, len(is_d_level))), [1.0] * len(is_d_level), d
+        dark, keeps = p_dark.tolist(), keep.tolist()
         for i in reversed(plan._step_codes):
             if i is not None:
-                beta = pulse(beta, i)
+                beta = beta_pulse(beta, i)
                 continue
             j -= 1
             weights[j, 0] = beta
-            beta = p_dark * beta
+            beta = [p * b for p, b in zip(dark, beta)]
             if decay_p[j] > 0:
-                beta = keep[j] * beta + (1.0 - keep[j]) * beta[other]
+                lost = beta[other]
+                beta = [k * b + (1.0 - k) * lost for k, b in zip(keeps[j], beta)]
 
     prep_success = np.array([math.prod(1.0 - eps[i] for i in path) for path in plan._prep_codes])
     prob = np.zeros((d, len(is_d_level)))
@@ -726,10 +757,14 @@ def _forward(
         np.multiply(prob, p_bright, out=bright[j])
         prob *= p_dark
         j += 1
-    kept = bright * weights
     out = np.zeros((d, d + 1))
-    out[:, :d] += kept.sum(axis=-1).T
-    out[:, d] += (bright - kept).sum(axis=(0, 2)) + prob.sum(axis=-1)
+    if mode == "strict-single-bright":
+        kept = bright * weights
+        out[:, :d] += kept.sum(axis=-1).T
+        out[:, d] += (bright - kept).sum(axis=(0, 2)) + prob.sum(axis=-1)
+    else:  # every weight is exactly 1, so no bright mass goes to Null
+        out[:, :d] += bright.sum(axis=-1).T
+        out[:, d] += prob.sum(axis=-1)
 
     dev = np.abs(out.sum(axis=1) - 1.0).max()
     if out.min() < 0.0 or not dev <= 1e-12:
@@ -796,9 +831,15 @@ def scaling_analysis(per_state_fidelity: Mapping[int, float], d_range: Iterable[
     worst_order = sorted(others, key=lambda k: (per_state_fidelity[k], k))
 
     def curve(order):
-        chosen = [[0] + order[: d - 1] for d in d_values]
-        return (tuple(math.fsum(per_state_fidelity[k] for k in c) / len(c) for c in chosen),
-                tuple(tuple(sorted(c)) for c in chosen))
+        order = [0] + order
+        values = [per_state_fidelity[k] for k in order]
+        means, choices, chosen = [], [], []
+        for d in d_values:  # ascending, so each choice extends the last
+            for k in order[len(chosen):d]:
+                bisect.insort(chosen, k)
+            means.append(math.fsum(values[:d]) / d)
+            choices.append(tuple(chosen))
+        return tuple(means), tuple(choices)
 
     (optimal, optimal_choice), (worst, worst_choice) = curve(best_order), curve(worst_order)
     return ScalingCurves(tuple(d_values), optimal, worst, optimal_choice, worst_choice)

@@ -176,12 +176,24 @@ class StrengthTable:
         _write_json(path, doc)
 
 
+def _s_rows() -> list[int]:
+    """The 6S1/2 level's table rows in a strength table's column order."""
+    labels = _table(BA137_S12).labels
+    return sorted(range(len(labels)), key=labels.__getitem__)
+
+
+def _strength_keys() -> tuple[list[str], list[str]]:
+    """The row and column state keys of every strength table, in its order."""
+    s_labels = _table(BA137_S12).labels
+    return ([StateRef(BA137_D52, *d).key for d in _table(BA137_D52).labels],
+            [StateRef(BA137_S12, *s_labels[k]).key for k in _s_rows()])
+
+
 def strength_table(B: float, geometry: LaserGeometry) -> StrengthTable:
     """Full 5D5/2 x 6S1/2 relative-strength table at one field: every pair's
     g^(q) |A_D Q A_S^T| from the two levels' eigenvectors at that field."""
     b = float(B) + 0.0  # a field of -0.0 is the zero field
-    s_table, d_labels = _table(BA137_S12), _table(BA137_D52).labels
-    s_rows = sorted(range(BA137_S12.dim), key=lambda k: s_table.labels[k])
+    s_table, d_labels, s_rows = _table(BA137_S12), _table(BA137_D52).labels, _s_rows()
     s_labels = tuple(s_table.labels[k] for k in s_rows)
     amp_s = _field_solve(BA137_S12, b)[1][s_rows]
     amp_d = _field_solve(BA137_D52, b)[1]

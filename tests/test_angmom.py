@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from itertools import product
 
 import pytest
@@ -32,6 +34,31 @@ class TestHalfInt:
         for x in (0.3, math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError):
                 HalfInt.coerce(x)
+
+    def test_one_instance_per_value(self):
+        assert HalfInt.coerce(2.5) is HalfInt(5) is HalfInt(twice=5) is HalfInt.coerce(HalfInt(5))
+        assert HalfInt(3) - 1 is HalfInt(1)
+
+    def test_copy_deepcopy_and_pickle_keep_the_instance(self):
+        half = HalfInt(-3)
+        assert copy.copy(half) is half and copy.deepcopy(half) is half
+        assert pickle.loads(pickle.dumps(half)) is half
+        assert copy.deepcopy([half, (half,)])[1][0] is half
+
+    def test_assignment_raises(self):
+        half = HalfInt(1)
+        with pytest.raises(AttributeError):
+            half.twice = 3
+        with pytest.raises(AttributeError):
+            del half.twice
+        assert half.twice == 1 and HalfInt(1) is half
+
+    def test_orders_by_value(self):
+        values = [HalfInt(t) for t in (3, -1, 4, 0, -4, 1)]
+        assert [h.twice for h in sorted(values)] == [-4, -1, 0, 1, 3, 4]
+        assert HalfInt(1) < HalfInt(2) <= HalfInt(2) and HalfInt(3) > HalfInt(-3) >= HalfInt(-3)
+        with pytest.raises(TypeError):
+            HalfInt(1) < 1
 
     def test_arithmetic_and_str(self):
         assert float(HalfInt(3) - HalfInt(1)) == 1.0

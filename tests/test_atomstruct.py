@@ -1,4 +1,9 @@
+import copy
+import dataclasses
+import pickle
 import re
+import sys
+import threading
 from collections import Counter
 from unittest import mock
 
@@ -67,17 +72,65 @@ class TestLevelConstants:
         assert [str(f) for f in BA137_S12.f_values()] == ["1", "2"]
         assert [str(f) for f in BA137_D52.f_values()] == ["1", "2", "3", "4"]
 
-    def test_hash_is_the_name_and_agrees_with_equality(self):
+    def test_twin_is_the_preset_and_agrees_with_equality(self):
         twin = LevelConstants("6S1/2", HalfInt(3), HalfInt(1), 4018.871, 0.0, 2.0)
-        assert twin == BA137_S12 and hash(twin) == hash(BA137_S12) == hash("6S1/2")
+        assert twin == BA137_S12 and hash(twin) == hash(BA137_S12) and twin is BA137_S12
         shifted = LevelConstants("6S1/2", HalfInt(3), HalfInt(1), 4000.0, 0.0, 2.0)
         assert shifted != BA137_S12 and {BA137_S12: 0}.get(shifted) is None
+
+    def test_twin_built_from_coercible_values_is_the_preset(self):
+        # ints, floats and -0.0 coerce to the preset's fields, and building
+        # the twin leaves the shared instance as it was
+        twin = LevelConstants("6S1/2", 1.5, 0.5, 4018.871, -0.0, 2, -0.0)
+        assert twin is BA137_S12
+        assert (BA137_S12.I, BA137_S12.J) == (HalfInt(3), HalfInt(1))
+        floats = (BA137_S12.B_Q, BA137_S12.g_J, BA137_S12.g_I)
+        assert [repr(x) for x in floats] == ["0.0", "2.0", "0.0"]
+        assert dataclasses.replace(BA137_D52, A_D=-12.028) is BA137_D52
+
+    def test_copy_deepcopy_and_pickle_keep_the_preset(self):
+        for level in (BA137_S12, BA137_D52):
+            assert copy.copy(level) is level and copy.deepcopy(level) is level
+            assert pickle.loads(pickle.dumps(level)) is level
+
+    def test_assignment_raises(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            BA137_S12.A_D = 1.0
+
+    def test_concurrent_construction_gives_one_instance_per_value(self):
+        # HalfInt values and levels nothing has built yet, from 8 threads
+        # switching every microsecond: a lost check-then-insert would hand
+        # two threads different instances of one value
+        results = []
+
+        def build():
+            results.append([(HalfInt(t), LevelConstants(f"stress {t}", 3, 1, float(t), 0.0, 2.0))
+                            for t in range(100_001, 100_201)])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads) and len(results) == 8
+        for built in results[1:]:
+            assert all(a is b for pair, first in zip(built, results[0]) for a, b in zip(pair, first))
 
 
 class TestStateRefKey:
     def test_preset_keys(self):
         assert StateRef.of(BA137_S12, 2, 2).key == "S:F2:m2"
         assert str(StateRef.of(BA137_D52, 4, -3)) == "D:F4:m-3"
+
+    def test_parsed_ref_hits_the_entry_of_a_preset_ref(self):
+        table = {(StateRef.of(BA137_S12, 2, 2), StateRef.of(BA137_D52, 4, 4)): 0.5}
+        key = (atomstruct.parse_atomic_state("S:F2:m2"), atomstruct.parse_atomic_state("D:F4:m4"))
+        assert table[key] == 0.5 and key[1].level is BA137_D52 and key[1].m is HalfInt(8)
 
     def test_other_level_is_named_by_its_name(self):
         level = LevelConstants("X", HalfInt(3), HalfInt(3), 10.0, 1.0, 0.8)

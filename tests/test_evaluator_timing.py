@@ -12,10 +12,16 @@ def test_prints_a_positive_p50_for_each_encoding_and_mode():
     ).stdout
     timing = json.loads(out)
     assert timing["calls"] == 2
-    assert list(timing["p50_ms"]) == ["sub5", "paper13", "full25"]
-    for modes in timing["p50_ms"].values():
-        assert list(modes) == ["first-bright", "strict-single-bright"]
-        assert all(ms > 0 for ms in modes.values())
+    assert list(timing) == ["calls", "p50_ms", "memo_hit_p50_ms", "compile_miss_p50_ms",
+                            "eps_lookup_p50_ns"]
+    for row in ("p50_ms", "memo_hit_p50_ms"):
+        assert list(timing[row]) == ["sub5", "paper13", "full25"], row
+        for modes in timing[row].values():
+            assert list(modes) == ["first-bright", "strict-single-bright"]
+            assert all(ms > 0 for ms in modes.values())
+    for row in ("compile_miss_p50_ms", "eps_lookup_p50_ns"):
+        assert list(timing[row]) == ["sub5", "paper13", "full25"], row
+        assert all(x > 0 for x in timing[row].values())
 
 
 def test_rejects_zero_calls():

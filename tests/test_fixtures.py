@@ -166,6 +166,81 @@ def test_cli_repeated_state_index_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def swap_lines(a, b):
+    def edit(lines):
+        lines[a], lines[b] = lines[b], lines[a]
+        return lines
+    return edit
+
+
+def swap_columns(a, b):
+    def edit(lines):
+        for k, line in enumerate(lines):
+            cells = line.rstrip("\n").split(",")
+            cells[a], cells[b] = cells[b], cells[a]
+            lines[k] = ",".join(cells) + "\n"
+        return lines
+    return edit
+
+
+# table_e1.csv edits the strength reader must reject, and what follows
+# "table_e1.csv, line N: " in the error; read by position, swapped rows
+# D:F1:m1 and D:F1:m0 gave a maximum deviation of 6.89e-2, not 4.98e-5
+STRENGTH_FAULTS = {
+    "swapped rows": (swap_lines(1, 2), "line 2: row 'D:F1:m0' where D:F1:m1 belongs"),
+    "swapped columns": (swap_columns(1, 2), "line 1: column 'S:F1:m0' where S:F1:m-1 belongs"),
+    "repeated row": (lambda lines: lines[:3] + lines[2:-1],
+                     "line 4: row 'D:F1:m0' where D:F1:m-1 belongs"),
+    "dropped row": (lambda lines: lines[:-1], "line 25: no row where D:F4:m-4 belongs"),
+    "unknown label": (lambda lines: lines[:4] + ["D:F9:m0" + lines[4][lines[4].index(","):]]
+                      + lines[5:], "line 5: row 'D:F9:m0' where D:F2:m2 belongs"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRENGTH_FAULTS))
+def test_cli_strength_labels_out_of_order_exit_2(tmp_path, capsys, case):
+    edit, message = STRENGTH_FAULTS[case]
+    d = tmp_path / "fixtures"
+    shutil.copytree(fixture_path("table_e1.csv").parent, d)
+    lines = (d / "table_e1.csv").read_text().splitlines(keepends=True)
+    (d / "table_e1.csv").write_text("".join(edit(lines)))
+    rc = main(["--out", str(tmp_path / "out"), "--fixtures-dir", str(d), "strengths"])
+    assert rc == 2
+    assert f"table_e1.csv, {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# table_e5.csv cells out of range: (command, file line 3 as edited, what
+# follows "table_e5.csv, line 3: "); before the reader checked ranges they
+# ended in exit 1 with no file named
+RANGE_FAULTS = {
+    "single_transition_error 1.5": (
+        ["spam", "--errors", "table-e5", "--shots", "10"], "1,D:F4:m4,0.061,2.7992,37.2,1.5",
+        r"column single_transition_error: 1.5 is not a probability in \[0, 1\]"),
+    "tau_pi_us -37.2": (["budget"], "1,D:F4:m4,0.061,2.7992,-37.2,0.075",
+                        "column tau_pi_us: -37.2 is not a positive pi time"),
+    "tau_pi_us 0": (["budget"], "1,D:F4:m4,0.061,2.7992,0,0.075",
+                    "column tau_pi_us: 0.0 is not a positive pi time"),
+    "spam_error -0.1": (["budget"], "1,D:F4:m4,-0.1,2.7992,37.2,0.075",
+                        r"column spam_error: -0.1 is not a probability in \[0, 1\]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RANGE_FAULTS))
+def test_cli_transition_params_out_of_range_exit_2(tmp_path, capsys, case):
+    argv, row, message = RANGE_FAULTS[case]
+    d = tmp_path / "fixtures"
+    shutil.copytree(fixture_path("table_e5.csv").parent, d)
+    lines = (d / "table_e5.csv").read_text().splitlines(keepends=True)
+    assert lines[2] == "1,D:F4:m4,0.061,2.7992,37.2,0.075\n"
+    lines[2] = row + "\n"
+    (d / "table_e5.csv").write_text("".join(lines))
+    rc = main(["--out", str(tmp_path / "out"), "--fixtures-dir", str(d), *argv])
+    assert rc == 2
+    assert re.search(rf"table_e5.csv, line 3: {message}", capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 def valid_tables():
     """command argv (input path last) -> (file name, CSV text) of a table
     that command reads without error."""
