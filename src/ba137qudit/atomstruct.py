@@ -26,13 +26,15 @@ from the stacked energies by ``_frequencies``, without building eigenstates.
 
 Four caches: ``_table`` and ``_check_zero_field`` keyed on the level;
 ``_grid_energies``, the energies ``_frequencies`` reads, keyed on (level,
-the fields' bytes), so the field estimate's grid is solved once per prior;
+the fields' bytes), so the field estimate's grid is solved once per level;
 and ``_field_solve``, one field's energies, eigenvectors and Hellmann-Feynman
 slopes keyed on (level, field), which ``diagonalize``, ``field_sensitivity``,
-the field estimate's Gauss-Newton steps and ``transitions.strength_table``
-read.  ``StateRef`` is the package's one state type, and
-``parse_atomic_state`` reads its key.  Levels, like ``HalfInt`` values, are
-interned (one instance per content), so a ref hashes and compares in C.
+``transitions.strength_table`` and ``_lines_at`` read.  ``_lines_at`` gives
+the line frequencies at one field: the field estimate's Gauss-Newton steps
+and ``calib``'s simulated splittings and snapshots read them.  ``StateRef``
+is the package's one state type, and ``parse_atomic_state`` reads its key.
+Levels, like ``HalfInt`` values, are interned (one instance per content),
+so a ref hashes and compares in C.
 """
 
 from __future__ import annotations
@@ -437,8 +439,8 @@ def _energies(level: LevelConstants, bs) -> np.ndarray:
 
 
 # keyed on (level, the fields as float64 bytes).  The field estimate asks
-# for the same grid over its prior on every call, and a miss on that grid
-# costs about 3 ms; a few entries hold it beside the odd one-field request
+# for the same grid on every call, and a miss on that grid costs about 3 ms;
+# a few entries hold it beside a ``levels`` scan or two
 @lru_cache(maxsize=8)
 def _grid_energies(level: LevelConstants, grid: bytes) -> np.ndarray:
     """``_energies`` at the fields packed in ``grid``, read-only, as they

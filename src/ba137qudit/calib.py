@@ -244,28 +244,25 @@ class FieldEstimate:
     reference: tuple
 
 
-# estimate_field: spacing (G) of the coarse grid over the prior
-_GRID_STEP = 0.25
+_GRID_STEP = 0.25  # G, the spacing of estimate_field's coarse grid
+_GRID = np.arange(1e-4, 20.0 + _GRID_STEP, _GRID_STEP)
+_GRID.setflags(write=False)
 
 
-def estimate_field(
-    measured: Mapping[tuple[StateRef, StateRef], float],
-    prior: tuple[float, float] = (0.0, 20.0),
-) -> FieldEstimate:
+def estimate_field(measured: Mapping[tuple[StateRef, StateRef], float]) -> FieldEstimate:
     """Least-squares field estimate from measured transition frequencies.
 
     Frequencies are compared relative to the first transition in the map (any
     common optical offset drops out), so at least two transitions with
     distinct field sensitivity are required, and every frequency must be
-    finite.  A coarse grid over the prior interval finds the local minima;
-    each is refined by Gauss-Newton on the Hellmann-Feynman slopes, clamped to
-    its grid bracket.  The grid's energies are cached on (level, grid), so
-    only the first estimate on a prior solves the grid, and a fresh field
+    finite.  A coarse grid from 1e-4 G to 20 G in steps of 0.25 G finds the
+    local minima; each is refined by Gauss-Newton on the Hellmann-Feynman
+    slopes, clamped to its grid bracket.  The grid's energies are cached per
+    level, so only the first estimate solves the grid, and a fresh field
     pays only its Gauss-Newton solves.  The residual and the Jacobian of a
     step read the same cached per-(level, field) solve.  Two separated
     minima that refine to the same cost make the data ambiguous and raise
-    ``FitError``.  The grid starts
-    at max(prior[0], 1e-4 G); a best minimum pinned on its first or last point
+    ``FitError``.  A best minimum pinned on the grid's first or last point
     means the field lies outside the grid, or the lines fit no field, and
     raises ``FitError`` too.  A true field of 0 G lies below the 1e-4 G floor,
     so it raises.
@@ -276,8 +273,6 @@ def estimate_field(
     for (g, e), f in measured.items():
         if not math.isfinite(f):
             raise ValueError(f"measured frequency of {g.key}->{e.key} must be finite, got {f!r}")
-    if not (math.isfinite(prior[0]) and math.isfinite(prior[1]) and prior[0] < prior[1]):
-        raise ValueError(f"prior must be a finite interval (lo, hi) with lo < hi, got {prior}")
     ref = pairs[0]
     meas = np.array([measured[p] - measured[ref] for p in pairs[1:]])
     rows = atomstruct._line_rows(pairs)
@@ -286,23 +281,21 @@ def estimate_field(
         sims, slopes = atomstruct._lines_at(rows, x[0])
         return sims[1:] - sims[:1] - meas, (slopes[1:] - slopes[0])[:, None]
 
-    lo = max(prior[0], 1e-4)
-    grid = np.arange(lo, prior[1] + _GRID_STEP, _GRID_STEP)
-    sims = atomstruct._frequencies(pairs, grid)
+    sims = atomstruct._frequencies(pairs, _GRID)
     values = np.sum((sims[:, 1:] - sims[:, :1] - meas) ** 2, axis=1)
     best = int(np.argmin(values))
     starts = {best} | {
         i
-        for i in range(1, len(grid) - 1)
+        for i in range(1, len(_GRID) - 1)
         if values[i] <= values[i - 1] and values[i] <= values[i + 1]
     }
     minima = []
     for i in sorted(starts):
-        left, right = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
-        res = _lsq.least_squares(resid_jac, [grid[i]], lower=[left], upper=[right])
+        left, right = _GRID[max(i - 1, 0)], _GRID[min(i + 1, len(_GRID) - 1)]
+        res = _lsq.least_squares(resid_jac, [_GRID[i]], lower=[left], upper=[right])
         if not res.converged:
             raise FitError(
-                f"field estimate did not converge in {res.iterations} steps near B = {grid[i]} G"
+                f"field estimate did not converge in {res.iterations} steps near B = {_GRID[i]} G"
             )
         minima.append((2.0 * res.cost, float(res.x[0])))
     sq, B = min(minima)
@@ -316,12 +309,12 @@ def estimate_field(
             f"{[round(b, 4) for b in deep]} G"
         )
     rms = math.sqrt(sq / max(len(meas), 1))
-    if not grid[0] < B < grid[-1]:
-        edge = "lower" if B <= grid[0] else "upper"
+    if not _GRID[0] < B < _GRID[-1]:
+        edge = "lower" if B <= _GRID[0] else "upper"
         raise FitError(
             f"field estimate is pinned at the {edge} edge of the grid, B = {B:.4f} G "
-            f"(residual rms {rms * 1e3:.3f} kHz): no field in [{grid[0]:.4f}, "
-            f"{grid[-1]:.4f}] G fits the lines"
+            f"(residual rms {rms * 1e3:.3f} kHz): no field in [{_GRID[0]:.4f}, "
+            f"{_GRID[-1]:.4f}] G fits the lines"
         )
     return FieldEstimate(B=B, residual_rms=rms, reference=ref)
 
@@ -330,7 +323,7 @@ def simulate_splittings(
     transitions: Sequence[tuple[StateRef, StateRef]], B: float
 ) -> dict[tuple[StateRef, StateRef], float]:
     """Model-generated transition frequencies, e.g. for round-trip tests."""
-    vals = atomstruct._frequencies(transitions, [B])[0]
+    vals = atomstruct._lines_at(atomstruct._line_rows(transitions), B)[0]
     return dict(zip(transitions, vals.tolist()))
 
 
@@ -555,6 +548,7 @@ def synthetic_snapshot(B: float) -> CalSnapshot:
     """Model-generated calibration session at one field value."""
     refs = reference_trio()
     trans = paper13_transition_refs()
-    f = atomstruct._frequencies([refs["offset"], refs["low"], refs["up"], *trans.values()], [B])[0]
+    rows = atomstruct._line_rows([refs["offset"], refs["low"], refs["up"], *trans.values()])
+    f = atomstruct._lines_at(rows, B)[0]
     f_offset, f_low, f_up, *freqs = f.tolist()
     return CalSnapshot(f_offset=f_offset, f_low=f_low, f_up=f_up, freqs=dict(zip(trans, freqs)))

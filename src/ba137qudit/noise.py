@@ -25,7 +25,7 @@ only through chi.  The module needs numpy alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,10 +56,11 @@ def _kappa_to_rad(kappa_mhz_per_gauss: float) -> float:
 
 
 def _require_finite(obj) -> None:
-    for f in fields(obj):
-        value = getattr(obj, f.name)
+    # a dataclass's __match_args__ is its class's tuple of field names
+    for name in obj.__match_args__:
+        value = getattr(obj, name)
         if not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value!r}")
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ that mass by the probability that every later check reads dark, which
 one backward pass over the plan gives.  ``enumerate_outcomes`` is one row
 of that matrix and ``run_experiment`` a seeded multinomial draw from it.
 
-Four caches serve the evaluator.  Each keys on immutable content, never
+Three caches serve the evaluator.  Each keys on immutable content, never
 on the mutable ``QuditEncoding`` or ``ErrorParams``:
 
 - ``_shortest_path``, the breadth-first preparation-path search, keyed on
@@ -35,11 +35,11 @@ on the mutable ``QuditEncoding`` or ``ErrorParams``:
   states, parking items and de-shelve target items), which
   ``build_measurement_sequence`` returns.  It holds the plan's steps and
   preparation paths, and the same plan in integer codes;
-- ``_decay_probs``, the per-check decay probabilities, keyed on the decay
-  rate, the intervals (one number or a tuple) and the number of checks;
 - ``_forward``, the evaluation, keyed on the plan (by identity), the mode,
   the float64 bytes of the numbers a call gathers from its error model
-  and the leak layout.  Its matrices are read-only, and only a matrix
+  (the decay rate among them), the intervals (one number or a tuple) and
+  the leak layout.  The intervals are checked on a miss, so a bad one
+  raises on every call.  Its matrices are read-only, and only a matrix
   that passed the row-stochastic check is ever stored.
 
 So every call reads the error model afresh, and evaluating content seen
@@ -498,25 +498,6 @@ _OTHER_GROUND = StateRef(BA137_S12, HalfInt(-2), HalfInt(0))  # inert bright sen
 MODES = ("first-bright", "strict-single-bright")
 
 
-# a sweep reads one matrix row by row, each read with the same triple
-@lru_cache(maxsize=64)
-def _decay_probs(decay_rate: float, intervals, n_checks: int) -> np.ndarray:
-    """Per-check decay probabilities (0 for the first check), read-only;
-    ``intervals`` is one number or a tuple."""
-    if np.isscalar(intervals):
-        ivals = np.full(n_checks, float(intervals))
-    else:
-        ivals = np.asarray(intervals, dtype=float)
-        if len(ivals) != n_checks:
-            raise ValueError(f"need {n_checks} check intervals, got {len(ivals)}")
-    if not np.all(np.isfinite(ivals) & (ivals >= 0)):
-        raise ValueError(f"check intervals must be finite and nonnegative, got {ivals.tolist()}")
-    probs = -np.expm1(-decay_rate * ivals)
-    probs[0] = 0.0
-    probs.setflags(write=False)
-    return probs
-
-
 @dataclass(eq=False)
 class ConfusionMatrix:
     """Prepared x measured probability table, optionally with a Null column."""
@@ -621,18 +602,23 @@ def _outcome_matrix(
     intervals: float | Sequence[float],
 ) -> np.ndarray:
     """Exact (d, d + 1) outcome probabilities, Null last, by forward
-    propagation (``_forward``), as a read-only array.
-
-    A call looks up the encoding's plan (cached on its content) and gathers
-    the error model's numbers for that plan afresh, so it sees every change
-    to either; an evaluation of content seen before is a memo hit.
-    """
+    propagation (``_forward``), as a read-only array.  Each call gathers the
+    error model's numbers afresh, so it sees every change to the model."""
     if mode not in MODES:
         raise ValueError(f"unknown interpretation mode {mode!r}")
     plan = build_measurement_sequence(encoding)
     if not np.isscalar(intervals):
         intervals = tuple(intervals)
-    decay_p = _decay_probs(errors.decay_rate, intervals, plan.n_checks)
+    try:
+        params, extra, leaks = _gather(plan, errors)
+    except MissingTransitionError:
+        _check_intervals(intervals, plan.n_checks)  # a bad interval is named first
+        raise
+    return _forward(plan, mode, params, intervals, extra, leaks)
+
+
+def _gather(plan: MeasurementPlan, errors: ErrorParams) -> tuple[bytes, tuple, tuple]:
+    """``_forward``'s ``params``, ``extra`` and ``leaks``, from the error model."""
     eps_pi = errors.eps_pi
     try:
         params = [eps_pi[key] for key in plan._pulses]
@@ -651,8 +637,21 @@ def _outcome_matrix(
             if p > 0 and i is not None:
                 leaks.append((i, code[spectator[0]], code[spectator[1]]))
                 params += [p, errors.eps(spectator)]
-    params = np.array(params + decay_p.tolist(), dtype=np.float64).tobytes()
-    return _forward(plan, mode, params, extra, tuple(leaks))
+    params.append(errors.decay_rate)
+    return np.array(params, dtype=np.float64).tobytes(), extra, tuple(leaks)
+
+
+def _check_intervals(intervals, n_checks: int) -> np.ndarray:
+    """One exposure per check, each finite and nonnegative, from ``intervals``."""
+    if np.isscalar(intervals):
+        ivals = np.full(n_checks, float(intervals))
+    else:
+        ivals = np.asarray(intervals, dtype=float)
+        if len(ivals) != n_checks:
+            raise ValueError(f"need {n_checks} check intervals, got {len(ivals)}")
+    if not np.all(np.isfinite(ivals) & (ivals >= 0)):
+        raise ValueError(f"check intervals must be finite and nonnegative, got {ivals.tolist()}")
+    return ivals
 
 
 # a sweep reads one matrix row by row and then samples it; the memo only
@@ -662,6 +661,7 @@ def _forward(
     plan: MeasurementPlan,
     mode: str,
     params: bytes,
+    intervals: float | tuple[float, ...],
     extra: tuple[StateRef, ...],
     leaks: tuple[tuple[int, int, int], ...],
 ) -> np.ndarray:
@@ -669,10 +669,10 @@ def _forward(
 
     ``params`` holds the float64 bytes (which keep -0.0 and 0.0 apart) of
     the error of each pulse, prep_error, p_dark_given_s, p_bright_given_d,
-    the probability and spectator error of each leak, and the decay
-    probability of each check.  ``extra`` are the states coded after the
-    plan's, the inert ground among them; ``leaks`` holds (pulse, spectator
-    6S code, spectator 5D code) for each leaking plan pulse.
+    the probability and spectator error of each leak, and the decay rate.
+    ``intervals`` is as for ``run_experiment``.  ``extra`` are the states
+    coded after the plan's, the inert ground among them; ``leaks`` holds
+    (pulse, spectator 6S code, spectator 5D code) for each leaking pulse.
 
     ``prob[row, code]`` is the probability that the prepared state ``row``
     is in atomic state ``code`` with no bright check so far.  Check j
@@ -688,10 +688,11 @@ def _forward(
     values = np.frombuffer(params)
     n = len(plan._pulses) + 3
     *eps, prep_error, p_dark_given_s, p_bright_given_d = values[:n].tolist()
-    numbers = values[n:n + 2 * len(leaks)].tolist()
+    *numbers, decay_rate = values[n:].tolist()
     leak_at = {i: (lo, hi, p, e) for (i, lo, hi), p, e in zip(leaks, numbers[::2], numbers[1::2])}
-    decay_p = values[n + 2 * len(leaks):]
     d = plan.n_checks
+    decay_p = -np.expm1(-decay_rate * _check_intervals(intervals, d))
+    decay_p[0] = 0.0  # the first check follows preparation directly
     is_d_level = np.array(plan._is_d + tuple(s.level == BA137_D52 for s in extra))
     other = plan._code.get(_OTHER_GROUND, len(plan._code) + extra.index(_OTHER_GROUND))
 

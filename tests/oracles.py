@@ -541,7 +541,7 @@ def oracle_enumerate_outcomes(encoding, errors, prepared, mode="first-bright", i
     return out
 
 
-def oracle_forward_strict(plan, mode, params, extra, leaks):
+def oracle_forward_strict(plan, mode, params, intervals, extra, leaks):
     """The package's forward pass as it was before strict mode gained its
     backward pass: strict mode carries one block of the probability array
     per check that could be the single bright one.  Takes the arguments of
@@ -559,8 +559,10 @@ def oracle_forward_strict(plan, mode, params, extra, leaks):
     *eps, prep_error, p_dark_given_s, p_bright_given_d = values[:n].tolist()
     numbers = values[n:n + 2 * len(leaks)].tolist()
     leak_at = {i: (lo, hi, p, e) for (i, lo, hi), p, e in zip(leaks, numbers[::2], numbers[1::2])}
-    decay_p = values[n + 2 * len(leaks):]
+    decay_rate = values[-1]
     d = len(plan._prep_codes)
+    exposure = np.broadcast_to(np.asarray(intervals, dtype=float), (d,))
+    decay_p = np.concatenate([[0.0], -np.expm1(-decay_rate * exposure[1:])])
     outcomes = range(d)
     strict = mode == "strict-single-bright"
     is_d_level = np.array(plan._is_d + tuple(s.level == BA137_D52 for s in extra))
@@ -845,9 +847,10 @@ def field_sum_of_squares(measured, B):
     )
 
 
-def oracle_estimate_field(measured, prior=(0.0, 20.0), step=0.25):
-    """0.25 G grid, then bounded Brent (xatol 1e-5 G) in the best point's bracket."""
-    grid = np.arange(max(prior[0], 1e-4), prior[1] + step, step)
+def oracle_estimate_field(measured, step=0.25):
+    """0.25 G grid from 1e-4 G to 20 G, then bounded Brent (xatol 1e-5 G) in
+    the best point's bracket."""
+    grid = np.arange(1e-4, 20.0 + step, step)
     values = [field_sum_of_squares(measured, b) for b in grid]
     best = int(np.argmin(values))
     bracket = (grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)])

@@ -12,7 +12,7 @@ import ba137qudit
 # ceilings of the public API; growing it is a deliberate change that raises
 # these in the same commit and says so in CHANGES.md
 MAX_ALL_NAMES = 95
-MAX_PUBLIC_PARAMS = 102
+MAX_PUBLIC_PARAMS = 101
 
 SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "api_size.py"
 

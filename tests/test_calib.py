@@ -276,15 +276,14 @@ class TestEstimateField:
         assert abs(est.B - 8.3) < 0.01
         assert len(single) >= 4 and max(single.values()) == 1, single
 
-    def test_grid_solve_is_cached_per_prior(self, monkeypatch):
+    def test_grid_is_solved_once_per_level_across_calls(self, monkeypatch):
         rng = np.random.default_rng(8)
         pairs = list(paper13_transition_refs().values())
         noisy = {k: v + rng.uniform(-1e-3, 1e-3)
                  for k, v in simulate_splittings(pairs, 8.3).items()}
-        priors = [(0.0, 20.0), (5.0, 12.0)]
         cached = atomstruct._grid_energies
         monkeypatch.setattr(atomstruct, "_grid_energies", cached.__wrapped__)
-        uncached = [estimate_field(noisy, prior) for prior in priors]
+        uncached = estimate_field(noisy)
 
         solve, grids, served = atomstruct._solve, Counter(), []
 
@@ -300,17 +299,29 @@ class TestEstimateField:
         monkeypatch.setattr(atomstruct, "_solve", counting)
         monkeypatch.setattr(atomstruct, "_grid_energies", serving)
         cached.cache_clear()
-        for prior, want in zip(priors, uncached):
-            before = sum(grids.values())
-            first = estimate_field(noisy, prior)
-            assert sum(grids.values()) == before + 2, grids  # a new prior: both levels' grids
-            assert estimate_field(noisy, prior) == first == want
-            assert sum(grids.values()) == before + 2, grids  # the second call solves none
-            assert served[-1] is served[-3] and served[-2] is served[-4]
-        assert cached.cache_info().currsize == 4
+        for _ in range(3):
+            assert estimate_field(noisy) == uncached
+        assert grids == {("6S1/2", 81): 1, ("5D5/2", 81): 1}, grids
+        assert served[0] is served[2] is served[4] and served[1] is served[3] is served[5]
+        assert cached.cache_info().currsize == 2
         assert served and not any(e.flags.writeable for e in served)
         with pytest.raises(ValueError, match="read-only"):
             served[0][0, 0] = 0.0
+
+    @pytest.mark.parametrize("B", [8.3, 0.0, -0.0, 3])
+    def test_one_field_lines_read_the_field_solve(self, B):
+        """Simulated splittings and snapshots are the one-point grid's line
+        frequencies bit for bit, and leave the grid cache empty."""
+        pairs = list(paper13_transition_refs().values())
+        trio = list(reference_trio().values())
+        atomstruct._grid_energies.cache_clear()
+        lines = simulate_splittings(pairs, B)
+        snap = synthetic_snapshot(B)
+        assert atomstruct._grid_energies.cache_info().currsize == 0
+        assert list(lines) == pairs
+        assert list(lines.values()) == atomstruct._frequencies(pairs, [B])[0].tolist()
+        want = atomstruct._frequencies(trio + pairs, [B])[0].tolist()
+        assert [snap.f_offset, snap.f_low, snap.f_up, *snap.freqs.values()] == want
 
 
 class TestRabiFit:
@@ -490,24 +501,6 @@ class TestPredictFrequencyErrors:
         model = fit_calibration([synthetic_snapshot(b) for b in (8.33, 8.37)])
         with pytest.raises(KeyError):
             predict_frequency(model, 0.0, 0.0, 1.0, 99)
-
-
-class TestEstimateFieldPrior:
-    def test_prior_interval_respected(self):
-        trans = paper13_transition_refs()
-        pairs = [trans[n] for n in (1, 3, 5, 10)]
-        measured = simulate_splittings(pairs, 8.35)
-        est = estimate_field(measured, prior=(5.0, 12.0))
-        assert est.B == pytest.approx(8.35, abs=1e-3)
-
-    @pytest.mark.parametrize("prior", [
-        (10.0, 5.0), (5.0, 5.0), (0.0, math.inf), (0.0, math.nan), (-math.inf, 5.0),
-    ])
-    def test_bad_prior_named(self, prior):
-        trans = paper13_transition_refs()
-        measured = simulate_splittings([trans[n] for n in (1, 3, 5, 10)], 8.35)
-        with pytest.raises(ValueError, match="prior"):
-            estimate_field(measured, prior=prior)
 
 
 class TestRabiWindowTooThin:

@@ -961,6 +961,41 @@ class TestEvaluatorCaches:
             with pytest.raises(MissingTransitionError):
                 spam._outcome_matrix(enc, errs, "first-bright", intervals)
 
+    def test_memo_counts_one_miss_per_decay_rate_and_intervals(self):
+        enc, errs, intervals = self.case(6)
+        spam._forward.cache_clear()
+
+        def misses_after(intervals, calls=3):
+            for _ in range(calls):
+                spam._outcome_matrix(enc, errs, "first-bright", intervals)
+            return spam._forward.cache_info().misses
+
+        # a list, a tuple and an array of the same numbers are one key
+        assert misses_after(intervals) == 1
+        assert misses_after(tuple(intervals)) == misses_after(np.array(intervals)) == 1
+        errs.decay_rate += 1.0
+        assert misses_after(intervals) == 2
+        changed = list(intervals)
+        changed[-1] += 0.01
+        assert misses_after(changed) == 3
+        assert spam._forward.cache_info().currsize == 3
+
+        n = len(intervals)
+        faults = [(intervals[:-1], f"^need {n} check intervals, got {n - 1}$"),
+                  ([*intervals[:-1], math.nan], "^check intervals must be finite and nonnegative")]
+        for bad, message in faults:
+            for _ in range(2):
+                with pytest.raises(ValueError, match=message):
+                    spam._outcome_matrix(enc, errs, "first-bright", bad)
+        assert spam._forward.cache_info().currsize == 3
+
+    def test_bad_intervals_are_named_before_a_missing_transition(self):
+        enc, errs, intervals = self.case(7)
+        del errs.eps_pi[max(errs.eps_pi)]
+        for bad in (intervals[:-1], -1.0):
+            with pytest.raises(ValueError, match="intervals"):
+                spam._outcome_matrix(enc, errs, "first-bright", bad)
+
     def test_plan_error_raises_on_every_call_naming_the_encoding(self):
         ground = paper13_encoding().states[0]
         first, second = (QuditEncoding(name, (ground, D(5, 3))) for name in ("first", "second"))

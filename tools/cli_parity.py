@@ -3,6 +3,7 @@ so that two checkouts can be compared file by file.
 
     python tools/cli_parity.py OUT.json [--seeds 1 2 3] [--limit N]
     diff a.json b.json          # OUT.json of two checkouts
+    python tools/cli_parity.py --check RECORD.json
 
 The commands run in-process through ``cli.main`` of the checkout this script
 lives in, with the checkout root as working directory.  The set is a fixed
@@ -17,6 +18,15 @@ stdout and stderr, with the temporary directory written ``{work}`` and the
 checkout root ``{root}``, and the SHA-256 of every file in ``{work}/out``
 (``null`` when the command made no such directory).  An exception that
 escapes ``main`` is recorded as ``raised <type>`` in place of the exit code.
+OUT.json also holds the ``--seeds`` and ``--limit`` it was written with, and
+the numpy version and machine (``platform.machine()``) it ran on.
+
+``--check RECORD.json`` runs the cases of a record again, with its seeds and
+limit, and exits 1 when anything differs: it names each case whose exit
+code, stdout, stderr or output file differs, and which of them, and a numpy
+version or machine other than the record's, with both values.  A record is
+written on one numpy and machine, as float output may differ in its last
+digits on another; there the check fails rather than skips.
 """
 
 from __future__ import annotations
@@ -27,11 +37,14 @@ import hashlib
 import io
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
 import warnings
 from pathlib import Path
+
+import numpy
 
 ROOT = Path(__file__).resolve().parent.parent
 CLI_COLD_OPS = 36  # three blocks of the cli-cold mix per seed
@@ -157,26 +170,68 @@ def run_case(cli_main, argv, files) -> dict:
                 "stderr": mask(stderr.getvalue()), "files": digests}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("out", help="JSON file to write")
-    parser.add_argument("--seeds", type=int, nargs="*", default=[1, 2, 3],
-                        help="cli-cold seeds whose ops to add (default 1 2 3)")
-    parser.add_argument("--limit", type=int, help="run only the first N cases")
-    args = parser.parse_args(argv)
-    cases = FIXED + [case for seed in args.seeds for case in cli_cold_cases(seed)]
-    cases = cases[:args.limit]
-    out = Path(args.out).resolve()
+def environment() -> dict:
+    return {"machine": platform.machine(), "numpy": numpy.__version__}
 
+
+def run_cases(seeds, limit) -> dict:
+    """The record of the fixed cases and the ``cli-cold`` ops of ``seeds``,
+    the first ``limit`` of them."""
+    cases = FIXED + [case for seed in seeds for case in cli_cold_cases(seed)]
     os.chdir(ROOT)  # the cli-cold ops name the bundled tables relative to it
     sys.path.insert(0, str(ROOT / "src"))
     from ba137qudit.cli import main as cli_main
 
-    results = {name: run_case(cli_main, case_argv, files) for name, case_argv, files in cases}
+    return {"environment": environment(), "seeds": seeds, "limit": limit,
+            "cases": {name: run_case(cli_main, argv, files) for name, argv, files in cases[:limit]}}
+
+
+def differences(record: dict, run: dict) -> list:
+    """One line per difference of ``run`` from ``record``."""
+    lines = [f"environment: {key} {record['environment'][key]} in the record, {value} here"
+             for key, value in run["environment"].items() if record["environment"][key] != value]
+    want, got = record["cases"], run["cases"]
+    lines += [f"{name}: in the record, not run" for name in want if name not in got]
+    lines += [f"{name}: not in the record" for name in got if name not in want]
+    for name in want.keys() & got.keys():
+        lines += [f"{name}: {field} differs" for field in ("argv", "rc", "stdout", "stderr")
+                  if want[name][field] != got[name][field]]
+        files, new = want[name]["files"], got[name]["files"]
+        if (files is None) != (new is None):
+            lines.append(f"{name}: out directory {'made' if new is not None else 'not made'}")
+        elif files is not None:
+            lines += [f"{name}: file {f} {'differs' if f in new else 'not written'}"
+                      for f in files if files[f] != new.get(f)]
+            lines += [f"{name}: file {f} not in the record" for f in new if f not in files]
+    return sorted(lines)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    target = parser.add_mutually_exclusive_group(required=True)
+    target.add_argument("out", nargs="?", help="JSON file to write")
+    target.add_argument("--check", metavar="RECORD", help="compare a run with this record")
+    parser.add_argument("--seeds", type=int, nargs="*", default=[1, 2, 3],
+                        help="cli-cold seeds whose ops to add (default 1 2 3)")
+    parser.add_argument("--limit", type=int, help="run only the first N cases")
+    args = parser.parse_args(argv)
+
+    if args.check:
+        record = json.loads(Path(args.check).read_text())
+        lines = differences(record, run_cases(record["seeds"], record["limit"]))
+        for line in lines:
+            print(line)
+        n = len(record["cases"])
+        print(f"cli_parity: {args.check}: " + (f"{len(lines)} differences" if lines
+                                               else f"{n} cases match"))
+        return 1 if lines else 0
+
+    out = Path(args.out).resolve()
+    results = run_cases(args.seeds, args.limit)
     with open(out, "w") as fh:
         json.dump(results, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    print(f"cli_parity: {len(results)} cases, wrote {args.out}")
+    print(f"cli_parity: {len(results['cases'])} cases, wrote {args.out}")
     return 0
 
 
